@@ -29,7 +29,6 @@ from .disposition import (
     PerturbationInstance,
     SpectralSplit,
     assemble_instance,
-    finite_gaps,
     hide_block_structure,
     offdiag_project,
     random_instance,

@@ -19,10 +19,13 @@ import numpy as np
 from . import bounds, harness, matio
 from .errors import (
     ConfigError,
+    ConvergenceFailure,
+    DimensionMismatch,
     DispositionViolation,
     DomainViolation,
     EigenFailure,
     InfeasibleParams,
+    NonHermitianInput,
     NotAGraph,
     ParseError,
     RankMismatch,
@@ -216,10 +219,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, ParseError, InfeasibleParams, DispositionViolation,
-            DomainViolation, SingularDenominator, ValueError) as exc:
+            DomainViolation, SingularDenominator, NonHermitianInput, DimensionMismatch,
+            ValueError) as exc:
         _print_error(exc)
         return EXIT_CONFIG
-    except (NotAGraph, RankMismatch, EigenFailure) as exc:
+    except (NotAGraph, RankMismatch, EigenFailure, ConvergenceFailure) as exc:
         _print_error(exc)
         return EXIT_STRUCTURAL
 

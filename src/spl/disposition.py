@@ -31,9 +31,8 @@ class SpectralSplit:
 
     sigma0/sigma1 list eigenvalues (with multiplicity, ascending) inside and
     outside the open gap (gap_left, gap_right).  d is the exact minimum
-    distance between the two lists, gap_len the gap width.  E0/E1 project
-    onto the corresponding spectral subspaces, J = E0 - E1 is the induced
-    involution, and basis holds the eigenvector columns, inner block first.
+    distance between the two lists, gap_len the gap width.  E0 projects
+    onto the inner spectral subspace.
     """
 
     sigma0: np.ndarray
@@ -43,9 +42,6 @@ class SpectralSplit:
     d: float
     gap_len: float
     E0: Projector
-    E1: Projector
-    J: np.ndarray
-    basis: np.ndarray
 
     @property
     def n0(self) -> int:
@@ -58,10 +54,6 @@ class SpectralSplit:
     @property
     def n(self) -> int:
         return self.n0 + self.n1
-
-    @property
-    def gap(self) -> tuple[float, float]:
-        return (self.gap_left, self.gap_right)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,26 +142,17 @@ def split_from_eigensystem(es: EigenSystem, gap: tuple[float, float]) -> Spectra
     inner = (vals > gl) & (vals < gr) & ~at_left & ~at_right
     if not bool(inner.any()):
         raise EmptyInnerComponent(f"no eigenvalue strictly inside ({gl}, {gr})")
-    idx0 = np.flatnonzero(inner)
-    idx1 = np.flatnonzero(~inner)
-    sigma0 = vals[idx0]
-    sigma1 = vals[idx1]
+    cols0 = es.vectors[:, inner]
+    e0 = Projector(matrix=cols0 @ cols0.conj().T, rank=cols0.shape[1])
+    return _split(vals[inner], vals[~inner], (gl, gr), e0)
+
+
+def _split(sigma0, sigma1, gap, e0: Projector) -> SpectralSplit:
+    """SpectralSplit of ascending inner/outer lists with inner projector e0."""
+    gl, gr = gap
     d = float(np.min(np.abs(sigma0[:, None] - sigma1[None, :])))
-    cols0 = es.vectors[:, idx0]
-    cols1 = es.vectors[:, idx1]
-    e0 = Projector(matrix=cols0 @ cols0.conj().T, rank=int(idx0.size))
-    e1 = Projector(matrix=cols1 @ cols1.conj().T, rank=int(idx1.size))
     return SpectralSplit(
-        sigma0=sigma0,
-        sigma1=sigma1,
-        gap_left=gl,
-        gap_right=gr,
-        d=d,
-        gap_len=gr - gl,
-        E0=e0,
-        E1=e1,
-        J=e0.matrix - e1.matrix,
-        basis=np.hstack([cols0, cols1]),
+        sigma0=sigma0, sigma1=sigma1, gap_left=gl, gap_right=gr, d=d, gap_len=gr - gl, E0=e0
     )
 
 
@@ -183,7 +166,7 @@ def check_partition(
     Raises NotAGap when an outer value sits strictly inside the gap,
     GapEndpointMissing when an endpoint is absent from the outer list,
     EmptyInnerComponent for an empty inner list, and DispositionViolation
-    when an inner value falls outside the open gap.
+    when an inner value falls outside the open gap or a value is not finite.
     """
     gl, gr = float(gap[0]), float(gap[1])
     if not gl < gr:
@@ -195,6 +178,8 @@ def check_partition(
     scale = max(float(np.max(np.abs(s0))) if s0.size else 0.0,
                 float(np.max(np.abs(s1))) if s1.size else 0.0,
                 abs(gl), abs(gr))
+    if not np.isfinite(scale):
+        raise DispositionViolation("eigenvalues and gap endpoints must be finite")
     tol = linalg.EDGE_RTOL * scale
     if not bool((np.abs(s1 - gl) <= tol).any()):
         raise GapEndpointMissing(f"left endpoint {gl} missing from the outer component")
@@ -214,12 +199,13 @@ def offdiag_project(w, split: SpectralSplit) -> np.ndarray:
     """Off-diagonal part of a Hermitian perturbation w.r.t. a split.
 
     Returns V = (W - J W J) / 2, the component of W anticommuting with the
-    split involution J.  Applying the map twice equals applying it once.
+    split involution J = 2 E0 - I.  Applying the map twice equals applying
+    it once.
     """
     wm = as_hermitian(w)
     if wm.shape[0] != split.n:
         raise DimensionMismatch(f"perturbation is {wm.shape[0]}-dim, split is {split.n}-dim")
-    j = split.J
+    j = 2.0 * split.E0.matrix - np.eye(split.n)
     v = 0.5 * (wm - j @ wm @ j)
     return 0.5 * (v + v.conj().T)
 
@@ -234,7 +220,9 @@ def assemble_instance(
 
     A = diag(diag(sigma0), diag(sigma1)) in the split basis, V embeds the
     coupling block b (shape n0 x n1) off-diagonally, L = A + V.  A zero b is
-    accepted but the instance is flagged trivial.
+    accepted but the instance is flagged trivial.  The split is read off the
+    validated partition: sorted spectra, exact separation and
+    E0 = diag(I_n0, 0).
     """
     check_partition(sigma0_values, sigma1_values, gap)
     s0 = np.asarray(sigma0_values, dtype=float)
@@ -255,7 +243,10 @@ def assemble_instance(
     v[:n0, n0:] = bm
     v[n0:, :n0] = bm.conj().T
     vnorm = op_norm(bm)
-    split = validate_disposition(a, gap)
+    e0 = np.zeros((n, n), dtype=complex)
+    e0[:n0, :n0] = np.eye(n0)
+    split = _split(np.sort(s0), np.sort(s1), (float(gap[0]), float(gap[1])),
+                   Projector(matrix=e0, rank=n0))
     return PerturbationInstance(
         A=a,
         A0=a0,
@@ -321,26 +312,6 @@ def random_instance(params: InstanceParams, seed) -> PerturbationInstance:
     else:
         b = np.zeros((p.n0, p.n1), dtype=complex)
     return assemble_instance(inner, outer, (gl, gr), b)
-
-
-def finite_gaps(values, min_len: float = 0.0) -> list[tuple[float, float]]:
-    """All finite gaps of a finite spectrum.
-
-    Returns the open intervals between consecutive distinct spectral points.
-    Points closer than the edge tolerance are merged; only gaps longer than
-    ``min_len`` (and twice the merge tolerance) are reported.
-    """
-    vals = np.sort(np.asarray(values, dtype=float))
-    if vals.size < 2:
-        return []
-    tol = linalg.EDGE_RTOL * max(float(np.max(np.abs(vals))), 1e-300)
-    gaps = []
-    prev = vals[0]
-    for x in vals[1:]:
-        if x - prev > max(min_len, 2.0 * tol):
-            gaps.append((float(prev), float(x)))
-        prev = x
-    return gaps
 
 
 def hide_block_structure(inst: PerturbationInstance, seed) -> tuple[np.ndarray, np.ndarray]:

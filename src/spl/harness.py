@@ -26,19 +26,27 @@ from .disposition import (
     random_instance,
     validate_disposition,
 )
-from .errors import (
-    ConfigError,
-    DomainViolation,
-    EigenFailure,
-    InfeasibleParams,
-    NotAGraph,
-    RankMismatch,
-)
+from .errors import ConfigError, DomainViolation, InfeasibleParams
 from .linalg import op_norm, subspace_angle
 
 SQRT2 = math.sqrt(2.0)
 
 REGIMES = ("A", "B", "C", "mixed")
+
+#: Violation tags of failed bound and identity checks; structural failures
+#: are tagged "structural:<error>" instead.
+VIOLATION_KINDS = ("bound13", "bound32", "enclosure", "mu", "graph", "riccati", "lemma")
+
+#: Key order of campaign records.
+RECORD_KEYS = (
+    "trial", "n0", "n1", "D", "d", "v", "regime12", "regime29", "regime31",
+    "gap_closed", "measured", "mu", "cond_Y0", "riccati_residual", "riccati_limit",
+    "lemma26_max", "lemma27_max", "lemma_limit", "lemma_term_imag_max",
+    "graph_angle_residual", "graph1_residual", "spec0_residual", "spec1_residual",
+    "lambda0_herm_residual", "lambda0_spec_residual", "kappa", "kappa_branch",
+    "bound13", "bound32", "ratio13", "ratio32", "r_V", "encl_lo", "encl_hi",
+    "enclosure_ok", "violations", "error",
+)
 
 #: Column order of sweep CSV files.
 SWEEP_COLUMNS = (
@@ -133,8 +141,7 @@ class CampaignReport:
 
     @property
     def exit_code(self) -> int:
-        bound_kinds = ("bound13", "bound32", "enclosure", "mu", "graph", "riccati", "lemma")
-        if any(self.aggregates["violations"][k] for k in bound_kinds):
+        if any(self.aggregates["violations"][k] for k in VIOLATION_KINDS):
             return 2
         if self.aggregates["violations"]["structural"]:
             return 3
@@ -227,32 +234,6 @@ def trial_instance(cfg: CampaignConfig, index: int) -> tuple[PerturbationInstanc
     return inst, draw
 
 
-def _blank_record(trial, inst: PerturbationInstance | None) -> dict:
-    rec = {
-        "trial": trial,
-        "n0": inst.n0 if inst is not None else None,
-        "n1": inst.n1 if inst is not None else None,
-        "D": inst.split.gap_len if inst is not None else None,
-        "d": inst.split.d if inst is not None else None,
-        "v": inst.v if inst is not None else None,
-        "regime12": None, "regime29": None, "regime31": None,
-        "gap_closed": None,
-        "measured": None, "mu": None, "cond_Y0": None,
-        "riccati_residual": None, "riccati_limit": None,
-        "lemma26_max": None, "lemma27_max": None, "lemma_limit": None,
-        "lemma_term_imag_max": None,
-        "graph_angle_residual": None, "graph1_residual": None,
-        "spec0_residual": None, "spec1_residual": None,
-        "lambda0_herm_residual": None, "lambda0_spec_residual": None,
-        "kappa": None, "kappa_branch": None,
-        "bound13": None, "bound32": None, "ratio13": None, "ratio32": None,
-        "r_V": None, "encl_lo": None, "encl_hi": None, "enclosure_ok": None,
-        "violations": [],
-        "error": None,
-    }
-    return rec
-
-
 def trial_record_for_instance(
     inst: PerturbationInstance,
     tol: Tolerances | None = None,
@@ -266,47 +247,44 @@ def trial_record_for_instance(
     split regime, non-graph subspaces, eigensolver breakdown) are reported
     in the ``error`` field instead of raising.
     """
-    tol = tol or Tolerances()
-    rec = _blank_record(trial, inst)
+    return _record(inst, riccati.solve_instance(inst), tol or Tolerances(), trial)
+
+
+def _record(inst: PerturbationInstance, res: riccati.InstanceSolution, tol: Tolerances,
+            trial) -> dict:
+    """Flat campaign record of a pipeline result."""
+    rec = dict.fromkeys(RECORD_KEYS)
     split = inst.split
     D, d, v = split.gap_len, split.d, inst.v
     inputs = bounds.BoundInputs(D=D, d=d, v=v)
-    rec["regime12"] = inputs.regime_gap_survives
-    rec["regime29"] = inputs.regime_split
-    rec["regime31"] = inputs.regime_detailed
-
-    try:
-        ps = riccati.perturbed_split(inst)
-    except EigenFailure:
-        rec["error"] = "EigenFailure"
-        rec["violations"] = ["structural:EigenFailure"]
+    rec.update(
+        trial=trial, n0=inst.n0, n1=inst.n1, D=D, d=d, v=v,
+        regime12=inputs.regime_gap_survives,
+        regime29=inputs.regime_split,
+        regime31=inputs.regime_detailed,
+        violations=[],
+    )
+    ps, sol, graph, idents = res
+    if ps is not None:
+        rec["gap_closed"] = ps.gap_closed
+        if ps.enclosure is not None:
+            rec["encl_lo"], rec["encl_hi"] = ps.enclosure
+            if ps.omega0.size:
+                rec["enclosure_ok"] = bool(
+                    float(ps.omega0.min()) >= ps.enclosure[0] - tol.enclosure_slack
+                    and float(ps.omega0.max()) <= ps.enclosure[1] + tol.enclosure_slack
+                )
+            else:
+                rec["enclosure_ok"] = False
+        if ps.gap_closed:
+            rec["error"] = "GapClosed"
+            if inputs.regime_split:
+                rec["violations"] = ["structural:GapClosed"]
+            return rec
+    if res.failure is not None:
+        rec["error"] = type(res.failure).__name__
+        rec["violations"] = [f"structural:{rec['error']}"]
         return rec
-    rec["gap_closed"] = ps.gap_closed
-    if ps.enclosure is not None:
-        rec["encl_lo"], rec["encl_hi"] = ps.enclosure
-        if ps.omega0.size:
-            rec["enclosure_ok"] = bool(
-                float(ps.omega0.min()) >= ps.enclosure[0] - tol.enclosure_slack
-                and float(ps.omega0.max()) <= ps.enclosure[1] + tol.enclosure_slack
-            )
-        else:
-            rec["enclosure_ok"] = False
-    if ps.gap_closed:
-        rec["error"] = "GapClosed"
-        if inputs.regime_split:
-            rec["violations"] = ["structural:GapClosed"]
-        return rec
-
-    try:
-        sol = riccati.angular_operator(inst, ps)
-    except (NotAGraph, RankMismatch) as exc:
-        rec["error"] = type(exc).__name__
-        rec["violations"] = [f"structural:{type(exc).__name__}"]
-        return rec
-    graph = riccati.verify_graph_props(sol, inst, ps)
-    idents = riccati.lemma22_check(sol, inst)
-    l0_herm, l0_spec = riccati.lambda0_diagnostics(sol)
-    l0_spec_residual = riccati.spectrum_mismatch(l0_spec, ps.omega0)
 
     measured = graph.measured
     report = bounds.make_bound_report(
@@ -326,8 +304,8 @@ def trial_record_for_instance(
         graph1_residual=graph.graph1_residual,
         spec0_residual=graph.spec0_residual,
         spec1_residual=graph.spec1_residual,
-        lambda0_herm_residual=l0_herm,
-        lambda0_spec_residual=l0_spec_residual,
+        lambda0_herm_residual=graph.lambda0_herm_residual,
+        lambda0_spec_residual=graph.lambda0_spec_residual,
         kappa=report.kappa,
         kappa_branch=report.kappa_branch,
         bound13=report.bound_apriori,
@@ -351,8 +329,8 @@ def trial_record_for_instance(
         or graph.graph1_residual > tol.graph
         or graph.spec0_residual > tol.graph
         or graph.spec1_residual > tol.graph
-        or l0_herm > tol.graph
-        or l0_spec_residual > tol.graph
+        or graph.lambda0_herm_residual > tol.graph
+        or graph.lambda0_spec_residual > tol.graph
     ):
         violations.append("graph")
     if sol.riccati_residual > rec["riccati_limit"]:
@@ -372,8 +350,7 @@ def _trial_batch(cfg: CampaignConfig, indices: list[int]) -> list[dict]:
 
 
 def _aggregate(records: list[dict]) -> dict:
-    kinds = ("bound13", "bound32", "enclosure", "mu", "graph", "riccati", "lemma")
-    counts = {k: 0 for k in kinds}
+    counts = dict.fromkeys(VIOLATION_KINDS, 0)
     counts["structural"] = 0
     for rec in records:
         for tag in rec["violations"]:
@@ -463,23 +440,15 @@ def instance_from_file(path: str, gap: tuple[float, float] | None = None) -> Per
 def analyze(inst: PerturbationInstance, tol: Tolerances | None = None) -> dict:
     """Full single-instance report aggregating every module's output.
 
-    Propagates NotAGraph / RankMismatch / EigenFailure so callers can map
-    them to structured errors; campaign-style flat fields are nested under
-    "record" and computed by the same code path as campaign trials.
+    Raises the pipeline's NotAGraph / RankMismatch / EigenFailure so callers
+    can map them to structured errors; campaign-style flat fields are nested
+    under "record", a second view of the same pipeline result.
     """
-    tol = tol or Tolerances()
+    res = riccati.solve_instance(inst)
+    if res.failure is not None:
+        raise res.failure
+    ps, sol, graph, idents = res
     split = inst.split
-    ps = riccati.perturbed_split(inst)
-    if ps.gap_closed:
-        raise RankMismatch(
-            f"gap closed: {ps.omega0.size} perturbed eigenvalues inside the gap, "
-            f"expected {split.n0}"
-        )
-    sol = riccati.angular_operator(inst, ps)
-    graph = riccati.verify_graph_props(sol, inst, ps)
-    idents = riccati.lemma22_check(sol, inst)
-    l0_herm, l0_spec = riccati.lambda0_diagnostics(sol)
-    rec = trial_record_for_instance(inst, tol)
     return {
         "instance": {
             "n0": inst.n0,
@@ -502,8 +471,8 @@ def analyze(inst: PerturbationInstance, tol: Tolerances | None = None) -> dict:
             "mu": sol.mu,
             "cond_Y0": sol.cond_Y0,
             "riccati_residual": sol.riccati_residual,
-            "lambda0_spectrum": [float(x) for x in l0_spec],
-            "lambda0_herm_residual": l0_herm,
+            "lambda0_spectrum": [float(x) for x in graph.lambda0_spectrum],
+            "lambda0_herm_residual": graph.lambda0_herm_residual,
             "X": matio.matrix_to_dict(sol.X),
         },
         "identities": [
@@ -523,7 +492,7 @@ def analyze(inst: PerturbationInstance, tol: Tolerances | None = None) -> dict:
             "spec0_residual": graph.spec0_residual,
             "spec1_residual": graph.spec1_residual,
         },
-        "record": rec,
+        "record": _record(inst, res, tol or Tolerances(), None),
     }
 
 

@@ -30,14 +30,16 @@ EDGE_RTOL = 1e-9
 def as_hermitian(m) -> np.ndarray:
     """Validate a square Hermitian matrix and return it as a complex array.
 
-    Raises NonHermitianInput when the entrywise asymmetry exceeds
-    ``HERMITICITY_RTOL`` times the largest entry, DimensionMismatch for
-    non-square input.
+    Raises NonHermitianInput for a non-finite entry or when the entrywise
+    asymmetry exceeds ``HERMITICITY_RTOL`` times the largest entry,
+    DimensionMismatch for non-square input.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
+    scale = float(np.max(np.abs(a)))
+    if not np.isfinite(scale):
+        raise NonHermitianInput(f"matrix has a non-finite entry (largest modulus {scale})")
     if scale > 0.0:
         asym = float(np.max(np.abs(a - a.conj().T)))
         if asym > HERMITICITY_RTOL * scale:
@@ -89,30 +91,29 @@ class Projector:
     matrix: np.ndarray
     rank: int
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    def defects(self) -> tuple[float, float, float]:
-        """(idempotency, hermiticity, trace-rank) defect norms, for checks."""
-        p = self.matrix
-        idem = op_norm(p @ p - p)
-        herm = float(np.max(np.abs(p - p.conj().T))) if p.size else 0.0
-        tr = abs(float(np.trace(p).real) - self.rank)
-        return idem, herm, tr
-
 
 @dataclass(frozen=True, eq=False)
 class PolarParts:
-    """Polar factorisation X = isometry @ absval.
+    """Polar factorisation X = isometry @ absval, with the spectrum of absval.
 
     isometry maps the domain space to the codomain space, acts isometrically
     on the range of ``absval`` and vanishes on its kernel.  absval is the
-    Hermitian PSD square root of X*X on the domain space.
+    Hermitian PSD square root of X*X on the domain space.  values (the
+    singular values of X, descending, padded with zeros) and the columns of
+    vectors are its eigenpairs; the columns past the rank of X span its kernel.
     """
 
     isometry: np.ndarray
-    absval: np.ndarray
+    values: np.ndarray
+    vectors: np.ndarray
+
+    @property
+    def absval(self) -> np.ndarray:
+        return self.apply(lambda s: s)
+
+    def apply(self, f) -> np.ndarray:
+        """f(absval) for a scalar function f acting on the eigenvalues."""
+        return self.vectors @ (f(self.values)[:, None] * self.vectors.conj().T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,24 +217,26 @@ def subspace_angle(p: Projector, q: Projector) -> AngleReport:
 def polar_decompose(x) -> PolarParts:
     """Polar factors of a rectangular matrix.
 
-    Returns ``PolarParts(isometry, absval)`` with ``x = isometry @ absval``.
-    The isometry is built only from singular directions above the numerical
-    rank cutoff, so it vanishes on the kernel of x.  absval is computed from
-    the SVD directly (not via a matrix square root) to keep small singular
-    values accurate.
+    Returns ``PolarParts`` with ``x = isometry @ absval``.  The SVD keeps
+    the full right singular basis, so absval has a full eigenbasis even
+    when x has fewer rows than columns.  The isometry is built only from
+    singular directions above the numerical rank cutoff, so it vanishes on
+    the kernel of x.  absval is computed from the SVD directly (not via a
+    matrix square root) to keep small singular values accurate.
     """
     a = np.asarray(x, dtype=complex)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got shape {a.shape}")
     try:
-        w, s, vh = np.linalg.svd(a, full_matrices=False)
+        w, s, vh = np.linalg.svd(a, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"svd backend failed: {exc}") from exc
-    absval = (vh.conj().T * s) @ vh
+    values = np.zeros(a.shape[1])
+    values[:s.size] = s
     cutoff = s[0] * max(a.shape) * np.finfo(float).eps if s.size and s[0] > 0 else 0.0
     rank = int(np.count_nonzero(s > cutoff))
     isometry = w[:, :rank] @ vh[:rank, :]
-    return PolarParts(isometry=isometry, absval=absval)
+    return PolarParts(isometry=isometry, values=values, vectors=vh.conj().T)
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -117,7 +117,20 @@ def matrix_from_dict(doc: dict) -> np.ndarray:
         if im.shape != re.shape:
             raise ParseError(f"'imag' shape {im.shape} does not match 'real' {re.shape}")
         a = a + 1j * im
+    if not np.isfinite(a).all():
+        raise ParseError("matrix entries must be finite")
     return a
+
+
+def _finite_floats(doc: dict, key: str) -> np.ndarray:
+    """The flat list of finite floats stored under ``key``."""
+    try:
+        vals = np.asarray(doc[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"malformed '{key}': {exc}") from exc
+    if vals.ndim != 1 or not np.isfinite(vals).all():
+        raise ParseError(f"'{key}' must be a flat list of finite numbers")
+    return vals
 
 
 def instance_to_dict(inst: PerturbationInstance) -> dict:
@@ -135,11 +148,11 @@ def instance_from_dict(doc: dict) -> PerturbationInstance:
     for key in ("sigma0", "sigma1", "gap", "B"):
         if key not in doc:
             raise ParseError(f"instance JSON requires a '{key}' field")
-    gap = doc["gap"]
-    if not isinstance(gap, (list, tuple)) or len(gap) != 2:
+    gap = _finite_floats(doc, "gap")
+    if gap.size != 2:
         raise ParseError("'gap' must be [gap_left, gap_right]")
-    b = matrix_from_dict(doc["B"])
-    return assemble_instance(doc["sigma0"], doc["sigma1"], (float(gap[0]), float(gap[1])), b)
+    s0, s1 = _finite_floats(doc, "sigma0"), _finite_floats(doc, "sigma1")
+    return assemble_instance(s0, s1, (float(gap[0]), float(gap[1])), matrix_from_dict(doc["B"]))
 
 
 def is_instance_doc(doc: dict) -> bool:

@@ -7,6 +7,11 @@ X is extracted from an orthonormal basis of the perturbed inner subspace by
 graph inversion and independently certified through its quadratic-equation
 residual  X A0 - A1 X + X B X - B*.
 
+:func:`solve_instance` runs each stage once per instance.  The one SVD of
+X (:func:`polar_decompose`) gives ||X||, the polar parts, the eigenpairs of
+|X| and (I + |X|^2)^(+-1/2).  The measured rotation ||E0 - E0'|| comes from
+the spectral projectors (:func:`subspace_angle`), never from X.
+
 Inner products are conjugate-linear in the first argument (numpy.vdot).
 """
 
@@ -24,6 +29,7 @@ from .errors import (
     EigenFailure,
     NotAGraph,
     RankMismatch,
+    SplError,
 )
 from .linalg import PolarParts, Projector, eigh, op_norm, polar_decompose, subspace_angle
 
@@ -36,8 +42,8 @@ class PerturbedSplit:
     """Spectrum and spectral subspaces of L = A + V split by the gap.
 
     omega0/omega1 are the eigenvalues inside/outside the open gap (edge
-    grazers count as outside); EL0/EL1 the matching spectral projectors and
-    basis0/basis1 orthonormal bases of their ranges.  enclosure is the
+    grazers count as outside); EL0 the spectral projector onto the inner
+    part and basis0/basis1 orthonormal bases of both parts.  enclosure is the
     erosion interval confining omega0 (None when v >= sqrt(d*D)).
     gap_closed flags an inner eigenvalue count different from the
     unperturbed one, i.e. spectrum leaked across the gap ends.
@@ -46,7 +52,6 @@ class PerturbedSplit:
     omega0: np.ndarray
     omega1: np.ndarray
     EL0: Projector
-    EL1: Projector
     basis0: np.ndarray
     basis1: np.ndarray
     enclosure: tuple[float, float] | None
@@ -57,8 +62,8 @@ class PerturbedSplit:
 class RiccatiSolution:
     """Angular operator of the perturbed inner subspace with diagnostics.
 
-    X maps the inner block to the outer block; polar holds X = U |X|;
-    mu = ||X||.  riccati_residual is the operator norm of
+    X maps the inner block to the outer block; polar holds X = U |X| and
+    the eigenpairs of |X|; mu = ||X||.  riccati_residual is the operator norm of
     X A0 - A1 X + X B X - B*.  Lambda0 is the Hermitian operator similar to
     A0 + B X via (I + |X|^2)^(1/2), whose spectrum equals omega0.  cond_Y0
     records the conditioning of the graph inversion.
@@ -89,14 +94,16 @@ class IdentityReport:
     top: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphReport:
     """Graph-representation checks for a solved instance.
 
     measured is ||E_A(sigma0) - E_L(omega0)||; angle_residual its deviation
     from sin(arctan ||X||); graph1_residual the defect of the outer subspace
     being the graph of -X*; spec0/spec1_residual the mismatch between the
-    spectra of A0 + B X / A1 - B* X* and omega0 / omega1.
+    spectra of A0 + B X / A1 - B* X* and omega0 / omega1; the lambda0_*
+    fields are those of :func:`lambda0_diagnostics` and the mismatch
+    between the Lambda0 spectrum and omega0.
     """
 
     measured: float
@@ -104,6 +111,28 @@ class GraphReport:
     graph1_residual: float
     spec0_residual: float
     spec1_residual: float
+    lambda0_spectrum: np.ndarray
+    lambda0_herm_residual: float
+    lambda0_spec_residual: float
+
+
+@dataclass(frozen=True, eq=False)
+class InstanceSolution:
+    """Every stage of :func:`solve_instance`, each run once.
+
+    ``failure`` holds the structural error that stopped the pipeline
+    (EigenFailure, RankMismatch on gap closure, NotAGraph); the stages after
+    it are None.  Unpacks as ``(perturbed, solution, graph, identities)``.
+    """
+
+    perturbed: PerturbedSplit | None
+    solution: RiccatiSolution | None = None
+    graph: GraphReport | None = None
+    identities: list[IdentityReport] | None = None
+    failure: SplError | None = None
+
+    def __iter__(self):
+        return iter((self.perturbed, self.solution, self.graph, self.identities))
 
 
 def perturbed_split(inst: PerturbationInstance) -> PerturbedSplit:
@@ -124,23 +153,19 @@ def perturbed_split(inst: PerturbationInstance) -> PerturbedSplit:
     vals = es.values
     near = (np.abs(vals - gl) <= tol) | (np.abs(vals - gr) <= tol)
     inner = (vals > gl) & (vals < gr) & ~near
-    idx0 = np.flatnonzero(inner)
-    idx1 = np.flatnonzero(~inner)
-    cols0 = es.vectors[:, idx0]
-    cols1 = es.vectors[:, idx1]
+    cols0 = es.vectors[:, inner]
     if bounds.BoundInputs(D=split.gap_len, d=split.d, v=inst.v).regime_split:
         encl = bounds.enclosure(gl, gr, split.d, inst.v)
     else:
         encl = None
     return PerturbedSplit(
-        omega0=vals[idx0],
-        omega1=vals[idx1],
-        EL0=Projector(matrix=cols0 @ cols0.conj().T, rank=int(idx0.size)),
-        EL1=Projector(matrix=cols1 @ cols1.conj().T, rank=int(idx1.size)),
+        omega0=vals[inner],
+        omega1=vals[~inner],
+        EL0=Projector(matrix=cols0 @ cols0.conj().T, rank=cols0.shape[1]),
         basis0=cols0,
-        basis1=cols1,
+        basis1=es.vectors[:, ~inner],
         enclosure=encl,
-        gap_closed=bool(idx0.size != split.n0),
+        gap_closed=cols0.shape[1] != split.n0,
     )
 
 
@@ -150,13 +175,14 @@ def angular_operator(inst: PerturbationInstance, ps: PerturbedSplit) -> RiccatiS
     Any orthonormal basis Y of Ran(EL0), partitioned into inner/outer block
     rows [Y0; Y1], yields X = Y1 Y0^{-1}; the result is independent of the
     basis choice.  Raises RankMismatch when the subspace dimension differs
-    from the inner block size and NotAGraph when Y0 is numerically singular
-    (conditioning above GRAPH_COND_LIMIT).
+    from the inner block size (the gap closed) and NotAGraph when Y0 is
+    numerically singular (conditioning above GRAPH_COND_LIMIT).
     """
     n0 = inst.n0
     if ps.basis0.shape[1] != n0:
         raise RankMismatch(
-            f"perturbed inner subspace has dimension {ps.basis0.shape[1]}, expected {n0}"
+            f"gap closed: perturbed inner subspace has dimension {ps.basis0.shape[1]}, "
+            f"expected {n0}"
         )
     y0 = ps.basis0[:n0, :]
     y1 = ps.basis0[n0:, :]
@@ -170,18 +196,14 @@ def angular_operator(inst: PerturbationInstance, ps: PerturbedSplit) -> RiccatiS
         )
     x = np.linalg.solve(y0.T, y1.T).T
     polar = polar_decompose(x)
-    mu = op_norm(x)
     resid = riccati_residual(x, inst.A0, inst.A1, inst.B)
-
-    s2, w = np.linalg.eigh(x.conj().T @ x)
-    s2 = np.clip(s2, 0.0, None)
-    half = w @ (np.sqrt(1.0 + s2)[:, None] * w.conj().T)
-    half_inv = w @ (1.0 / np.sqrt(1.0 + s2)[:, None] * w.conj().T)
+    half = polar.apply(lambda s: np.sqrt(1.0 + s * s))
+    half_inv = polar.apply(lambda s: 1.0 / np.sqrt(1.0 + s * s))
     lambda0 = half @ (inst.A0 + inst.B @ x) @ half_inv
     return RiccatiSolution(
         X=x,
         polar=polar,
-        mu=mu,
+        mu=float(polar.values[0]),
         riccati_residual=resid,
         Lambda0=lambda0,
         cond_Y0=cond,
@@ -216,16 +238,15 @@ def lemma22_check(sol: RiccatiSolution, inst: PerturbationInstance) -> list[Iden
     The mixed term uses Lambda0 (not A0) in res27; both identities hold
     exactly for an exact solution, and the mixed inner-product term is real
     on Hermitian data.  Reports come out sorted by descending eigenvalue
-    with the top (norm-attaining) eigenpairs flagged.
+    with the top (norm-attaining) eigenpairs flagged; there is one per
+    inner dimension, the kernel of X included.
     """
-    absval = sol.polar.absval
     u_iso = sol.polar.isometry
-    lams, vecs = np.linalg.eigh(absval)
-    lam_max = float(lams[-1]) if lams.size else 0.0
+    lams, vecs = sol.polar.values, sol.polar.vectors
     a0, a1, b = inst.A0, inst.A1, inst.B
     bh = b.conj().T
     reports = []
-    for k in range(lams.size - 1, -1, -1):
+    for k in range(lams.size):
         lam = float(lams[k])
         u = vecs[:, k]
         w = u_iso @ u
@@ -247,7 +268,7 @@ def lemma22_check(sol: RiccatiSolution, inst: PerturbationInstance) -> list[Iden
                 res26=float(res26),
                 res27=float(res27),
                 term_imag=abs(term.imag),
-                top=bool(lam >= lam_max - 1e-12 * max(1.0, lam_max)),
+                top=bool(lam >= sol.mu - 1e-12 * max(1.0, sol.mu)),
             )
         )
     return reports
@@ -260,8 +281,9 @@ def verify_graph_props(
 
     Checks that the projector difference norm equals sin(arctan ||X||),
     that the outer perturbed subspace is the graph of -X* (inner rows of an
-    orthonormal basis equal -X* times the outer rows), and that the spectra
-    of A0 + B X and A1 - B* X* reproduce omega0 and omega1.
+    orthonormal basis equal -X* times the outer rows), that the spectra
+    of A0 + B X and A1 - B* X* reproduce omega0 and omega1, and that
+    Lambda0 is Hermitian with spectrum omega0.
     """
     n0 = inst.n0
     measured = subspace_angle(inst.split.E0, ps.EL0).norm_diff
@@ -275,12 +297,16 @@ def verify_graph_props(
     spec1 = np.linalg.eigvals(inst.A1 - inst.B.conj().T @ sol.X.conj().T)
     spec0_residual = spectrum_mismatch(spec0, ps.omega0)
     spec1_residual = spectrum_mismatch(spec1, ps.omega1)
+    l0_herm, l0_spec = lambda0_diagnostics(sol)
     return GraphReport(
         measured=float(measured),
         angle_residual=float(angle_residual),
         graph1_residual=float(graph1_residual),
         spec0_residual=float(spec0_residual),
         spec1_residual=float(spec1_residual),
+        lambda0_spectrum=l0_spec,
+        lambda0_herm_residual=l0_herm,
+        lambda0_spec_residual=spectrum_mismatch(l0_spec, ps.omega0),
     )
 
 
@@ -308,10 +334,23 @@ def lambda0_diagnostics(sol: RiccatiSolution) -> tuple[float, np.ndarray]:
     return float(herm), spectrum
 
 
-def solve_instance(inst: PerturbationInstance) -> tuple[PerturbedSplit, RiccatiSolution, GraphReport, list[IdentityReport]]:
-    """Full pipeline on one instance: split, angular operator, all checks."""
-    ps = perturbed_split(inst)
-    sol = angular_operator(inst, ps)
-    graph = verify_graph_props(sol, inst, ps)
-    identities = lemma22_check(sol, inst)
-    return ps, sol, graph, identities
+def solve_instance(inst: PerturbationInstance) -> InstanceSolution:
+    """Full pipeline on one instance: split, angular operator, all checks.
+
+    Structural failures are returned in ``failure`` rather than raised, so
+    that callers can report the stages that did run.
+    """
+    try:
+        ps = perturbed_split(inst)
+    except EigenFailure as exc:
+        return InstanceSolution(perturbed=None, failure=exc)
+    try:
+        sol = angular_operator(inst, ps)
+    except (RankMismatch, NotAGraph) as exc:
+        return InstanceSolution(perturbed=ps, failure=exc)
+    return InstanceSolution(
+        perturbed=ps,
+        solution=sol,
+        graph=verify_graph_props(sol, inst, ps),
+        identities=lemma22_check(sol, inst),
+    )

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 
 import spl
 from spl import cli, matio
@@ -180,3 +181,49 @@ def test_sharpness_infeasible(capsys):
                      "--n0", "1", "--n1", "2"])
     assert code == cli.EXIT_CONFIG
     assert json.loads(capsys.readouterr().err)["error"] == "InfeasibleParams"
+
+
+E1_DOC = {"sigma0": [0.0], "sigma1": [-1.0, 1.0], "gap": [-1.0, 1.0],
+          "B": {"n": 1, "real": [[0.5, 0.0]]}}
+MATRIX_DOC = {"n": 3, "real": [[0.2, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]]}
+
+
+@pytest.mark.parametrize(
+    "doc,code,error",
+    [
+        ({**MATRIX_DOC, "real": [[0.2, 0.5, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]]},
+         cli.EXIT_CONFIG, "NonHermitianInput"),
+        ({"n": 2, "real": [[0.2, 0.0, 0.0], [0.0, -1.0, 0.0]]}, cli.EXIT_CONFIG,
+         "DimensionMismatch"),
+        ({**MATRIX_DOC, "real": [[math.nan, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]]},
+         cli.EXIT_CONFIG, "ParseError"),
+        ({**E1_DOC, "B": {"n": 1, "real": [[0.5, 0.0, 0.0]]}}, cli.EXIT_CONFIG,
+         "DimensionMismatch"),
+        ({**E1_DOC, "B": {"n": 1, "real": [[math.nan, 0.0]]}}, cli.EXIT_CONFIG, "ParseError"),
+        ({**E1_DOC, "sigma0": [math.nan]}, cli.EXIT_CONFIG, "ParseError"),
+        ({**E1_DOC, "sigma1": [-1.0, math.inf]}, cli.EXIT_CONFIG, "ParseError"),
+        ({**E1_DOC, "gap": [-math.inf, 1.0]}, cli.EXIT_CONFIG, "ParseError"),
+    ],
+    ids=["non-hermitian", "non-square", "nan-matrix", "b-shape", "nan-b", "nan-sigma0",
+         "inf-sigma1", "inf-gap"],
+)
+def test_analyze_bad_input_exit_codes(tmp_path, capsys, doc, code, error):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))  # json.dumps writes NaN and Infinity literals
+    args = ["analyze", "--in", str(path)]
+    if "real" in doc:
+        args += ["--gap-left", "-1", "--gap-right", "1"]
+    assert cli.main(args) == code
+    assert json.loads(capsys.readouterr().err)["error"] == error
+
+
+def test_analyze_convergence_failure_exit_code(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    path = tmp_path / "mat.json"
+    path.write_text(json.dumps(MATRIX_DOC))
+    monkeypatch.setattr(np.linalg, "eigh", broken)
+    args = ["analyze", "--in", str(path), "--gap-left", "-1", "--gap-right", "1"]
+    assert cli.main(args) == cli.EXIT_STRUCTURAL
+    assert json.loads(capsys.readouterr().err)["error"] == "ConvergenceFailure"

@@ -50,11 +50,19 @@ def test_validate_bad_gap_order():
 
 
 def test_split_operators():
-    split = spl.validate_disposition(np.diag([0.0, -1.0, 1.0]), (-1.0, 1.0))
+    a = np.diag([0.0, -1.0, 1.0])
+    split = spl.validate_disposition(a, (-1.0, 1.0))
     n = split.n
-    npt.assert_allclose(split.E0.matrix + split.E1.matrix, np.eye(n), atol=1e-12)
-    npt.assert_allclose(split.J @ split.J, np.eye(n), atol=1e-10)
-    npt.assert_allclose(split.basis.conj().T @ split.basis, np.eye(n), atol=1e-12)
+    e0 = split.E0.matrix
+    # E0 is an orthogonal projector of rank n0; J = 2 E0 - I is an
+    # involution commuting with A
+    npt.assert_allclose(e0 @ e0, e0, atol=1e-12)
+    npt.assert_allclose(e0.conj().T, e0, atol=1e-12)
+    assert split.E0.rank == split.n0 == 1
+    npt.assert_allclose(np.trace(e0).real, split.E0.rank, atol=1e-12)
+    j = 2.0 * e0 - np.eye(n)
+    npt.assert_allclose(j @ j, np.eye(n), atol=1e-10)
+    npt.assert_allclose(j @ a, a @ j, atol=1e-12)
     assert split.d <= split.gap_len / 2.0 + 1e-12
 
 
@@ -99,7 +107,7 @@ def test_offdiag_fixes_offdiagonal():
     w = random_hermitian(rng, 3)
     v = spl.offdiag_project(w, split)
     npt.assert_allclose(spl.offdiag_project(v, split), v, atol=1e-12)
-    j = split.J
+    j = 2.0 * split.E0.matrix - np.eye(split.n)
     assert spl.op_norm(j @ v + v @ j) <= 1e-10 * max(spl.op_norm(v), 1e-300)
 
 
@@ -154,6 +162,8 @@ def test_assemble_rejects_outer_inside():
 def test_assemble_rejects_inner_outside():
     with pytest.raises(DispositionViolation):
         spl.assemble_instance([1.5], [-1.0, 1.0], (-1.0, 1.0), np.zeros((1, 2)))
+    with pytest.raises(DispositionViolation):
+        spl.assemble_instance([np.nan], [-1.0, 1.0], (-1.0, 1.0), np.zeros((1, 2)))
 
 
 def test_assemble_rejects_bad_block_shape():
@@ -161,8 +171,25 @@ def test_assemble_rejects_bad_block_shape():
         spl.assemble_instance([0.0], [-1.0, 1.0], (-1.0, 1.0), np.zeros((2, 2)))
 
 
+def test_assembled_split_matches_eigh_route():
+    # the split read off the partition is bit for bit the one that an
+    # eigendecomposition of the diagonal A yields
+    cfg = spl.CampaignConfig(
+        trials=300, seed=4242, n0=(1, 20), n1=(2, 20), gap=(-1.0, 1.0), d=(0.05, 0.95),
+    )
+    for index in range(cfg.trials):
+        inst, _ = spl.trial_instance(cfg, index)
+        ref = spl.validate_disposition(inst.A, cfg.gap)
+        split = inst.split
+        assert split.sigma0.tobytes() == ref.sigma0.tobytes()
+        assert split.sigma1.tobytes() == ref.sigma1.tobytes()
+        assert split.d == ref.d
+        assert split.E0.rank == ref.E0.rank
+        assert split.E0.matrix.tobytes() == ref.E0.matrix.tobytes()
+
+
 def test_instance_anticommutes_with_involution(e1):
-    j = e1.split.J
+    j = 2.0 * e1.split.E0.matrix - np.eye(e1.n)
     assert spl.op_norm(j @ e1.V + e1.V @ j) <= 1e-10 * e1.v
 
 
@@ -250,13 +277,6 @@ def test_random_instance_distance_and_norm_sweep():
 # --- helpers -------------------------------------------------------------------------
 
 
-def test_finite_gaps():
-    gaps = spl.finite_gaps([3.0, -1.0, 1.0, 0.0])
-    assert gaps == [(-1.0, 0.0), (0.0, 1.0), (1.0, 3.0)]
-    assert spl.finite_gaps([1.0]) == []
-    assert spl.finite_gaps([2.0, -2.0], min_len=5.0) == []
-
-
 def test_hide_block_structure_preserves_geometry():
     params = spl.InstanceParams(
         n0=2, n1=3, gap_left=-1.0, gap_right=1.0, d=0.4, outer_radius=1.0, v=0.5
@@ -267,7 +287,7 @@ def test_hide_block_structure_preserves_geometry():
     npt.assert_allclose(np.sort(split.sigma0), np.sort(inst.split.sigma0), atol=1e-10)
     npt.assert_allclose(split.d, inst.split.d, atol=1e-10)
     # off-diagonality survives conjugation
-    j = split.J
+    j = 2.0 * split.E0.matrix - np.eye(split.n)
     assert spl.op_norm(j @ v_dense + v_dense @ j) <= 1e-9 * inst.v
     # measured rotation is unitarily invariant: dense path equals block path
     es_dense = spl.eigh(a_dense + v_dense)

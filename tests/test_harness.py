@@ -184,13 +184,9 @@ def test_records_rederivable_via_analyze(tmp_path):
         path.write_text(matio.dumps(matio.instance_to_dict(inst)))
         reloaded = spl.harness.instance_from_file(str(path))
         report = spl.analyze(reloaded)
-        rec = rep.records[index]
-        for key in ("measured", "mu", "bound13", "bound32", "kappa", "r_V",
-                    "riccati_residual", "lemma26_max", "lemma27_max"):
-            if rec[key] is None:
-                assert report["record"][key] is None
-            else:
-                assert abs(report["record"][key] - rec[key]) <= 1e-10
+        # both are views of one pipeline result: equal except the trial index
+        assert report["record"] == {**rep.records[index], "trial": None}
+        assert list(report["record"]) == list(rep.records[index])
 
 
 # --- instance loading ----------------------------------------------------------------------
@@ -335,3 +331,5 @@ def test_matrix_from_dict_errors():
         matio.matrix_from_dict({"real": [[1.0], [2.0, 3.0]]})
     with pytest.raises(spl.errors.ParseError):
         matio.matrix_from_dict({"real": [[1.0]], "imag": [[1.0, 2.0]]})
+    with pytest.raises(spl.errors.ParseError):
+        matio.matrix_from_dict({"real": [[float("nan")]]})

@@ -47,6 +47,9 @@ def test_eigh_random_invariants():
 def test_eigh_rejects_nonhermitian():
     with pytest.raises(NonHermitianInput):
         spl.eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonHermitianInput):
+            spl.eigh(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 def test_eigh_rejects_nonsquare():

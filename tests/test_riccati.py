@@ -32,7 +32,9 @@ def test_perturbed_split_e1(e1):
     )
     # the perturbed inner eigenvalue attains the upper enclosure edge
     npt.assert_allclose(float(ps.omega0.max()), ps.enclosure[1], atol=1e-12)
-    assert ps.EL0.rank == 1 and ps.EL1.rank == 2
+    assert ps.EL0.rank == 1 and ps.basis1.shape[1] == 2
+    basis = np.hstack([ps.basis0, ps.basis1])
+    npt.assert_allclose(basis.conj().T @ basis, np.eye(3), atol=1e-12)
 
 
 def test_perturbed_split_trivial():
@@ -298,3 +300,78 @@ def test_solve_instance_pipeline(e1):
     assert ps.EL0.rank == 1
     assert graph.measured > 0
     assert len(idents) == 1
+
+
+def test_solve_instance_reports_structural_failure():
+    inst = spl.assemble_instance([0.0], [-1.0, 1.0], (-1.0, 1.0), [[5.0, 0.0]])
+    res = spl.solve_instance(inst)
+    assert isinstance(res.failure, RankMismatch)
+    assert res.perturbed.gap_closed
+    assert res.solution is None and res.graph is None and res.identities is None
+
+
+# --- the single SVD of X against the former per-quantity routes ---------------
+
+#: Agreement required between the SVD route and the eigh / op-norm routes,
+#: times max(1, ||X||) (|A| + |V|)^2.
+ORACLE_RTOL = 1e-12
+
+
+def oracle_instances():
+    # n0 > n1: X has a kernel; v_fraction 0: B = 0 and X = 0
+    wide = spl.CampaignConfig(trials=20, seed=5150, n0=(4, 8), n1=(2, 3), d=(0.1, 0.9))
+    insts = (
+        small_campaign_instances(seed=303, trials=30)
+        + [spl.trial_instance(wide, i)[0] for i in range(wide.trials)]
+        + small_campaign_instances(seed=404, trials=5, v_fraction=0.0)
+    )
+    assert any(inst.n0 > inst.n1 for inst in insts)
+    assert any(inst.trivial for inst in insts)
+    return insts
+
+
+def reference_lemma22(x, lambda0, inst):
+    """(lam, res26, res27, top) per eigenpair of |X| taken from eigh(|X|)."""
+    w, s, vh = np.linalg.svd(x, full_matrices=False)
+    absval = (vh.conj().T * s) @ vh
+    cutoff = s[0] * max(x.shape) * np.finfo(float).eps if s[0] > 0 else 0.0
+    rank = int(np.count_nonzero(s > cutoff))
+    iso = w[:, :rank] @ vh[:rank, :]
+    lams, vecs = np.linalg.eigh(absval)
+    lam_max = float(lams[-1])
+    a0, a1, b = inst.A0, inst.A1, inst.B
+    out = []
+    for k in range(lams.size - 1, -1, -1):
+        lam, u = float(lams[k]), vecs[:, k]
+        wv = iso @ u
+        term = complex(np.vdot(a0 @ u, b @ wv) + np.vdot(b.conj().T @ u, a1 @ wv))
+        outer = np.linalg.norm(a1 @ wv) ** 2 + np.linalg.norm(b @ wv) ** 2
+        inner = np.linalg.norm(a0 @ u) ** 2 + np.linalg.norm(b.conj().T @ u) ** 2
+        res26 = abs(lam * (outer - inner) + (1.0 - lam * lam) * term)
+        res27 = abs(term + lam * (outer - np.linalg.norm(lambda0 @ u) ** 2))
+        out.append((lam, res26, res27, lam >= lam_max - 1e-12 * max(1.0, lam_max)))
+    return out
+
+
+def test_single_svd_matches_former_routes():
+    for inst in oracle_instances():
+        sol = spl.angular_operator(inst, spl.perturbed_split(inst))
+        x = sol.X
+        mu_ref = float(np.linalg.norm(x, 2))
+        tol = ORACLE_RTOL * max(1.0, mu_ref) * inst.scale
+        assert abs(sol.mu - mu_ref) <= tol
+
+        s2, w = np.linalg.eigh(x.conj().T @ x)
+        s2 = np.clip(s2, 0.0, None)
+        half = w @ (np.sqrt(1.0 + s2)[:, None] * w.conj().T)
+        half_inv = w @ (1.0 / np.sqrt(1.0 + s2)[:, None] * w.conj().T)
+        lambda0_ref = half @ (inst.A0 + inst.B @ x) @ half_inv
+        assert spl.op_norm(sol.Lambda0 - lambda0_ref) <= tol
+
+        reports = spl.lemma22_check(sol, inst)
+        assert len(reports) == inst.n0
+        ref = reference_lemma22(x, lambda0_ref, inst)
+        for r, (lam, res26, res27, top) in zip(reports, ref):
+            assert abs(r.lam - lam) <= tol
+            assert abs(r.res26 - res26) <= tol and abs(r.res27 - res27) <= tol
+            assert r.top == top

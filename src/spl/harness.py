@@ -12,6 +12,7 @@ reports so that reruns compare byte-identical.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ from .disposition import (
     validate_disposition,
 )
 from .errors import ConfigError, DomainViolation, InfeasibleParams
-from .linalg import op_norm, subspace_angle
+from .linalg import one_blas_thread, op_norm, set_blas_threads, subspace_angle
 
 SQRT2 = math.sqrt(2.0)
 
@@ -90,7 +91,8 @@ class CampaignConfig:
     per trial.  v equals ``v_fraction`` times the target regime's upper
     limit (0 forces unperturbed instances); the recorded regime flags always
     derive from the realised v.  ``parallel`` is an execution detail and
-    never enters serialised output.
+    never enters serialised output; the worker count is capped at the
+    usable CPUs.
     """
 
     trials: int
@@ -386,26 +388,49 @@ def _aggregate(records: list[dict]) -> dict:
     }
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _pool_workers(parallel: int, trials: int, cpus: int) -> int:
+    """Worker processes for a campaign; fewer than 2 means run serially.
+
+    A pool starts all of its workers at once, so a request beyond the
+    usable CPUs would only fork idle copies of the caller.
+    """
+    return min(parallel, trials, cpus)
+
+
 def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     """Execute a verification campaign.
 
     Trials are independent; with ``parallel`` >= 2 they are distributed over
-    worker processes in deterministic contiguous chunks, and the assembled
-    report is identical to a serial run of the same config and seed.
+    worker processes (at most one per usable CPU) in deterministic
+    contiguous chunks, and the assembled report is identical to a serial run
+    of the same config and seed.  The calling process and every worker run
+    BLAS on one thread; the caller's thread count is restored on return.
     """
     validate_config(cfg)
     t0 = time.perf_counter()
     indices = list(range(cfg.trials))
-    if cfg.parallel >= 2 and cfg.trials > 1:
-        workers = min(cfg.parallel, cfg.trials)
-        chunk = max(1, math.ceil(cfg.trials / (workers * 4)))
-        batches = [indices[i:i + chunk] for i in range(0, cfg.trials, chunk)]
-        records: list[dict] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for batch in pool.map(_trial_batch, [cfg] * len(batches), batches):
-                records.extend(batch)
-    else:
-        records = _trial_batch(cfg, indices)
+    workers = _pool_workers(cfg.parallel, cfg.trials, _usable_cpus())
+    # pinned before the pool starts, so forked workers inherit one thread;
+    # the initializer pins workers that do not fork from this process
+    with one_blas_thread():
+        if workers >= 2:
+            chunk = max(1, math.ceil(cfg.trials / (workers * 4)))
+            batches = [indices[i:i + chunk] for i in range(0, cfg.trials, chunk)]
+            records: list[dict] = []
+            with ProcessPoolExecutor(
+                max_workers=workers, initializer=set_blas_threads, initargs=(1,)
+            ) as pool:
+                for batch in pool.map(_trial_batch, [cfg] * len(batches), batches):
+                    records.extend(batch)
+        else:
+            records = _trial_batch(cfg, indices)
     runtime = time.perf_counter() - t0
     return CampaignReport(
         config=cfg,
@@ -440,9 +465,10 @@ def instance_from_file(path: str, gap: tuple[float, float] | None = None) -> Per
 def analyze(inst: PerturbationInstance, tol: Tolerances | None = None) -> dict:
     """Full single-instance report aggregating every module's output.
 
-    Raises the pipeline's NotAGraph / RankMismatch / EigenFailure so callers
-    can map them to structured errors; campaign-style flat fields are nested
-    under "record", a second view of the same pipeline result.
+    Raises the pipeline's structural failure (NotAGraph, RankMismatch,
+    EigenFailure, ConvergenceFailure) so callers can map them to structured
+    errors; campaign-style flat fields are nested under "record", a second
+    view of the same pipeline result.
     """
     res = riccati.solve_instance(inst)
     if res.failure is not None:

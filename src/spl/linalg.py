@@ -7,6 +7,9 @@ argument (``numpy.vdot`` convention).
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +28,14 @@ HERMITICITY_RTOL = 1e-12
 EIG_RTOL = 1e-10
 #: Open-interval endpoint ambiguity radius, relative to the spectral norm.
 EDGE_RTOL = 1e-9
+
+
+def lapack(fn, *args, **kwargs):
+    """Call a numpy.linalg routine, raising ConvergenceFailure on LinAlgError."""
+    try:
+        return fn(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"{fn.__name__} backend failed: {exc}") from exc
 
 
 def as_hermitian(m) -> np.ndarray:
@@ -56,7 +67,7 @@ def op_norm(m) -> float:
         return 0.0
     if a.ndim == 1:
         return float(np.linalg.norm(a))
-    return float(np.linalg.norm(a, 2))
+    return float(lapack(np.linalg.norm, a, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,8 +132,6 @@ class AngleReport:
     """Angle data between the ranges of two orthogonal projectors."""
 
     norm_diff: float
-    max_angle: float
-    sin_spectrum: np.ndarray
 
 
 def eigh(h) -> EigenSystem:
@@ -133,10 +142,7 @@ def eigh(h) -> EigenSystem:
     the backend does not converge or the residuals exceed ``EIG_RTOL``.
     """
     a = as_hermitian(h)
-    try:
-        values, vectors = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigh backend failed: {exc}") from exc
+    values, vectors = lapack(np.linalg.eigh, a)
     values = values.astype(float)
     scale = max(float(np.max(np.abs(values))), 1e-300)
     resid = op_norm(a @ vectors - vectors * values)
@@ -197,21 +203,15 @@ def spectral_projector(es: EigenSystem, selector, edge: str = "snap") -> Project
 def subspace_angle(p: Projector, q: Projector) -> AngleReport:
     """Angle report for two subspaces given by orthogonal projectors.
 
-    norm_diff is the spectral norm of P - Q, max_angle its arcsine, and
-    sin_spectrum the singular values of P - Q clipped to [0, 1].
+    norm_diff is the spectral norm of P - Q, clipped to [0, 1].
     """
     if p.matrix.shape != q.matrix.shape:
         raise DimensionMismatch(
             f"projector shapes differ: {p.matrix.shape} vs {q.matrix.shape}"
         )
     diff = p.matrix - q.matrix
-    sing = np.clip(np.linalg.svd(diff, compute_uv=False), 0.0, 1.0)
-    norm_diff = float(sing[0]) if sing.size else 0.0
-    return AngleReport(
-        norm_diff=norm_diff,
-        max_angle=float(np.arcsin(norm_diff)),
-        sin_spectrum=sing,
-    )
+    sing = lapack(np.linalg.svd, diff, compute_uv=False)
+    return AngleReport(norm_diff=min(float(sing[0]), 1.0) if sing.size else 0.0)
 
 
 def polar_decompose(x) -> PolarParts:
@@ -227,10 +227,7 @@ def polar_decompose(x) -> PolarParts:
     a = np.asarray(x, dtype=complex)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got shape {a.shape}")
-    try:
-        w, s, vh = np.linalg.svd(a, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"svd backend failed: {exc}") from exc
+    w, s, vh = lapack(np.linalg.svd, a, full_matrices=True)
     values = np.zeros(a.shape[1])
     values[:s.size] = s
     cutoff = s[0] * max(a.shape) * np.finfo(float).eps if s.size and s[0] > 0 else 0.0
@@ -245,3 +242,76 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+# --- BLAS threads ------------------------------------------------------------
+
+#: (set, get) thread-count symbols of OpenBLAS, tried in order: the
+#: ILP64 build bundled with numpy wheels (scipy-openblas), then a plain one.
+OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _thread_control(lib):
+    """(set, get) thread-count functions exported by ``lib``, or None."""
+    for set_name, get_name in OPENBLAS_THREAD_SYMBOLS:
+        set_fn = getattr(lib, set_name, None)
+        get_fn = getattr(lib, get_name, None)
+        if set_fn is not None and get_fn is not None:
+            set_fn.argtypes, set_fn.restype = [ctypes.c_int], None
+            get_fn.argtypes, get_fn.restype = [], ctypes.c_int
+            return set_fn, get_fn
+    return None
+
+
+@functools.cache
+def _blas_thread_control():
+    """Thread control of the OpenBLAS numpy's LAPACK wrappers link to, or None.
+
+    Looked up on first use, not at import; any other BLAS gives None.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+
+        return _thread_control(ctypes.CDLL(_umath_linalg.__file__))
+    except (ImportError, OSError):
+        return None
+
+
+def blas_threads() -> int | None:
+    """Thread count of numpy's OpenBLAS; None when it cannot be controlled."""
+    control = _blas_thread_control()
+    return None if control is None else control[1]()
+
+
+def set_blas_threads(n: int) -> None:
+    """Set the thread count of numpy's OpenBLAS; does nothing with any other BLAS."""
+    # Setting the count re-creates OpenBLAS's thread pool in a forked child,
+    # and a new helper thread spins for a while even when it gets no work,
+    # so an unchanged count is left alone.
+    control = _blas_thread_control()
+    if control is not None and control[1]() != n:
+        control[0](n)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread.
+
+    The matrices of a campaign are at most a few dozen rows, too small for
+    a second BLAS thread to help; a helper thread only spins and takes CPU
+    from the caller or from sibling worker processes.  The caller's thread
+    count comes back on exit, also when the block raises.  The count is
+    process-wide, so BLAS calls made by other threads during the block run
+    single-threaded too.  A campaign run in the block gives the same bytes
+    whatever thread count its caller had set.
+    """
+    before = blas_threads()
+    set_blas_threads(1)
+    try:
+        yield
+    finally:
+        if before is not None:
+            set_blas_threads(before)

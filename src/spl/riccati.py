@@ -31,7 +31,15 @@ from .errors import (
     RankMismatch,
     SplError,
 )
-from .linalg import PolarParts, Projector, eigh, op_norm, polar_decompose, subspace_angle
+from .linalg import (
+    PolarParts,
+    Projector,
+    eigh,
+    lapack,
+    op_norm,
+    polar_decompose,
+    subspace_angle,
+)
 
 #: Graph inversion is refused above this conditioning of the inner block.
 GRAPH_COND_LIMIT = 1e12
@@ -121,8 +129,9 @@ class InstanceSolution:
     """Every stage of :func:`solve_instance`, each run once.
 
     ``failure`` holds the structural error that stopped the pipeline
-    (EigenFailure, RankMismatch on gap closure, NotAGraph); the stages after
-    it are None.  Unpacks as ``(perturbed, solution, graph, identities)``.
+    (EigenFailure, RankMismatch on gap closure, NotAGraph, or the
+    ConvergenceFailure of a later LAPACK call); the stages after it are
+    None.  Unpacks as ``(perturbed, solution, graph, identities)``.
     """
 
     perturbed: PerturbedSplit | None
@@ -186,7 +195,7 @@ def angular_operator(inst: PerturbationInstance, ps: PerturbedSplit) -> RiccatiS
         )
     y0 = ps.basis0[:n0, :]
     y1 = ps.basis0[n0:, :]
-    sing = np.linalg.svd(y0, compute_uv=False)
+    sing = lapack(np.linalg.svd, y0, compute_uv=False)
     smin = float(sing[-1]) if sing.size else 0.0
     cond = float(sing[0] / smin) if smin > 0.0 else float("inf")
     if not np.isfinite(cond) or cond > GRAPH_COND_LIMIT:
@@ -194,7 +203,7 @@ def angular_operator(inst: PerturbationInstance, ps: PerturbedSplit) -> RiccatiS
             f"inner block of the perturbed basis is numerically singular (cond {cond:.3e})",
             cond=cond,
         )
-    x = np.linalg.solve(y0.T, y1.T).T
+    x = lapack(np.linalg.solve, y0.T, y1.T).T
     polar = polar_decompose(x)
     resid = riccati_residual(x, inst.A0, inst.A1, inst.B)
     half = polar.apply(lambda s: np.sqrt(1.0 + s * s))
@@ -293,8 +302,8 @@ def verify_graph_props(
     z1 = ps.basis1[n0:, :]
     graph1_residual = op_norm(z0 + sol.X.conj().T @ z1)
 
-    spec0 = np.linalg.eigvals(inst.A0 + inst.B @ sol.X)
-    spec1 = np.linalg.eigvals(inst.A1 - inst.B.conj().T @ sol.X.conj().T)
+    spec0 = lapack(np.linalg.eigvals, inst.A0 + inst.B @ sol.X)
+    spec1 = lapack(np.linalg.eigvals, inst.A1 - inst.B.conj().T @ sol.X.conj().T)
     spec0_residual = spectrum_mismatch(spec0, ps.omega0)
     spec1_residual = spectrum_mismatch(spec1, ps.omega1)
     l0_herm, l0_spec = lambda0_diagnostics(sol)
@@ -330,7 +339,7 @@ def lambda0_diagnostics(sol: RiccatiSolution) -> tuple[float, np.ndarray]:
     """Hermiticity defect of Lambda0 and its (symmetrised) spectrum."""
     l0 = sol.Lambda0
     herm = op_norm(l0 - l0.conj().T)
-    spectrum = np.linalg.eigvalsh(0.5 * (l0 + l0.conj().T))
+    spectrum = lapack(np.linalg.eigvalsh, 0.5 * (l0 + l0.conj().T))
     return float(herm), spectrum
 
 
@@ -346,11 +355,12 @@ def solve_instance(inst: PerturbationInstance) -> InstanceSolution:
         return InstanceSolution(perturbed=None, failure=exc)
     try:
         sol = angular_operator(inst, ps)
-    except (RankMismatch, NotAGraph) as exc:
+        graph = verify_graph_props(sol, inst, ps)
+    except (RankMismatch, NotAGraph, ConvergenceFailure) as exc:
         return InstanceSolution(perturbed=ps, failure=exc)
     return InstanceSolution(
         perturbed=ps,
         solution=sol,
-        graph=verify_graph_props(sol, inst, ps),
+        graph=graph,
         identities=lemma22_check(sol, inst),
     )

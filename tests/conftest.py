@@ -5,6 +5,21 @@ import spl
 
 
 @pytest.fixture
+def two_blas_threads():
+    """The caller's OpenBLAS set to two threads; yields the setter, restores after."""
+    before = spl.linalg.blas_threads()
+    if before is None:
+        pytest.skip("numpy's BLAS exposes no OpenBLAS thread control")
+    spl.linalg.set_blas_threads(2)
+    try:
+        if spl.linalg.blas_threads() != 2:
+            pytest.skip("OpenBLAS does not take a second thread")
+        yield spl.linalg.set_blas_threads
+    finally:
+        spl.linalg.set_blas_threads(before)
+
+
+@pytest.fixture
 def e1():
     """Worked 3x3 instance: inner {0} against outer {-1, 1}, coupling (0.5, 0)."""
     return spl.assemble_instance([0.0], [-1.0, 1.0], (-1.0, 1.0), [[0.5, 0.0]])

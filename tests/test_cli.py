@@ -227,3 +227,20 @@ def test_analyze_convergence_failure_exit_code(tmp_path, capsys, monkeypatch):
     args = ["analyze", "--in", str(path), "--gap-left", "-1", "--gap-right", "1"]
     assert cli.main(args) == cli.EXIT_STRUCTURAL
     assert json.loads(capsys.readouterr().err)["error"] == "ConvergenceFailure"
+
+
+def test_lapack_failure_is_structural(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    path = write_e1(tmp_path)
+    out = tmp_path / "r.json"
+    monkeypatch.setattr(np.linalg, "svd", broken)
+    assert cli.main(["analyze", "--in", str(path)]) == cli.EXIT_STRUCTURAL
+    assert json.loads(capsys.readouterr().err)["error"] == "ConvergenceFailure"
+    args = ["verify", "--trials", "3", "--seed", "1", "--n0", "1:3", "--n1", "2:3",
+            "--out", str(out)]
+    assert cli.main(args) == cli.EXIT_STRUCTURAL
+    doc = json.loads(out.read_text())
+    assert doc["aggregates"]["violations"]["structural"] == 3
+    assert {rec["error"] for rec in doc["records"]} == {"ConvergenceFailure"}

@@ -1,5 +1,8 @@
+import dataclasses
 import json
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
@@ -107,6 +110,61 @@ def test_campaign_parallel_matches_serial():
     serial = spl.run_campaign(tiny_config(trials=60))
     parallel = spl.run_campaign(tiny_config(trials=60, parallel=2))
     assert serial.to_json() == parallel.to_json()
+
+
+def test_pool_workers_capped_at_usable_cpus():
+    assert spl.harness._pool_workers(500, 10_000, 2) == 2
+    assert spl.harness._pool_workers(3, 10_000, 2) == 2  # criterion 9: still a pool
+    assert spl.harness._pool_workers(10**9, 10**9, 64) == 64
+    assert spl.harness._pool_workers(4, 1, 64) == 1
+    assert spl.harness._pool_workers(0, 100, 64) == 0
+    assert spl.harness._usable_cpus() >= 1
+
+
+@pytest.mark.parametrize("method", ["fork", "forkserver"])
+def test_pool_workers_run_one_blas_thread(two_blas_threads, monkeypatch, method):
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"start method {method} unavailable")
+    seen = []
+
+    class ProbedPool(ProcessPoolExecutor):
+        def __init__(self, **kwargs):
+            super().__init__(mp_context=multiprocessing.get_context(method), **kwargs)
+            seen.append(self.submit(spl.linalg.blas_threads).result())
+
+    cfg = tiny_config(trials=8)
+    serial = spl.run_campaign(cfg).to_json()
+    monkeypatch.setattr(spl.harness, "ProcessPoolExecutor", ProbedPool)
+    monkeypatch.setattr(spl.harness, "_usable_cpus", lambda: 2)
+    assert spl.run_campaign(dataclasses.replace(cfg, parallel=2)).to_json() == serial
+    assert seen == [1]
+    assert spl.linalg.blas_threads() == 2
+
+
+def test_campaign_bytes_independent_of_caller_blas_threads(two_blas_threads, monkeypatch):
+    seen = []
+    trial_batch = spl.harness._trial_batch
+
+    def probed(cfg, indices):
+        seen.append(spl.linalg.blas_threads())
+        return trial_batch(cfg, indices)
+
+    monkeypatch.setattr(spl.harness, "_trial_batch", probed)
+    cfg = tiny_config(trials=30, n0=(1, 20), n1=(2, 20), d=(0.05, 0.95))
+    with_two = spl.run_campaign(cfg).to_json()
+    assert spl.linalg.blas_threads() == 2
+    two_blas_threads(1)
+    assert spl.run_campaign(cfg).to_json() == with_two
+    assert spl.linalg.blas_threads() == 1
+    assert seen == [1, 1]  # the serial path runs pinned too
+
+
+def test_campaign_without_blas_thread_control(monkeypatch):
+    cfg = tiny_config(trials=20)
+    expected = spl.run_campaign(cfg).to_json()
+    monkeypatch.setattr(spl.linalg, "_blas_thread_control", lambda: None)
+    assert spl.run_campaign(cfg).to_json() == expected
+    assert spl.run_campaign(dataclasses.replace(cfg, parallel=2)).to_json() == expected
 
 
 @pytest.mark.parametrize("regime", ["A", "B", "C"])

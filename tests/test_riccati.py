@@ -6,7 +6,13 @@ import numpy.testing as npt
 import pytest
 
 import spl
-from spl.errors import DimensionMismatch, NotAGraph, RankMismatch
+from spl.errors import (
+    ConvergenceFailure,
+    DimensionMismatch,
+    EigenFailure,
+    NotAGraph,
+    RankMismatch,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -308,6 +314,30 @@ def test_solve_instance_reports_structural_failure():
     assert isinstance(res.failure, RankMismatch)
     assert res.perturbed.gap_closed
     assert res.solution is None and res.graph is None and res.identities is None
+
+
+def raise_linalg_error(*args, **kwargs):
+    raise np.linalg.LinAlgError("did not converge")
+
+
+@pytest.mark.parametrize(
+    "routine, failure",
+    [
+        ("norm", EigenFailure),  # op_norm in the residual check of eigh(L)
+        ("svd", ConvergenceFailure),  # conditioning of Y0 in angular_operator
+        ("solve", ConvergenceFailure),  # graph inversion
+        ("eigvals", ConvergenceFailure),  # spectra of A0 + B X and A1 - B* X*
+        ("eigvalsh", ConvergenceFailure),  # spectrum of Lambda0
+    ],
+)
+def test_solve_instance_types_lapack_failures(e1, monkeypatch, routine, failure):
+    monkeypatch.setattr(np.linalg, routine, raise_linalg_error)
+    res = spl.solve_instance(e1)
+    assert type(res.failure) is failure
+    assert res.graph is None and res.identities is None
+    rec = spl.trial_record_for_instance(e1)
+    assert rec["error"] == failure.__name__
+    assert rec["violations"] == [f"structural:{failure.__name__}"]
 
 
 # --- the single SVD of X against the former per-quantity routes ---------------

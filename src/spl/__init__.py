@@ -66,6 +66,7 @@ from .riccati import (
     RiccatiSolution,
     angular_operator,
     lemma22_check,
+    measured_rotation,
     perturbed_split,
     riccati_residual,
     solve_instance,

@@ -28,7 +28,7 @@ from .disposition import (
     validate_disposition,
 )
 from .errors import ConfigError, DomainViolation, InfeasibleParams
-from .linalg import one_blas_thread, op_norm, set_blas_threads, subspace_angle
+from .linalg import one_blas_thread, op_norm, set_blas_threads
 
 SQRT2 = math.sqrt(2.0)
 
@@ -600,8 +600,7 @@ class SharpnessConfig:
 
 def _measured_for(s0, s1, gap, b) -> tuple[float, PerturbationInstance]:
     inst = assemble_instance(s0, s1, gap, b)
-    ps = riccati.perturbed_split(inst)
-    return subspace_angle(inst.split.E0, ps.EL0).norm_diff, inst
+    return riccati.measured_rotation(inst, riccati.perturbed_split(inst)), inst
 
 
 def sharpness_search(cfg: SharpnessConfig) -> dict:

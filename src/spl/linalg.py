@@ -145,12 +145,19 @@ def eigh(h) -> EigenSystem:
     values, vectors = lapack(np.linalg.eigh, a)
     values = values.astype(float)
     scale = max(float(np.max(np.abs(values))), 1e-300)
-    resid = op_norm(a @ vectors - vectors * values)
-    orth = op_norm(vectors.conj().T @ vectors - np.eye(a.shape[0]))
-    if resid > EIG_RTOL * scale or orth > EIG_RTOL:
-        raise ConvergenceFailure(
-            f"eigendecomposition residuals too large: {resid:.3e}, {orth:.3e}"
-        )
+    resid_m = a @ vectors - vectors * values
+    orth_m = vectors.conj().T @ vectors - np.eye(a.shape[0])
+    # The Frobenius norm bounds the spectral norm, so a pass on it is a pass;
+    # only a miss needs the spectral norms, whose SVDs cost twice the eigensolve.
+    if (
+        lapack(np.linalg.norm, resid_m) > EIG_RTOL * scale
+        or lapack(np.linalg.norm, orth_m) > EIG_RTOL
+    ):
+        resid, orth = op_norm(resid_m), op_norm(orth_m)
+        if resid > EIG_RTOL * scale or orth > EIG_RTOL:
+            raise ConvergenceFailure(
+                f"eigendecomposition residuals too large: {resid:.3e}, {orth:.3e}"
+            )
     return EigenSystem(values=values, vectors=vectors)
 
 
@@ -239,7 +246,7 @@ def polar_decompose(x) -> PolarParts:
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed n-by-n unitary (QR of a complex Ginibre matrix)."""
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
+    q, r = lapack(np.linalg.qr, z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 

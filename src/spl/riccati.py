@@ -9,8 +9,9 @@ residual  X A0 - A1 X + X B X - B*.
 
 :func:`solve_instance` runs each stage once per instance.  The one SVD of
 X (:func:`polar_decompose`) gives ||X||, the polar parts, the eigenpairs of
-|X| and (I + |X|^2)^(+-1/2).  The measured rotation ||E0 - E0'|| comes from
-the spectral projectors (:func:`subspace_angle`), never from X.
+|X| and (I + |X|^2)^(+-1/2).  The measured rotation ||E0 - E0'|| is ||Y1||,
+the norm of the outer rows of the orthonormal perturbed inner basis
+(:func:`measured_rotation`); it is computed without X.
 
 Inner products are conjugate-linear in the first argument (numpy.vdot).
 """
@@ -38,7 +39,6 @@ from .linalg import (
     lapack,
     op_norm,
     polar_decompose,
-    subspace_angle,
 )
 
 #: Graph inversion is refused above this conditioning of the inner block.
@@ -50,8 +50,9 @@ class PerturbedSplit:
     """Spectrum and spectral subspaces of L = A + V split by the gap.
 
     omega0/omega1 are the eigenvalues inside/outside the open gap (edge
-    grazers count as outside); EL0 the spectral projector onto the inner
-    part and basis0/basis1 orthonormal bases of both parts.  enclosure is the
+    grazers count as outside) and basis0/basis1 orthonormal bases of both
+    parts; EL0, the spectral projector onto the inner part, is built from
+    basis0 on demand.  enclosure is the
     erosion interval confining omega0 (None when v >= sqrt(d*D)).
     gap_closed flags an inner eigenvalue count different from the
     unperturbed one, i.e. spectrum leaked across the gap ends.
@@ -59,11 +60,14 @@ class PerturbedSplit:
 
     omega0: np.ndarray
     omega1: np.ndarray
-    EL0: Projector
     basis0: np.ndarray
     basis1: np.ndarray
     enclosure: tuple[float, float] | None
     gap_closed: bool
+
+    @property
+    def EL0(self) -> Projector:
+        return Projector(matrix=self.basis0 @ self.basis0.conj().T, rank=self.basis0.shape[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +110,8 @@ class IdentityReport:
 class GraphReport:
     """Graph-representation checks for a solved instance.
 
-    measured is ||E_A(sigma0) - E_L(omega0)||; angle_residual its deviation
+    measured is ||E_A(sigma0) - E_L(omega0)||, taken as ||Y1|| by
+    :func:`measured_rotation` without X; angle_residual its deviation
     from sin(arctan ||X||); graph1_residual the defect of the outer subspace
     being the graph of -X*; spec0/spec1_residual the mismatch between the
     spectra of A0 + B X / A1 - B* X* and omega0 / omega1; the lambda0_*
@@ -170,12 +175,25 @@ def perturbed_split(inst: PerturbationInstance) -> PerturbedSplit:
     return PerturbedSplit(
         omega0=vals[inner],
         omega1=vals[~inner],
-        EL0=Projector(matrix=cols0 @ cols0.conj().T, rank=cols0.shape[1]),
         basis0=cols0,
         basis1=es.vectors[:, ~inner],
         enclosure=encl,
         gap_closed=cols0.shape[1] != split.n0,
     )
+
+
+def measured_rotation(inst: PerturbationInstance, ps: PerturbedSplit) -> float:
+    """||E_A(sigma0) - E_L(omega0)||, clipped to [0, 1], computed without X.
+
+    The instance lives in the split basis, E0 = diag(I, 0).  For subspaces
+    of equal dimension the norm is the sine of the largest principal angle,
+    which is ||Y1||, the norm of the outer rows of an orthonormal basis
+    [Y0; Y1] of the perturbed inner subspace; for unequal dimensions it is 1.
+    """
+    n0 = inst.n0
+    if ps.basis0.shape[1] != n0:
+        return 1.0
+    return min(op_norm(ps.basis0[n0:, :]), 1.0)
 
 
 def angular_operator(inst: PerturbationInstance, ps: PerturbedSplit) -> RiccatiSolution:
@@ -250,37 +268,30 @@ def lemma22_check(sol: RiccatiSolution, inst: PerturbationInstance) -> list[Iden
     with the top (norm-attaining) eigenpairs flagged; there is one per
     inner dimension, the kernel of X included.
     """
-    u_iso = sol.polar.isometry
-    lams, vecs = sol.polar.values, sol.polar.vectors
-    a0, a1, b = inst.A0, inst.A1, inst.B
-    bh = b.conj().T
-    reports = []
-    for k in range(lams.size):
-        lam = float(lams[k])
-        u = vecs[:, k]
-        w = u_iso @ u
-        a1w = a1 @ w
-        bw = b @ w
-        a0u = a0 @ u
-        bhu = bh @ u
-        term = complex(np.vdot(a0u, bw) + np.vdot(bhu, a1w))
-        n_a1w = float(np.vdot(a1w, a1w).real)
-        n_bw = float(np.vdot(bw, bw).real)
-        n_a0u = float(np.vdot(a0u, a0u).real)
-        n_bhu = float(np.vdot(bhu, bhu).real)
-        n_l0u = float(np.vdot(sol.Lambda0 @ u, sol.Lambda0 @ u).real)
-        res26 = abs(lam * (n_a1w + n_bw - n_a0u - n_bhu) + (1.0 - lam * lam) * term)
-        res27 = abs(term + lam * (n_a1w + n_bw - n_l0u))
-        reports.append(
-            IdentityReport(
-                lam=lam,
-                res26=float(res26),
-                res27=float(res27),
-                term_imag=abs(term.imag),
-                top=bool(lam >= sol.mu - 1e-12 * max(1.0, sol.mu)),
-            )
+    n0 = inst.n0
+    lams, u = sol.polar.values, sol.polar.vectors
+    # column k belongs to eigenpair k: in the split basis the column blocks
+    # of L = [[A0, B], [B*, A1]] give p = [A0 u; B* u] and q = [B w; A1 w]
+    p = inst.L[:, :n0] @ u
+    q = inst.L[:, n0:] @ (sol.polar.isometry @ u)
+    term = _col_dots(p, q)
+    outer = _col_dots(q, q).real
+    res26 = np.abs(lams * (outer - _col_dots(p, p).real) + (1.0 - lams * lams) * term)
+    l0u = sol.Lambda0 @ u
+    res27 = np.abs(term + lams * (outer - _col_dots(l0u, l0u).real))
+    top = lams >= sol.mu - 1e-12 * max(1.0, sol.mu)
+    return [
+        IdentityReport(*fields)
+        for fields in zip(
+            lams.tolist(), res26.tolist(), res27.tolist(),
+            np.abs(term.imag).tolist(), top.tolist(),
         )
-    return reports
+    ]
+
+
+def _col_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a_k, b_k> for every column k (conjugate-linear in a)."""
+    return np.einsum("ij,ij->j", a.conj(), b)
 
 
 def verify_graph_props(
@@ -288,14 +299,14 @@ def verify_graph_props(
 ) -> GraphReport:
     """Residuals of the graph representation of both perturbed subspaces.
 
-    Checks that the projector difference norm equals sin(arctan ||X||),
+    Checks that the measured rotation equals sin(arctan ||X||),
     that the outer perturbed subspace is the graph of -X* (inner rows of an
     orthonormal basis equal -X* times the outer rows), that the spectra
     of A0 + B X and A1 - B* X* reproduce omega0 and omega1, and that
     Lambda0 is Hermitian with spectrum omega0.
     """
     n0 = inst.n0
-    measured = subspace_angle(inst.split.E0, ps.EL0).norm_diff
+    measured = measured_rotation(inst, ps)
     angle_residual = abs(measured - bounds.sin_arctan(sol.mu))
 
     z0 = ps.basis1[:n0, :]

@@ -46,6 +46,62 @@ def test_eigh_random_invariants():
     assert np.all(np.diff(es.values) >= 0)
 
 
+def spy_op_norm(monkeypatch):
+    """Record every op_norm call that eigh makes; returns the list of calls."""
+    calls = []
+    original = spl.linalg.op_norm
+
+    def spy(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(spl.linalg, "op_norm", spy)
+    return calls
+
+
+#: diagonal matrix whose fake eigendecomposition below carries an even
+#: defect on all four diagonal entries: Frobenius norm twice the spectral norm
+DIAG = np.array([-1.0, -0.5, 0.5, 1.0])
+
+
+def fake_eigh(defect: str, size: float):
+    """np.linalg.eigh stand-in for diag(DIAG) with a defect of about size on
+    every diagonal entry of the residual (eigenvalues shifted by size) or of
+    the orthogonality check (vectors scaled by 1 + size/2)."""
+    def eigh(a):
+        if defect == "residual":
+            return DIAG + size, np.eye(DIAG.size, dtype=complex)
+        return DIAG.copy(), (1.0 + size / 2.0) * np.eye(DIAG.size, dtype=complex)
+
+    return eigh
+
+
+def test_eigh_frobenius_pass_skips_spectral_norms(monkeypatch):
+    calls = spy_op_norm(monkeypatch)
+    spl.eigh(random_hermitian(np.random.default_rng(8), 8))
+    assert calls == []
+
+
+@pytest.mark.parametrize("defect", ["residual", "orthogonality"])
+def test_eigh_frobenius_miss_within_spectral_limit_passes(monkeypatch, defect):
+    size = 0.8 * spl.linalg.EIG_RTOL
+    monkeypatch.setattr(np.linalg, "eigh", fake_eigh(defect, size))
+    calls = spy_op_norm(monkeypatch)
+    es = spl.eigh(np.diag(DIAG))
+    assert len(calls) == 2
+    defect_m = calls[0] if defect == "residual" else calls[1]
+    scale = float(np.max(np.abs(es.values)))
+    limit = spl.linalg.EIG_RTOL * (scale if defect == "residual" else 1.0)
+    assert np.linalg.norm(defect_m) > limit >= spl.op_norm(defect_m)
+
+
+@pytest.mark.parametrize("defect", ["residual", "orthogonality"])
+def test_eigh_defect_above_limit_in_both_norms_raises(monkeypatch, defect):
+    monkeypatch.setattr(np.linalg, "eigh", fake_eigh(defect, 1.5 * spl.linalg.EIG_RTOL))
+    with pytest.raises(ConvergenceFailure, match="residuals too large"):
+        spl.eigh(np.diag(DIAG))
+
+
 def test_eigh_rejects_nonhermitian():
     with pytest.raises(NonHermitianInput):
         spl.eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -271,8 +327,9 @@ def raise_linalg_error(*args, **kwargs):
         ("eigh", lambda: spl.eigh(np.eye(2))),
         ("svd", lambda: spl.polar_decompose(np.eye(2))),
         ("svd", lambda: spl.subspace_angle(*[spl.Projector(np.eye(2), 2)] * 2)),
+        ("qr", lambda: spl.random_unitary(2, np.random.default_rng(0))),
     ],
-    ids=["op_norm", "eigh-residual", "eigh", "polar_decompose", "subspace_angle"],
+    ids=["op_norm", "eigh-residual", "eigh", "polar_decompose", "subspace_angle", "qr"],
 )
 def test_lapack_failure_is_convergence_failure(monkeypatch, routine, call):
     monkeypatch.setattr(np.linalg, routine, raise_linalg_error)

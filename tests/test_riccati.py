@@ -405,3 +405,74 @@ def test_single_svd_matches_former_routes():
             assert abs(r.lam - lam) <= tol
             assert abs(r.res26 - res26) <= tol and abs(r.res27 - res27) <= tol
             assert r.top == top
+
+
+# --- vectorised and X-free routes against the former per-item routes ------------
+
+#: Acceptance campaign shape (CAMPAIGN_CONFIG of the acceptance tests).
+ACCEPTANCE_SHAPE = dict(n0=(1, 20), n1=(2, 20), gap=(-1.0, 1.0), d=(0.05, 0.95))
+
+
+def acceptance_instances(seed, trials):
+    cfg = spl.CampaignConfig(trials=trials, seed=seed, **ACCEPTANCE_SHAPE)
+    return [spl.trial_instance(cfg, i)[0] for i in range(trials)]
+
+
+def test_measured_rotation_matches_projector_route():
+    # the shape of the sharpness search: D = 2, d = 0.5, v near 0.8
+    sharp = spl.CampaignConfig(trials=50, seed=66, n0=4, n1=6, d=0.5, regime="B")
+    insts = acceptance_instances(seed=2024, trials=300) + [
+        spl.trial_instance(sharp, i)[0] for i in range(sharp.trials)
+    ]
+    for inst in insts:
+        ps = spl.perturbed_split(inst)
+        ref = spl.subspace_angle(inst.split.E0, ps.EL0).norm_diff
+        assert abs(spl.measured_rotation(inst, ps) - ref) <= 1e-14
+
+
+def test_measured_rotation_gap_closed_is_one():
+    inst = spl.assemble_instance([0.0], [-1.0, 1.0], (-1.0, 1.0), [[5.0, 0.0]])
+    ps = spl.perturbed_split(inst)
+    assert ps.basis0.shape[1] == 0
+    assert spl.measured_rotation(inst, ps) == 1.0
+    assert spl.subspace_angle(inst.split.E0, ps.EL0).norm_diff == 1.0
+
+
+def loop_lemma22(sol, inst):
+    """The former per-eigenpair loop of lemma22_check, as (lam, res26, res27, term_imag, top)."""
+    u_iso = sol.polar.isometry
+    lams, vecs = sol.polar.values, sol.polar.vectors
+    a0, a1, b = inst.A0, inst.A1, inst.B
+    bh = b.conj().T
+    out = []
+    for k in range(lams.size):
+        lam = float(lams[k])
+        u = vecs[:, k]
+        w = u_iso @ u
+        a1w, bw, a0u, bhu = a1 @ w, b @ w, a0 @ u, bh @ u
+        term = complex(np.vdot(a0u, bw) + np.vdot(bhu, a1w))
+        n_a1w = float(np.vdot(a1w, a1w).real)
+        n_bw = float(np.vdot(bw, bw).real)
+        n_a0u = float(np.vdot(a0u, a0u).real)
+        n_bhu = float(np.vdot(bhu, bhu).real)
+        n_l0u = float(np.vdot(sol.Lambda0 @ u, sol.Lambda0 @ u).real)
+        res26 = abs(lam * (n_a1w + n_bw - n_a0u - n_bhu) + (1.0 - lam * lam) * term)
+        res27 = abs(term + lam * (n_a1w + n_bw - n_l0u))
+        top = bool(lam >= sol.mu - 1e-12 * max(1.0, sol.mu))
+        out.append((lam, res26, res27, abs(term.imag), top))
+    return out
+
+
+def test_lemma22_matches_per_eigenpair_loop():
+    insts = acceptance_instances(seed=7, trials=150) + oracle_instances()
+    assert any(inst.n0 > inst.n1 for inst in insts)
+    for inst in insts:
+        sol = spl.angular_operator(inst, spl.perturbed_split(inst))
+        reports = spl.lemma22_check(sol, inst)
+        ref = loop_lemma22(sol, inst)
+        assert len(reports) == len(ref) == inst.n0
+        tol = 1e-12 * inst.scale
+        for r, (lam, res26, res27, term_imag, top) in zip(reports, ref):
+            assert r.lam == lam and r.top == top
+            assert abs(r.res26 - res26) <= tol and abs(r.res27 - res27) <= tol
+            assert abs(r.term_imag - term_imag) <= tol

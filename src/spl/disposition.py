@@ -90,7 +90,7 @@ class PerturbationInstance:
 
     @property
     def norm_A(self) -> float:
-        return float(np.max(np.abs(np.concatenate([self.split.sigma0, self.split.sigma1]))))
+        return float(np.abs(np.concatenate([self.split.sigma0, self.split.sigma1])).max())
 
     @property
     def scale(self) -> float:
@@ -150,7 +150,7 @@ def split_from_eigensystem(es: EigenSystem, gap: tuple[float, float]) -> Spectra
 def _split(sigma0, sigma1, gap, e0: Projector) -> SpectralSplit:
     """SpectralSplit of ascending inner/outer lists with inner projector e0."""
     gl, gr = gap
-    d = float(np.min(np.abs(sigma0[:, None] - sigma1[None, :])))
+    d = float(np.abs(sigma0[:, None] - sigma1[None, :]).min())
     return SpectralSplit(
         sigma0=sigma0, sigma1=sigma1, gap_left=gl, gap_right=gr, d=d, gap_len=gr - gl, E0=e0
     )
@@ -175,8 +175,8 @@ def check_partition(
     s1 = np.asarray(sigma1_values, dtype=float)
     if s0.size == 0:
         raise EmptyInnerComponent("inner component is empty")
-    scale = max(float(np.max(np.abs(s0))) if s0.size else 0.0,
-                float(np.max(np.abs(s1))) if s1.size else 0.0,
+    scale = max(float(np.abs(s0).max()) if s0.size else 0.0,
+                float(np.abs(s1).max()) if s1.size else 0.0,
                 abs(gl), abs(gr))
     if not np.isfinite(scale):
         raise DispositionViolation("eigenvalues and gap endpoints must be finite")

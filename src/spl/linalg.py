@@ -48,11 +48,11 @@ def as_hermitian(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    scale = float(np.max(np.abs(a)))
+    scale = float(np.abs(a).max())
     if not np.isfinite(scale):
         raise NonHermitianInput(f"matrix has a non-finite entry (largest modulus {scale})")
     if scale > 0.0:
-        asym = float(np.max(np.abs(a - a.conj().T)))
+        asym = float(np.abs(a - a.conj().T).max())
         if asym > HERMITICITY_RTOL * scale:
             raise NonHermitianInput(
                 f"asymmetry {asym:.3e} exceeds {HERMITICITY_RTOL:.0e} * scale ({scale:.3e})"
@@ -67,7 +67,9 @@ def op_norm(m) -> float:
         return 0.0
     if a.ndim == 1:
         return float(np.linalg.norm(a))
-    return float(lapack(np.linalg.norm, a, 2))
+    # gesdd returns the singular values in descending order, so the first is
+    # what norm(a, 2) returns, without its axis handling and amax reduction.
+    return float(lapack(np.linalg.svdvals, a)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +90,7 @@ class EigenSystem:
     @property
     def norm(self) -> float:
         """Spectral norm of the decomposed matrix."""
-        return float(np.max(np.abs(self.values)))
+        return float(np.abs(self.values).max())
 
     @property
     def edge_tol(self) -> float:
@@ -144,7 +146,7 @@ def eigh(h) -> EigenSystem:
     a = as_hermitian(h)
     values, vectors = lapack(np.linalg.eigh, a)
     values = values.astype(float)
-    scale = max(float(np.max(np.abs(values))), 1e-300)
+    scale = max(float(np.abs(values).max()), 1e-300)
     resid_m = a @ vectors - vectors * values
     orth_m = vectors.conj().T @ vectors - np.eye(a.shape[0])
     # The Frobenius norm bounds the spectral norm, so a pass on it is a pass;
@@ -314,6 +316,12 @@ def one_blas_thread():
     process-wide, so BLAS calls made by other threads during the block run
     single-threaded too.  A campaign run in the block gives the same bytes
     whatever thread count its caller had set.
+
+    After a block that forked worker processes, OpenBLAS has shut its
+    thread pool down in the caller, so restoring a count above one
+    re-creates the pool, and one new helper thread spins for about 0.12 s
+    of CPU.  No public OpenBLAS call restores the count without this; it
+    costs CPU after the campaign, not the campaign's wall time.
     """
     before = blas_threads()
     set_blas_threads(1)

@@ -29,61 +29,79 @@ def format_float(x: float) -> str:
     """Render one float with 17 significant digits (round-trip exact)."""
     if isinstance(x, bool):
         raise TypeError("bool is not a float")
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise ValueError(f"non-finite value {x} cannot be serialised")
     return format(float(x), ".17g")
 
 
 def dumps(obj: Any, indent: int = 0) -> str:
     """Deterministic JSON with .17g floats and insertion-ordered keys."""
-    pieces: list[str] = []
-    _write(obj, pieces, indent, 0)
-    pieces.append("\n")
-    return "".join(pieces)
+    return _Encoder(indent).encode(obj, 0) + "\n"
 
 
-def _write(obj: Any, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1)) if indent else ""
-    close_pad = " " * (indent * level) if indent else ""
-    sep = ",\n" if indent else ", "
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n" if indent else "{")
-        for i, (key, value) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON keys must be strings, got {type(key)}")
-            if i:
-                out.append(sep)
-            out.append(pad + json.dumps(key) + ": ")
-            _write(value, out, indent, level + 1)
-        out.append(("\n" + close_pad + "}") if indent else "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        items = list(obj)
-        if not items:
-            out.append("[]")
-            return
-        out.append("[\n" if indent else "[")
-        for i, value in enumerate(items):
-            if i:
-                out.append(sep)
-            if indent:
-                out.append(pad)
-            _write(value, out, indent, level + 1)
-        out.append(("\n" + close_pad + "]") if indent else "]")
-    else:
+#: Encoders of the exact built-in scalar types.  Subclasses and numpy
+#: scalars miss the table and take the isinstance chain of ``_Encoder``.
+_SCALARS = {
+    type(None): lambda obj: "null",
+    bool: lambda obj: "true" if obj else "false",
+    int: str,
+    float: format_float,
+    str: json.dumps,
+}
+
+
+class _Encoder:
+    """State of one ``dumps`` call: the encoded ``"key": `` prefix of every
+    dict key seen, built once per key; nothing outlives the call."""
+
+    def __init__(self, indent: int):
+        self.indent = indent
+        self.keys: dict[str, str] = {}
+
+    def frame(self, level: int) -> tuple[str, str, str]:
+        """(after-open, separator, before-close) of a container at ``level``."""
+        if not self.indent:
+            return "", ", ", ""
+        pad = "\n" + " " * (self.indent * (level + 1))
+        return pad, "," + pad, "\n" + " " * (self.indent * level)
+
+    def encode(self, obj: Any, level: int) -> str:
+        scalar = _SCALARS.get(type(obj))
+        if scalar is not None:
+            return scalar(obj)
+        if isinstance(obj, (int, np.integer)):
+            return str(int(obj))
+        if isinstance(obj, (float, np.floating)):
+            return format_float(float(obj))
+        if isinstance(obj, str):
+            return json.dumps(obj)
+        if isinstance(obj, dict):
+            return self.encode_dict(obj, level)
+        if isinstance(obj, (list, tuple, np.ndarray)):
+            return self.encode_items(list(obj), level)
         raise TypeError(f"cannot serialise {type(obj)}")
+
+    def encode_dict(self, obj: dict, level: int) -> str:
+        if not obj:
+            return "{}"
+        opener, sep, closer = self.frame(level)
+        keys, encode, inner = self.keys, self.encode, level + 1
+        parts = []
+        for key, value in obj.items():
+            prefix = keys.get(key)
+            if prefix is None:
+                if not isinstance(key, str):
+                    raise TypeError(f"JSON keys must be strings, got {type(key)}")
+                prefix = keys[key] = json.dumps(key) + ": "
+            parts.append(prefix + encode(value, inner))
+        return "{" + opener + sep.join(parts) + closer + "}"
+
+    def encode_items(self, items: list, level: int) -> str:
+        if not items:
+            return "[]"
+        opener, sep, closer = self.frame(level)
+        encode, inner = self.encode, level + 1
+        return "[" + opener + sep.join([encode(value, inner) for value in items]) + closer + "]"
 
 
 def matrix_to_dict(m) -> dict:

@@ -341,9 +341,9 @@ def spectrum_mismatch(eigs: np.ndarray, target: np.ndarray) -> float:
         return float("inf")
     if eigs.size == 0:
         return 0.0
-    imag = float(np.max(np.abs(eigs.imag)))
+    imag = float(np.abs(eigs.imag).max())
     real = np.sort(eigs.real)
-    return max(imag, float(np.max(np.abs(real - np.sort(target)))))
+    return max(imag, float(np.abs(real - np.sort(target)).max()))
 
 
 def lambda0_diagnostics(sol: RiccatiSolution) -> tuple[float, np.ndarray]:

@@ -304,6 +304,33 @@ def test_op_norm_values():
     npt.assert_allclose(spl.op_norm(np.array([3.0, 4.0])), 5.0, atol=1e-14)
 
 
+def test_op_norm_bitwise_equals_norm_2():
+    # the former op_norm: norm(a, 2) of the complex promotion
+    rng = np.random.default_rng(2718)
+    draws = 0
+    for shape_of in (
+        lambda k: (1, k), lambda k: (k, 1), lambda k: (k, k),
+        lambda k: (k, k + 3), lambda k: (k + 3, k),
+    ):
+        for k in range(1, 21):
+            for complex_entries in (False, True):
+                shape = shape_of(k)
+                m = random_complex(rng, *shape) if complex_entries else rng.standard_normal(shape)
+                m = m * 10.0 ** rng.uniform(-8, 8)
+                expected = float(np.linalg.norm(np.asarray(m, dtype=complex), 2))
+                assert spl.op_norm(m).hex() == expected.hex()
+                draws += 1
+    assert draws >= 200
+    for zero in (np.zeros((1, 1)), np.zeros((4, 4)), np.zeros((2, 5), dtype=complex)):
+        assert spl.op_norm(zero).hex() == float(np.linalg.norm(zero.astype(complex), 2)).hex()
+    for k in range(1, 10):
+        v = random_complex(rng, 1, k)[0]
+        assert spl.op_norm(v).hex() == float(np.linalg.norm(v)).hex()
+        assert spl.op_norm(v.real).hex() == float(np.linalg.norm(v.real.astype(complex))).hex()
+    for empty in (np.zeros(0), np.zeros((0, 3)), np.zeros((3, 0)), np.zeros((0, 0))):
+        assert spl.op_norm(empty) == 0.0
+
+
 def test_op_norm_unitary_invariance():
     rng = np.random.default_rng(29)
     for _ in range(20):
@@ -322,7 +349,7 @@ def raise_linalg_error(*args, **kwargs):
 @pytest.mark.parametrize(
     "routine, call",
     [
-        ("norm", lambda: spl.op_norm(np.eye(2))),
+        ("svdvals", lambda: spl.op_norm(np.eye(2))),
         ("norm", lambda: spl.eigh(np.eye(2))),  # residual check
         ("eigh", lambda: spl.eigh(np.eye(2))),
         ("svd", lambda: spl.polar_decompose(np.eye(2))),

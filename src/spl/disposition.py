@@ -225,6 +225,12 @@ def assemble_instance(
     E0 = diag(I_n0, 0).
     """
     check_partition(sigma0_values, sigma1_values, gap)
+    return _assemble(sigma0_values, sigma1_values, gap, b)
+
+
+def _assemble(sigma0_values, sigma1_values, gap, b) -> PerturbationInstance:
+    """:func:`assemble_instance` without the partition check, for the
+    generators, whose partitions are valid by construction."""
     s0 = np.asarray(sigma0_values, dtype=float)
     s1 = np.asarray(sigma1_values, dtype=float)
     bm = np.atleast_2d(np.asarray(b, dtype=complex))
@@ -311,7 +317,7 @@ def random_instance(params: InstanceParams, seed) -> PerturbationInstance:
         b = btilde * (p.v / op_norm(btilde))
     else:
         b = np.zeros((p.n0, p.n1), dtype=complex)
-    return assemble_instance(inner, outer, (gl, gr), b)
+    return _assemble(inner, outer, (gl, gr), b)
 
 
 def hide_block_structure(inst: PerturbationInstance, seed) -> tuple[np.ndarray, np.ndarray]:

@@ -23,11 +23,18 @@ from . import bounds, matio, riccati
 from .disposition import (
     InstanceParams,
     PerturbationInstance,
+    _assemble,
     assemble_instance,
     random_instance,
     validate_disposition,
 )
-from .errors import ConfigError, DomainViolation, InfeasibleParams
+from .errors import (
+    ConfigError,
+    ConvergenceFailure,
+    DomainViolation,
+    EigenFailure,
+    InfeasibleParams,
+)
 from .linalg import one_blas_thread, op_norm, set_blas_threads
 
 SQRT2 = math.sqrt(2.0)
@@ -48,6 +55,20 @@ RECORD_KEYS = (
     "bound13", "bound32", "ratio13", "ratio32", "r_V", "encl_lo", "encl_hi",
     "enclosure_ok", "violations", "error",
 )
+
+#: Record keys of the graph residuals, each checked against ``Tolerances.graph``.
+GRAPH_RESIDUALS = (
+    "graph_angle_residual", "graph1_residual", "spec0_residual", "spec1_residual",
+    "lambda0_herm_residual", "lambda0_spec_residual",
+)
+
+#: Matrix entries (n^2 summed over trials) a campaign process draws before
+#: solving them; the trials of a window that share a block shape are solved
+#: as one stack.  It bounds the instances held at once, so memory does not
+#: grow with the campaign or the block size: a window holds about 200
+#: trials of blocks up to 2 + 4 rows, and about 8 of the acceptance shape,
+#: whose 361 shapes would rarely share a bucket anyway.
+WINDOW_ENTRIES = 4096
 
 #: Column order of sweep CSV files.
 SWEEP_COLUMNS = (
@@ -249,106 +270,155 @@ def trial_record_for_instance(
     split regime, non-graph subspaces, eigensolver breakdown) are reported
     in the ``error`` field instead of raising.
     """
-    return _record(inst, riccati.solve_instance(inst), tol or Tolerances(), trial)
+    return _records([inst], riccati.solve_stack([inst]), tol or Tolerances(), [trial])[0]
 
 
-def _record(inst: PerturbationInstance, res: riccati.InstanceSolution, tol: Tolerances,
-            trial) -> dict:
-    """Flat campaign record of a pipeline result."""
-    rec = dict.fromkeys(RECORD_KEYS)
-    split = inst.split
-    D, d, v = split.gap_len, split.d, inst.v
-    inputs = bounds.BoundInputs(D=D, d=d, v=v)
-    rec.update(
-        trial=trial, n0=inst.n0, n1=inst.n1, D=D, d=d, v=v,
-        regime12=inputs.regime_gap_survives,
-        regime29=inputs.regime_split,
-        regime31=inputs.regime_detailed,
-        violations=[],
-    )
-    ps, sol, graph, idents = res
-    if ps is not None:
-        rec["gap_closed"] = ps.gap_closed
-        if ps.enclosure is not None:
-            rec["encl_lo"], rec["encl_hi"] = ps.enclosure
-            if ps.omega0.size:
-                rec["enclosure_ok"] = bool(
-                    float(ps.omega0.min()) >= ps.enclosure[0] - tol.enclosure_slack
-                    and float(ps.omega0.max()) <= ps.enclosure[1] + tol.enclosure_slack
+def _records(insts: list[PerturbationInstance], res: riccati.StackSolution, tol: Tolerances,
+             trials: list) -> list[dict]:
+    """Flat campaign records of a solved stack, in stack order."""
+    solved = {}
+    if res.solution is not None:
+        sol, graph, idents = res.solution, res.graph, res.identities
+        columns = {
+            "measured": graph.measured,
+            "mu": sol.mu,
+            "cond_Y0": sol.cond_Y0,
+            "riccati_residual": sol.riccati_residual,
+            "lemma26_max": idents.res26,
+            "lemma27_max": idents.res27,
+            "lemma_term_imag_max": idents.term_imag,
+            "graph_angle_residual": graph.angle_residual,
+            "graph1_residual": graph.graph1_residual,
+            "spec0_residual": graph.spec0_residual,
+            "spec1_residual": graph.spec1_residual,
+            "lambda0_herm_residual": graph.lambda0_herm_residual,
+            "lambda0_spec_residual": graph.lambda0_spec_residual,
+        }
+        rows = zip(*(column.tolist() for column in columns.values()))
+        solved = {i: dict(zip(columns, row)) for i, row in zip(res.solved, rows)}
+        for fields in solved.values():  # the identities' maxima over eigenpairs
+            for key in ("lemma26_max", "lemma27_max", "lemma_term_imag_max"):
+                fields[key] = max(fields[key])
+    out = []
+    for i, (inst, trial) in enumerate(zip(insts, trials)):
+        rec = dict.fromkeys(RECORD_KEYS)
+        split = inst.split
+        D, d, v = split.gap_len, split.d, inst.v
+        inputs = bounds.BoundInputs(D=D, d=d, v=v)
+        rec.update(
+            trial=trial, n0=inst.n0, n1=inst.n1, D=D, d=d, v=v,
+            regime12=inputs.regime_gap_survives,
+            regime29=inputs.regime_split,
+            regime31=inputs.regime_detailed,
+            violations=[],
+        )
+        out.append(rec)
+        if res.eigen is not None:
+            gap_closed = rec["gap_closed"] = res.dims[i] != inst.n0
+            encl = res.enclosures[i]
+            if encl is not None:
+                rec["encl_lo"], rec["encl_hi"] = encl
+                # omega0, the inner eigenvalues, ascending
+                omega0 = res.eigen.values[i][res.inner[i]].tolist()
+                rec["enclosure_ok"] = bool(omega0) and bool(
+                    omega0[0] >= encl[0] - tol.enclosure_slack
+                    and omega0[-1] <= encl[1] + tol.enclosure_slack
                 )
-            else:
-                rec["enclosure_ok"] = False
-        if ps.gap_closed:
-            rec["error"] = "GapClosed"
-            if inputs.regime_split:
-                rec["violations"] = ["structural:GapClosed"]
-            return rec
-    if res.failure is not None:
-        rec["error"] = type(res.failure).__name__
-        rec["violations"] = [f"structural:{rec['error']}"]
-        return rec
+            if gap_closed:
+                rec["error"] = "GapClosed"
+                if inputs.regime_split:
+                    rec["violations"] = ["structural:GapClosed"]
+                continue
+        failure = res.failures[i]
+        if failure is not None:
+            rec["error"] = type(failure).__name__
+            rec["violations"] = [f"structural:{rec['error']}"]
+            continue
 
-    measured = graph.measured
-    report = bounds.make_bound_report(
-        measured, D, d, v, split.gap_left, split.gap_right, slack=tol.bound_slack
-    )
-    rec.update(
-        measured=measured,
-        mu=sol.mu,
-        cond_Y0=sol.cond_Y0,
-        riccati_residual=sol.riccati_residual,
-        riccati_limit=tol.riccati_scale * inst.scale,
-        lemma26_max=max((r.res26 for r in idents), default=0.0),
-        lemma27_max=max((r.res27 for r in idents), default=0.0),
-        lemma_limit=tol.lemma_scale * inst.scale,
-        lemma_term_imag_max=max((r.term_imag for r in idents), default=0.0),
-        graph_angle_residual=graph.angle_residual,
-        graph1_residual=graph.graph1_residual,
-        spec0_residual=graph.spec0_residual,
-        spec1_residual=graph.spec1_residual,
-        lambda0_herm_residual=graph.lambda0_herm_residual,
-        lambda0_spec_residual=graph.lambda0_spec_residual,
-        kappa=report.kappa,
-        kappa_branch=report.kappa_branch,
-        bound13=report.bound_apriori,
-        bound32=report.bound_detailed,
-        ratio13=report.ratio_apriori,
-        ratio32=report.ratio_detailed,
-        r_V=report.r_v,
-    )
+        fields = solved[i]
+        report = bounds.make_bound_report(
+            fields["measured"], D, d, v, split.gap_left, split.gap_right, slack=tol.bound_slack
+        )
+        scale = inst.scale
+        rec.update(
+            fields,
+            riccati_limit=tol.riccati_scale * scale,
+            lemma_limit=tol.lemma_scale * scale,
+            kappa=report.kappa,
+            kappa_branch=report.kappa_branch,
+            bound13=report.bound_apriori,
+            bound32=report.bound_detailed,
+            ratio13=report.ratio_apriori,
+            ratio32=report.ratio_detailed,
+            r_V=report.r_v,
+        )
 
-    violations = []
-    if report.ok_apriori is False:
-        violations.append("bound13")
-    if report.ok_detailed is False:
-        violations.append("bound32")
-    if rec["enclosure_ok"] is False:
-        violations.append("enclosure")
-    if inputs.regime_detailed and not sol.mu < 1.0:
-        violations.append("mu")
-    if (
-        graph.angle_residual > tol.graph
-        or graph.graph1_residual > tol.graph
-        or graph.spec0_residual > tol.graph
-        or graph.spec1_residual > tol.graph
-        or graph.lambda0_herm_residual > tol.graph
-        or graph.lambda0_spec_residual > tol.graph
-    ):
-        violations.append("graph")
-    if sol.riccati_residual > rec["riccati_limit"]:
-        violations.append("riccati")
-    if rec["lemma26_max"] > rec["lemma_limit"] or rec["lemma27_max"] > rec["lemma_limit"]:
-        violations.append("lemma")
-    rec["violations"] = violations
-    return rec
+        violations = []
+        if report.ok_apriori is False:
+            violations.append("bound13")
+        if report.ok_detailed is False:
+            violations.append("bound32")
+        if rec["enclosure_ok"] is False:
+            violations.append("enclosure")
+        if inputs.regime_detailed and not rec["mu"] < 1.0:
+            violations.append("mu")
+        if any(rec[key] > tol.graph for key in GRAPH_RESIDUALS):
+            violations.append("graph")
+        if rec["riccati_residual"] > rec["riccati_limit"]:
+            violations.append("riccati")
+        if rec["lemma26_max"] > rec["lemma_limit"] or rec["lemma27_max"] > rec["lemma_limit"]:
+            violations.append("lemma")
+        rec["violations"] = violations
+    return out
+
+
+def _stack_records(insts: list[PerturbationInstance], tol: Tolerances, trials: list) -> list[dict]:
+    """Records of same-shape instances solved as one stack.
+
+    A stack that fails as a whole (a LAPACK call or an eigensolve check
+    failed for one of its instances) is solved again one instance at a
+    time, so every instance gets the record it gets on its own.
+    """
+    try:
+        res = riccati.solve_stack(insts)
+    except (EigenFailure, ConvergenceFailure):
+        # a stack of one records these in its solution; only larger ones raise
+        return [
+            rec
+            for inst, trial in zip(insts, trials)
+            for rec in _stack_records([inst], tol, [trial])
+        ]
+    return _records(insts, res, tol, trials)
 
 
 def _trial_batch(cfg: CampaignConfig, indices: list[int]) -> list[dict]:
-    out = []
+    """Records of the trials ``indices``, in that order.
+
+    Trials are drawn in windows of about WINDOW_ENTRIES matrix entries;
+    the trials of a window with the same block shape (n0, n1) are solved
+    as one stack.
+    """
+    records: list[dict] = []
+    window: list[int] = []
+    buckets: dict[tuple[int, int], list] = {}
+    entries = 0
     for i in indices:
         inst, _ = trial_instance(cfg, i)
-        out.append(trial_record_for_instance(inst, cfg.tolerances, trial=i))
-    return out
+        window.append(i)
+        buckets.setdefault((inst.n0, inst.n1), []).append((i, inst))
+        entries += inst.n * inst.n
+        if entries >= WINDOW_ENTRIES:
+            records += _window_records(window, buckets, cfg.tolerances)
+            window, buckets, entries = [], {}, 0
+    return records + _window_records(window, buckets, cfg.tolerances)
+
+
+def _window_records(window: list[int], buckets: dict, tol: Tolerances) -> list[dict]:
+    by_trial = {}
+    for bucket in buckets.values():
+        trials = [i for i, _ in bucket]
+        by_trial.update(zip(trials, _stack_records([inst for _, inst in bucket], tol, trials)))
+    return [by_trial[i] for i in window]
 
 
 def _aggregate(records: list[dict]) -> dict:
@@ -470,7 +540,8 @@ def analyze(inst: PerturbationInstance, tol: Tolerances | None = None) -> dict:
     errors; campaign-style flat fields are nested under "record", a second
     view of the same pipeline result.
     """
-    res = riccati.solve_instance(inst)
+    solved = riccati.solve_stack([inst])
+    res = solved.instance(0)
     if res.failure is not None:
         raise res.failure
     ps, sol, graph, idents = res
@@ -518,7 +589,7 @@ def analyze(inst: PerturbationInstance, tol: Tolerances | None = None) -> dict:
             "spec0_residual": graph.spec0_residual,
             "spec1_residual": graph.spec1_residual,
         },
-        "record": _record(inst, res, tol or Tolerances(), None),
+        "record": _records([inst], solved, tol or Tolerances(), [None])[0],
     }
 
 
@@ -599,7 +670,9 @@ class SharpnessConfig:
 
 
 def _measured_for(s0, s1, gap, b) -> tuple[float, PerturbationInstance]:
-    inst = assemble_instance(s0, s1, gap, b)
+    # the search keeps its inner values strictly inside the gap and its
+    # outer values on or outside its ends, so the partition is valid
+    inst = _assemble(s0, s1, gap, b)
     return riccati.measured_rotation(inst, riccati.perturbed_split(inst)), inst
 
 

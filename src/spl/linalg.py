@@ -28,6 +28,7 @@ HERMITICITY_RTOL = 1e-12
 EIG_RTOL = 1e-10
 #: Open-interval endpoint ambiguity radius, relative to the spectral norm.
 EDGE_RTOL = 1e-9
+_EPS = np.finfo(float).eps
 
 
 def lapack(fn, *args, **kwargs):
@@ -39,25 +40,35 @@ def lapack(fn, *args, **kwargs):
 
 
 def as_hermitian(m) -> np.ndarray:
-    """Validate a square Hermitian matrix and return it as a complex array.
+    """Validate a square Hermitian matrix, or a stack of them along leading
+    axes, and return it as a complex array.
 
     Raises NonHermitianInput for a non-finite entry or when the entrywise
-    asymmetry exceeds ``HERMITICITY_RTOL`` times the largest entry,
-    DimensionMismatch for non-square input.
+    asymmetry exceeds ``HERMITICITY_RTOL`` times the largest entry of its
+    matrix, DimensionMismatch for non-square input.
     """
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    scale = float(np.abs(a).max())
-    if not np.isfinite(scale):
-        raise NonHermitianInput(f"matrix has a non-finite entry (largest modulus {scale})")
-    if scale > 0.0:
-        asym = float(np.abs(a - a.conj().T).max())
-        if asym > HERMITICITY_RTOL * scale:
-            raise NonHermitianInput(
-                f"asymmetry {asym:.3e} exceeds {HERMITICITY_RTOL:.0e} * scale ({scale:.3e})"
-            )
+    scale = np.abs(a).max(axis=(-2, -1))
+    finite = np.isfinite(scale)
+    if not finite.all():
+        raise NonHermitianInput(
+            f"matrix has a non-finite entry (largest modulus {float(scale[~finite].flat[0])})"
+        )
+    asym = np.abs(a - adjoint(a)).max(axis=(-2, -1))
+    bad = asym > HERMITICITY_RTOL * scale
+    if bad.any():
+        asym, scale = float(asym[bad].flat[0]), float(scale[bad].flat[0])
+        raise NonHermitianInput(
+            f"asymmetry {asym:.3e} exceeds {HERMITICITY_RTOL:.0e} * scale ({scale:.3e})"
+        )
     return a
+
+
+def adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return a.conj().mT
 
 
 def op_norm(m) -> float:
@@ -72,12 +83,18 @@ def op_norm(m) -> float:
     return float(lapack(np.linalg.svdvals, a)[0])
 
 
+def op_norms(a: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix of a stack (one stacked SVD)."""
+    return lapack(np.linalg.svdvals, a)[..., 0]
+
+
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
-    """Full spectral data of a Hermitian matrix.
+    """Full spectral data of a Hermitian matrix, or of a stack of them.
 
-    values: ascending real eigenvalues, shape (n,).
-    vectors: orthonormal eigenvector columns, column k pairs with values[k].
+    values: ascending real eigenvalues, shape (..., n).
+    vectors: orthonormal eigenvector columns, column k pairs with values[k];
+    shape (..., n, n).  Leading axes index the matrices of a stack.
     """
 
     values: np.ndarray
@@ -85,12 +102,12 @@ class EigenSystem:
 
     @property
     def n(self) -> int:
-        return self.values.size
+        return self.values.shape[-1]
 
     @property
-    def norm(self) -> float:
-        """Spectral norm of the decomposed matrix."""
-        return float(np.abs(self.values).max())
+    def norm(self):
+        """Spectral norm of the decomposed matrix (one per matrix of a stack)."""
+        return np.abs(self.values).max(axis=-1)
 
     @property
     def edge_tol(self) -> float:
@@ -114,6 +131,7 @@ class PolarParts:
     Hermitian PSD square root of X*X on the domain space.  values (the
     singular values of X, descending, padded with zeros) and the columns of
     vectors are its eigenpairs; the columns past the rank of X span its kernel.
+    For a stack of matrices every field has the same leading axes.
     """
 
     isometry: np.ndarray
@@ -126,7 +144,7 @@ class PolarParts:
 
     def apply(self, f) -> np.ndarray:
         """f(absval) for a scalar function f acting on the eigenvalues."""
-        return self.vectors @ (f(self.values)[:, None] * self.vectors.conj().T)
+        return self.vectors @ (f(self.values)[..., :, None] * adjoint(self.vectors))
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,17 +158,37 @@ def eigh(h) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix with verified invariants.
 
     Eigenvalues come out ascending; eigenvectors are orthonormal columns.
-    Raises NonHermitianInput for asymmetric input and ConvergenceFailure if
-    the backend does not converge or the residuals exceed ``EIG_RTOL``.
+    A stack of matrices along leading axes is decomposed in one LAPACK
+    call, each matrix exactly as on its own.  Raises NonHermitianInput for
+    asymmetric input and ConvergenceFailure if the backend does not
+    converge or the residuals of any matrix exceed ``EIG_RTOL``.
     """
     a = as_hermitian(h)
     values, vectors = lapack(np.linalg.eigh, a)
     values = values.astype(float)
-    scale = max(float(np.abs(values).max()), 1e-300)
-    resid_m = a @ vectors - vectors * values
-    orth_m = vectors.conj().T @ vectors - np.eye(a.shape[0])
-    # The Frobenius norm bounds the spectral norm, so a pass on it is a pass;
-    # only a miss needs the spectral norms, whose SVDs cost twice the eigensolve.
+    scale = np.maximum(np.abs(values).max(axis=-1), 1e-300)
+    resid_m = a @ vectors - vectors * values[..., None, :]
+    orth_m = adjoint(vectors) @ vectors - np.eye(a.shape[-1])
+    # The Frobenius norm bounds the spectral norm, so a pass on it is a pass.
+    # The norms of the whole stack, the residuals relative to their matrix's
+    # scale, bound every matrix's; they pass the stack when they pass with a
+    # factor 2 to spare (their sums run in another order than one matrix's).
+    # Otherwise each matrix is checked on its own, the spectral norms (whose
+    # SVDs cost twice the eigensolve) taken only when its Frobenius norms miss.
+    if not (
+        lapack(np.linalg.norm, resid_m / scale[..., None, None]) <= 0.5 * EIG_RTOL
+        and lapack(np.linalg.norm, orth_m) <= 0.5 * EIG_RTOL
+    ):
+        n = a.shape[-1]
+        for r, o, sc in zip(
+            resid_m.reshape(-1, n, n), orth_m.reshape(-1, n, n), np.ravel(scale).tolist()
+        ):
+            _check_residuals(r, o, sc)
+    return EigenSystem(values=values, vectors=vectors)
+
+
+def _check_residuals(resid_m: np.ndarray, orth_m: np.ndarray, scale: float) -> None:
+    """Residual and orthogonality checks of one eigendecomposition."""
     if (
         lapack(np.linalg.norm, resid_m) > EIG_RTOL * scale
         or lapack(np.linalg.norm, orth_m) > EIG_RTOL
@@ -160,7 +198,6 @@ def eigh(h) -> EigenSystem:
             raise ConvergenceFailure(
                 f"eigendecomposition residuals too large: {resid:.3e}, {orth:.3e}"
             )
-    return EigenSystem(values=values, vectors=vectors)
 
 
 def _interval_mask(es: EigenSystem, lo: float, hi: float, edge: str) -> np.ndarray:
@@ -224,25 +261,35 @@ def subspace_angle(p: Projector, q: Projector) -> AngleReport:
 
 
 def polar_decompose(x) -> PolarParts:
-    """Polar factors of a rectangular matrix.
+    """Polar factors of a rectangular matrix, or of a stack of them.
 
     Returns ``PolarParts`` with ``x = isometry @ absval``.  The SVD keeps
     the full right singular basis, so absval has a full eigenbasis even
     when x has fewer rows than columns.  The isometry is built only from
     singular directions above the numerical rank cutoff, so it vanishes on
     the kernel of x.  absval is computed from the SVD directly (not via a
-    matrix square root) to keep small singular values accurate.
+    matrix square root) to keep small singular values accurate.  A stack
+    takes one SVD, and one isometry product per numerical rank in it, so
+    every product has the inner dimension of its matrix on its own.
     """
     a = np.asarray(x, dtype=complex)
-    if a.ndim != 2:
+    if a.ndim < 2:
         raise DimensionMismatch(f"expected a matrix, got shape {a.shape}")
     w, s, vh = lapack(np.linalg.svd, a, full_matrices=True)
-    values = np.zeros(a.shape[1])
-    values[:s.size] = s
-    cutoff = s[0] * max(a.shape) * np.finfo(float).eps if s.size and s[0] > 0 else 0.0
-    rank = int(np.count_nonzero(s > cutoff))
-    isometry = w[:, :rank] @ vh[:rank, :]
-    return PolarParts(isometry=isometry, values=values, vectors=vh.conj().T)
+    values = np.zeros(a.shape[:-2] + a.shape[-1:])
+    values[..., :s.shape[-1]] = s
+    # the cutoff is 0 for a zero matrix, whose s[0] is 0
+    ranks = (s > s[..., :1] * max(a.shape[-2:]) * _EPS).sum(axis=-1)
+    distinct = set(np.ravel(ranks).tolist())
+    if len(distinct) == 1:
+        r = distinct.pop()
+        isometry = w[..., :r] @ vh[..., :r, :]
+    else:
+        isometry = np.empty(a.shape, dtype=complex)
+        for r in sorted(distinct):
+            rows = ranks == r
+            isometry[rows] = w[rows][..., :r] @ vh[rows][..., :r, :]
+    return PolarParts(isometry=isometry, values=values, vectors=adjoint(vh))
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -7,8 +7,13 @@ X is extracted from an orthonormal basis of the perturbed inner subspace by
 graph inversion and independently certified through its quadratic-equation
 residual  X A0 - A1 X + X B X - B*.
 
-:func:`solve_instance` runs each stage once per instance.  The one SVD of
-X (:func:`polar_decompose`) gives ||X||, the polar parts, the eigenpairs of
+:func:`solve_stack` is the one pipeline.  It takes instances of one shape
+(n0, n1) and runs each stage once for all of them, every decomposition as
+one stacked numpy.linalg call over a leading batch axis; numpy computes
+each matrix of a stack exactly as on its own, so an instance's numbers do
+not depend on the rest of its stack.  :func:`solve_instance` and the
+per-instance stage functions are stacks of one.  The one SVD of X
+(:func:`polar_decompose`) gives ||X||, the polar parts, the eigenpairs of
 |X| and (I + |X|^2)^(+-1/2).  The measured rotation ||E0 - E0'|| is ||Y1||,
 the norm of the outer rows of the orthonormal perturbed inner basis
 (:func:`measured_rotation`); it is computed without X.
@@ -18,7 +23,10 @@ Inner products are conjugate-linear in the first argument (numpy.vdot).
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -33,11 +41,13 @@ from .errors import (
     SplError,
 )
 from .linalg import (
+    EigenSystem,
     PolarParts,
     Projector,
+    adjoint,
     eigh,
     lapack,
-    op_norm,
+    op_norms,
     polar_decompose,
 )
 
@@ -78,7 +88,8 @@ class RiccatiSolution:
     the eigenpairs of |X|; mu = ||X||.  riccati_residual is the operator norm of
     X A0 - A1 X + X B X - B*.  Lambda0 is the Hermitian operator similar to
     A0 + B X via (I + |X|^2)^(1/2), whose spectrum equals omega0.  cond_Y0
-    records the conditioning of the graph inversion.
+    records the conditioning of the graph inversion.  Over a stack every
+    field has a leading batch axis.
     """
 
     X: np.ndarray
@@ -107,6 +118,21 @@ class IdentityReport:
 
 
 @dataclass(frozen=True, eq=False)
+class Identities:
+    """The :class:`IdentityReport` fields of a stack, as (k, n0) arrays."""
+
+    lam: np.ndarray
+    res26: np.ndarray
+    res27: np.ndarray
+    term_imag: np.ndarray
+    top: np.ndarray
+
+    def reports(self, row: int) -> list[IdentityReport]:
+        columns = (getattr(self, f.name)[row].tolist() for f in dataclasses.fields(self))
+        return [IdentityReport(*fields) for fields in zip(*columns)]
+
+
+@dataclass(frozen=True, eq=False)
 class GraphReport:
     """Graph-representation checks for a solved instance.
 
@@ -116,7 +142,8 @@ class GraphReport:
     being the graph of -X*; spec0/spec1_residual the mismatch between the
     spectra of A0 + B X / A1 - B* X* and omega0 / omega1; the lambda0_*
     fields are those of :func:`lambda0_diagnostics` and the mismatch
-    between the Lambda0 spectrum and omega0.
+    between the Lambda0 spectrum and omega0.  Over a stack every field has
+    a leading batch axis.
     """
 
     measured: float
@@ -149,6 +176,134 @@ class InstanceSolution:
         return iter((self.perturbed, self.solution, self.graph, self.identities))
 
 
+@dataclass(frozen=True, eq=False)
+class InstanceStack:
+    """The blocks L, A0, A1, B of same-shape instances, stacked along a
+    leading batch axis; a stack of one is a view of its instance's."""
+
+    L: np.ndarray
+    A0: np.ndarray
+    A1: np.ndarray
+    B: np.ndarray
+
+    @property
+    def n0(self) -> int:
+        return self.A0.shape[-1]
+
+    @classmethod
+    def of(cls, insts: Sequence[PerturbationInstance]) -> InstanceStack:
+        if len(insts) == 1:
+            inst = insts[0]
+            return cls(L=inst.L[None], A0=inst.A0[None], A1=inst.A1[None], B=inst.B[None])
+        return cls(*(np.stack([getattr(i, f) for i in insts]) for f in ("L", "A0", "A1", "B")))
+
+    def take(self, rows: list[int]) -> InstanceStack:
+        return InstanceStack(L=self.L[rows], A0=self.A0[rows], A1=self.A1[rows], B=self.B[rows])
+
+
+@dataclass(frozen=True, eq=False)
+class StackSolution:
+    """Every stage of :func:`solve_stack` for a stack of instances of n0
+    inner rows.
+
+    Per instance: the eigensystem of L (None when its eigensolve failed),
+    the mask and the count (``dims``) of the inner eigenvalues, the
+    enclosure and the structural failure (None for a solved instance).
+    ``solved`` lists the solved instances in stack order; ``solution``,
+    ``graph`` and ``identities`` are stacked over them.
+    """
+
+    n0: int
+    eigen: EigenSystem | None
+    inner: np.ndarray | None
+    dims: list | None
+    enclosures: list
+    failures: list
+    solved: list
+    solution: RiccatiSolution | None = None
+    graph: GraphReport | None = None
+    identities: Identities | None = None
+
+    def instance(self, i: int) -> InstanceSolution:
+        """The :class:`InstanceSolution` view of instance ``i``."""
+        failure = self.failures[i]
+        if self.eigen is None:
+            return InstanceSolution(perturbed=None, failure=failure)
+        ps = _split_view(
+            self.eigen.values[i], self.eigen.vectors[i], self.inner[i], self.enclosures[i], self.n0
+        )
+        if failure is not None:
+            return InstanceSolution(perturbed=ps, failure=failure)
+        row = self.solved.index(i)
+        return InstanceSolution(
+            perturbed=ps,
+            solution=_row(self.solution, row),
+            graph=_row(self.graph, row),
+            identities=self.identities.reports(row),
+        )
+
+
+def _row(stacked, row: int):
+    """Row ``row`` of a stacked result dataclass, with Python scalars."""
+    fields = {}
+    for f in dataclasses.fields(stacked):
+        value = getattr(stacked, f.name)
+        if dataclasses.is_dataclass(value):
+            fields[f.name] = _row(value, row)
+        elif value.ndim == 1:
+            fields[f.name] = value[row].item()
+        else:
+            fields[f.name] = value[row]
+    return type(stacked)(**fields)
+
+
+def _one(single):
+    """A stack of one of a per-instance result dataclass."""
+    return type(single)(**{
+        f.name: _one(v) if dataclasses.is_dataclass(v) else np.asarray(v)[None]
+        for f in dataclasses.fields(single)
+        for v in (getattr(single, f.name),)
+    })
+
+
+def _eigen(L: np.ndarray) -> EigenSystem:
+    try:
+        return eigh(L)
+    except ConvergenceFailure as exc:
+        raise EigenFailure(f"eigensolve of the perturbed operator failed: {exc}") from exc
+
+
+def _inner_mask(values, tol, gap_left, gap_right) -> np.ndarray:
+    """Eigenvalues inside the open gap, those within ``tol`` of an end excluded."""
+    near = (np.abs(values - gap_left) <= tol) | (np.abs(values - gap_right) <= tol)
+    return (values > gap_left) & (values < gap_right) & ~near
+
+
+def _enclosure(inst: PerturbationInstance) -> tuple[float, float] | None:
+    split = inst.split
+    if bounds.BoundInputs(D=split.gap_len, d=split.d, v=inst.v).regime_split:
+        return bounds.enclosure(split.gap_left, split.gap_right, split.d, inst.v)
+    return None
+
+
+def _split_view(values, vectors, inner, enclosure, n0: int) -> PerturbedSplit:
+    cols0 = vectors[:, inner]
+    return PerturbedSplit(
+        omega0=values[inner],
+        omega1=values[~inner],
+        basis0=cols0,
+        basis1=vectors[:, ~inner],
+        enclosure=enclosure,
+        gap_closed=cols0.shape[1] != n0,
+    )
+
+
+def _rank_mismatch(dim: int, n0: int) -> RankMismatch:
+    return RankMismatch(
+        f"gap closed: perturbed inner subspace has dimension {dim}, expected {n0}"
+    )
+
+
 def perturbed_split(inst: PerturbationInstance) -> PerturbedSplit:
     """Split the spectrum of L = A + V by the instance's gap.
 
@@ -157,29 +312,15 @@ def perturbed_split(inst: PerturbationInstance) -> PerturbedSplit:
     an endpoint).  The split is flagged gap_closed when the inner eigenvalue
     count differs from the unperturbed block dimension.
     """
-    try:
-        es = eigh(inst.L)
-    except ConvergenceFailure as exc:
-        raise EigenFailure(f"eigensolve of the perturbed operator failed: {exc}") from exc
+    es = _eigen(inst.L)
     split = inst.split
-    gl, gr = split.gap_left, split.gap_right
-    tol = es.edge_tol
-    vals = es.values
-    near = (np.abs(vals - gl) <= tol) | (np.abs(vals - gr) <= tol)
-    inner = (vals > gl) & (vals < gr) & ~near
-    cols0 = es.vectors[:, inner]
-    if bounds.BoundInputs(D=split.gap_len, d=split.d, v=inst.v).regime_split:
-        encl = bounds.enclosure(gl, gr, split.d, inst.v)
-    else:
-        encl = None
-    return PerturbedSplit(
-        omega0=vals[inner],
-        omega1=vals[~inner],
-        basis0=cols0,
-        basis1=es.vectors[:, ~inner],
-        enclosure=encl,
-        gap_closed=cols0.shape[1] != split.n0,
-    )
+    inner = _inner_mask(es.values, es.edge_tol, split.gap_left, split.gap_right)
+    return _split_view(es.values, es.vectors, inner, _enclosure(inst), inst.n0)
+
+
+def _rotation(basis0: np.ndarray, n0: int) -> np.ndarray:
+    """||Y1|| of each stacked basis [Y0; Y1] of n0 columns, clipped to 1."""
+    return np.minimum(op_norms(basis0[:, n0:, :]), 1.0)
 
 
 def measured_rotation(inst: PerturbationInstance, ps: PerturbedSplit) -> float:
@@ -190,10 +331,50 @@ def measured_rotation(inst: PerturbationInstance, ps: PerturbedSplit) -> float:
     which is ||Y1||, the norm of the outer rows of an orthonormal basis
     [Y0; Y1] of the perturbed inner subspace; for unequal dimensions it is 1.
     """
-    n0 = inst.n0
-    if ps.basis0.shape[1] != n0:
+    if ps.basis0.shape[1] != inst.n0:
         return 1.0
-    return min(op_norm(ps.basis0[n0:, :]), 1.0)
+    return _rotation(ps.basis0[None], inst.n0)[0].item()
+
+
+def _conditioning(basis0: np.ndarray, n0: int) -> list[float]:
+    """Condition number of the inner block Y0 of each stacked basis."""
+    sing = lapack(np.linalg.svd, basis0[:, :n0, :], compute_uv=False)
+    return [
+        big / small if small > 0.0 else math.inf
+        for big, small in zip(sing[:, 0].tolist(), sing[:, -1].tolist())
+    ]
+
+
+def _is_graph(cond: float) -> bool:
+    return math.isfinite(cond) and not cond > GRAPH_COND_LIMIT
+
+
+def _not_a_graph(cond: float) -> NotAGraph:
+    return NotAGraph(
+        f"inner block of the perturbed basis is numerically singular (cond {cond:.3e})",
+        cond=cond,
+    )
+
+
+def _angular(st: InstanceStack, basis0: np.ndarray, cond: list[float]) -> RiccatiSolution:
+    """Stacked graph inversion X = Y1 Y0^{-1} and everything built from X."""
+    n0 = st.n0
+    y0 = basis0[:, :n0, :]
+    y1 = basis0[:, n0:, :]
+    x = lapack(np.linalg.solve, y0.swapaxes(1, 2), y1.swapaxes(1, 2)).swapaxes(1, 2)
+    polar = polar_decompose(x)
+    resid = riccati_residual(x, st.A0, st.A1, st.B)
+    half = polar.apply(lambda s: np.sqrt(1.0 + s * s))
+    half_inv = polar.apply(lambda s: 1.0 / np.sqrt(1.0 + s * s))
+    lambda0 = half @ (st.A0 + st.B @ x) @ half_inv
+    return RiccatiSolution(
+        X=x,
+        polar=polar,
+        mu=polar.values[:, 0],
+        riccati_residual=resid,
+        Lambda0=lambda0,
+        cond_Y0=np.array(cond),
+    )
 
 
 def angular_operator(inst: PerturbationInstance, ps: PerturbedSplit) -> RiccatiSolution:
@@ -207,49 +388,53 @@ def angular_operator(inst: PerturbationInstance, ps: PerturbedSplit) -> RiccatiS
     """
     n0 = inst.n0
     if ps.basis0.shape[1] != n0:
-        raise RankMismatch(
-            f"gap closed: perturbed inner subspace has dimension {ps.basis0.shape[1]}, "
-            f"expected {n0}"
-        )
-    y0 = ps.basis0[:n0, :]
-    y1 = ps.basis0[n0:, :]
-    sing = lapack(np.linalg.svd, y0, compute_uv=False)
-    smin = float(sing[-1]) if sing.size else 0.0
-    cond = float(sing[0] / smin) if smin > 0.0 else float("inf")
-    if not np.isfinite(cond) or cond > GRAPH_COND_LIMIT:
-        raise NotAGraph(
-            f"inner block of the perturbed basis is numerically singular (cond {cond:.3e})",
-            cond=cond,
-        )
-    x = lapack(np.linalg.solve, y0.T, y1.T).T
-    polar = polar_decompose(x)
-    resid = riccati_residual(x, inst.A0, inst.A1, inst.B)
-    half = polar.apply(lambda s: np.sqrt(1.0 + s * s))
-    half_inv = polar.apply(lambda s: 1.0 / np.sqrt(1.0 + s * s))
-    lambda0 = half @ (inst.A0 + inst.B @ x) @ half_inv
-    return RiccatiSolution(
-        X=x,
-        polar=polar,
-        mu=float(polar.values[0]),
-        riccati_residual=resid,
-        Lambda0=lambda0,
-        cond_Y0=cond,
-    )
+        raise _rank_mismatch(ps.basis0.shape[1], n0)
+    basis0 = ps.basis0[None]
+    cond = _conditioning(basis0, n0)
+    if not _is_graph(cond[0]):
+        raise _not_a_graph(cond[0])
+    return _row(_angular(InstanceStack.of([inst]), basis0, cond), 0)
 
 
-def riccati_residual(x, a0, a1, b) -> float:
-    """Operator norm of X A0 - A1 X + X B X - B*."""
+def riccati_residual(x, a0, a1, b):
+    """Operator norm of X A0 - A1 X + X B X - B*.
+
+    All four may carry the same leading batch axes; a stack gets one norm
+    per instance, one matrix a float.
+    """
     xm = np.asarray(x, dtype=complex)
     a0m = np.asarray(a0, dtype=complex)
     a1m = np.asarray(a1, dtype=complex)
     bm = np.asarray(b, dtype=complex)
-    n0 = a0m.shape[0]
-    n1 = a1m.shape[0]
-    if xm.shape != (n1, n0) or bm.shape != (n0, n1):
+    n0 = a0m.shape[-1]
+    n1 = a1m.shape[-1]
+    if xm.shape[-2:] != (n1, n0) or bm.shape[-2:] != (n0, n1):
         raise DimensionMismatch(
             f"incompatible blocks: X {xm.shape}, A0 {a0m.shape}, A1 {a1m.shape}, B {bm.shape}"
         )
-    return op_norm(xm @ a0m - a1m @ xm + xm @ bm @ xm - bm.conj().T)
+    return _scalar(op_norms(xm @ a0m - a1m @ xm + xm @ bm @ xm - adjoint(bm)))
+
+
+def _scalar(a):
+    """A float for one matrix's result, the array for a stack's."""
+    return float(a) if a.ndim == 0 else a
+
+
+def _identities(st: InstanceStack, sol: RiccatiSolution) -> Identities:
+    """Stacked eigenpair identity residuals, see :func:`lemma22_check`."""
+    n0 = st.n0
+    lams, u = sol.polar.values, sol.polar.vectors
+    # column k belongs to eigenpair k: in the split basis the column blocks
+    # of L = [[A0, B], [B*, A1]] give p = [A0 u; B* u] and q = [B w; A1 w]
+    p = st.L[:, :, :n0] @ u
+    q = st.L[:, :, n0:] @ (sol.polar.isometry @ u)
+    term = _col_dots(p, q)
+    outer = _col_dots(q, q).real
+    res26 = np.abs(lams * (outer - _col_dots(p, p).real) + (1.0 - lams * lams) * term)
+    l0u = sol.Lambda0 @ u
+    res27 = np.abs(term + lams * (outer - _col_dots(l0u, l0u).real))
+    top = lams >= (sol.mu - 1e-12 * np.maximum(1.0, sol.mu))[:, None]
+    return Identities(lam=lams, res26=res26, res27=res27, term_imag=np.abs(term.imag), top=top)
 
 
 def lemma22_check(sol: RiccatiSolution, inst: PerturbationInstance) -> list[IdentityReport]:
@@ -268,30 +453,38 @@ def lemma22_check(sol: RiccatiSolution, inst: PerturbationInstance) -> list[Iden
     with the top (norm-attaining) eigenpairs flagged; there is one per
     inner dimension, the kernel of X included.
     """
-    n0 = inst.n0
-    lams, u = sol.polar.values, sol.polar.vectors
-    # column k belongs to eigenpair k: in the split basis the column blocks
-    # of L = [[A0, B], [B*, A1]] give p = [A0 u; B* u] and q = [B w; A1 w]
-    p = inst.L[:, :n0] @ u
-    q = inst.L[:, n0:] @ (sol.polar.isometry @ u)
-    term = _col_dots(p, q)
-    outer = _col_dots(q, q).real
-    res26 = np.abs(lams * (outer - _col_dots(p, p).real) + (1.0 - lams * lams) * term)
-    l0u = sol.Lambda0 @ u
-    res27 = np.abs(term + lams * (outer - _col_dots(l0u, l0u).real))
-    top = lams >= sol.mu - 1e-12 * max(1.0, sol.mu)
-    return [
-        IdentityReport(*fields)
-        for fields in zip(
-            lams.tolist(), res26.tolist(), res27.tolist(),
-            np.abs(term.imag).tolist(), top.tolist(),
-        )
-    ]
+    return _identities(InstanceStack.of([inst]), _one(sol)).reports(0)
 
 
 def _col_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<a_k, b_k> for every column k (conjugate-linear in a)."""
-    return np.einsum("ij,ij->j", a.conj(), b)
+    """<a_k, b_k> for every column k of every stacked matrix (conjugate-linear in a)."""
+    return np.einsum("...ij,...ij->...j", a.conj(), b)
+
+
+def _graph(st: InstanceStack, sol: RiccatiSolution, basis0, basis1, omega0, omega1) -> GraphReport:
+    """Stacked graph checks, see :func:`verify_graph_props`."""
+    n0 = st.n0
+    measured = _rotation(basis0, n0)
+    # sin(arctan mu) as in bounds.sin_arctan
+    angle_residual = np.abs(measured - sol.mu / np.sqrt(1.0 + sol.mu * sol.mu))
+
+    z0 = basis1[:, :n0, :]
+    z1 = basis1[:, n0:, :]
+    graph1_residual = op_norms(z0 + adjoint(sol.X) @ z1)
+
+    spec0 = lapack(np.linalg.eigvals, st.A0 + st.B @ sol.X)
+    spec1 = lapack(np.linalg.eigvals, st.A1 - adjoint(st.B) @ adjoint(sol.X))
+    l0_herm, l0_spec = lambda0_diagnostics(sol)
+    return GraphReport(
+        measured=measured,
+        angle_residual=angle_residual,
+        graph1_residual=graph1_residual,
+        spec0_residual=spectrum_mismatch(spec0, omega0),
+        spec1_residual=spectrum_mismatch(spec1, omega1),
+        lambda0_spectrum=l0_spec,
+        lambda0_herm_residual=l0_herm,
+        lambda0_spec_residual=spectrum_mismatch(l0_spec, omega0),
+    )
 
 
 def verify_graph_props(
@@ -305,73 +498,130 @@ def verify_graph_props(
     of A0 + B X and A1 - B* X* reproduce omega0 and omega1, and that
     Lambda0 is Hermitian with spectrum omega0.
     """
-    n0 = inst.n0
-    measured = measured_rotation(inst, ps)
-    angle_residual = abs(measured - bounds.sin_arctan(sol.mu))
-
-    z0 = ps.basis1[:n0, :]
-    z1 = ps.basis1[n0:, :]
-    graph1_residual = op_norm(z0 + sol.X.conj().T @ z1)
-
-    spec0 = lapack(np.linalg.eigvals, inst.A0 + inst.B @ sol.X)
-    spec1 = lapack(np.linalg.eigvals, inst.A1 - inst.B.conj().T @ sol.X.conj().T)
-    spec0_residual = spectrum_mismatch(spec0, ps.omega0)
-    spec1_residual = spectrum_mismatch(spec1, ps.omega1)
-    l0_herm, l0_spec = lambda0_diagnostics(sol)
-    return GraphReport(
-        measured=float(measured),
-        angle_residual=float(angle_residual),
-        graph1_residual=float(graph1_residual),
-        spec0_residual=float(spec0_residual),
-        spec1_residual=float(spec1_residual),
-        lambda0_spectrum=l0_spec,
-        lambda0_herm_residual=l0_herm,
-        lambda0_spec_residual=spectrum_mismatch(l0_spec, ps.omega0),
+    stacked = _graph(
+        InstanceStack.of([inst]), _one(sol),
+        ps.basis0[None], ps.basis1[None], ps.omega0[None], ps.omega1[None],
     )
+    return _row(stacked, 0)
 
 
-def spectrum_mismatch(eigs: np.ndarray, target: np.ndarray) -> float:
+def spectrum_mismatch(eigs: np.ndarray, target: np.ndarray):
     """Worst deviation between a computed spectrum and a real target list.
 
     Compares sorted real parts and counts any imaginary mass as deviation;
-    infinite when the multiplicities disagree.
+    infinite when the multiplicities disagree.  Spectra stacked along
+    leading axes get one deviation each.
     """
     eigs = np.asarray(eigs, dtype=complex)
-    if eigs.size != target.size:
+    if eigs.shape[-1] != target.shape[-1]:
         return float("inf")
-    if eigs.size == 0:
+    if eigs.shape[-1] == 0:
         return 0.0
-    imag = float(np.abs(eigs.imag).max())
-    real = np.sort(eigs.real)
-    return max(imag, float(np.abs(real - np.sort(target)).max()))
+    imag = np.abs(eigs.imag).max(axis=-1)
+    real = np.sort(eigs.real, axis=-1)
+    return _scalar(np.maximum(imag, np.abs(real - np.sort(target, axis=-1)).max(axis=-1)))
 
 
-def lambda0_diagnostics(sol: RiccatiSolution) -> tuple[float, np.ndarray]:
+def lambda0_diagnostics(sol: RiccatiSolution):
     """Hermiticity defect of Lambda0 and its (symmetrised) spectrum."""
     l0 = sol.Lambda0
-    herm = op_norm(l0 - l0.conj().T)
-    spectrum = lapack(np.linalg.eigvalsh, 0.5 * (l0 + l0.conj().T))
-    return float(herm), spectrum
+    herm = op_norms(l0 - adjoint(l0))
+    spectrum = lapack(np.linalg.eigvalsh, 0.5 * (l0 + adjoint(l0)))
+    return _scalar(herm), spectrum
+
+
+def _bases(es: EigenSystem, inner: np.ndarray, rows: list[int], n0: int):
+    """(omega0, omega1, basis0, basis1) of the stacked eigensystems ``rows``,
+    whose inner masks all hold n0 eigenvalues.
+
+    The bases have the memory layout of ``vectors[:, inner]`` on one matrix,
+    so the products that read them run the same BLAS kernels.
+    """
+    values, vectors = es.values, es.vectors
+    if len(rows) < len(values):
+        values, vectors, inner = values[rows], vectors[rows], inner[rows]
+    k, n = values.shape
+    cols = vectors.swapaxes(1, 2)
+    return (
+        values[inner].reshape(k, n0),
+        values[~inner].reshape(k, n - n0),
+        cols[inner].reshape(k, n0, n).swapaxes(1, 2),
+        cols[~inner].reshape(k, n - n0, n).swapaxes(1, 2),
+    )
+
+
+def solve_stack(insts: Sequence[PerturbationInstance]) -> StackSolution:
+    """The pipeline on instances of one shape (n0, n1), stage by stage.
+
+    Per-instance structural outcomes are masks: an inner eigenvalue count
+    other than n0 (RankMismatch, the gap closed) and a numerically singular
+    inner block (NotAGraph) drop the instance from the later stages.  A
+    LAPACK failure or a failed eigensolve check stops the whole stack: a
+    stack of one records it as its instance's failure, a larger stack
+    raises it (EigenFailure or ConvergenceFailure), and solving its
+    instances one at a time types each instance's own failure.
+    """
+    k = len(insts)
+    n0 = insts[0].n0
+    st = InstanceStack.of(insts)
+    enclosures = [_enclosure(inst) for inst in insts]
+    try:
+        es = _eigen(st.L)
+    except EigenFailure as exc:
+        if k > 1:
+            raise
+        return StackSolution(n0, None, None, None, enclosures, [exc], [])
+    gaps = {(inst.split.gap_left, inst.split.gap_right) for inst in insts}
+    if len(gaps) == 1:  # a campaign's: a scalar broadcasts faster than a column
+        (gap_left, gap_right), = gaps
+    else:
+        gap_left, gap_right = np.array([
+            [inst.split.gap_left, inst.split.gap_right] for inst in insts
+        ]).T[:, :, None]
+    inner = _inner_mask(es.values, es.edge_tol[:, None], gap_left, gap_right)
+    dims = inner.sum(axis=1).tolist()
+    failures = [None if dim == n0 else _rank_mismatch(dim, n0) for dim in dims]
+    rows = [i for i, failure in enumerate(failures) if failure is None]
+    try:
+        stages = _solve_split(st, es, inner, rows, failures)
+    except ConvergenceFailure as exc:
+        if k > 1:
+            raise
+        failures[0], stages = exc, ([],)
+    return StackSolution(n0, es, inner, dims, enclosures, failures, *stages)
+
+
+def _solve_split(
+    st: InstanceStack, es: EigenSystem, inner: np.ndarray, rows: list[int], failures: list
+) -> tuple:
+    """(solved, solution, graph, identities) of the instances ``rows`` that
+    passed the split; records NotAGraph in ``failures``."""
+    n0 = st.n0
+    if not rows:
+        return (rows,)
+    omega0, omega1, basis0, basis1 = _bases(es, inner, rows, n0)
+    cond = _conditioning(basis0, n0)
+    graph = [_is_graph(c) for c in cond]
+    if not all(graph):
+        for i, c, ok in zip(rows, cond, graph):
+            if not ok:
+                failures[i] = _not_a_graph(c)
+        rows = [i for i, ok in zip(rows, graph) if ok]
+        cond = [c for c, ok in zip(cond, graph) if ok]
+        if not rows:
+            return (rows,)
+        # selected afresh rather than indexed, to keep the bases' layout
+        omega0, omega1, basis0, basis1 = _bases(es, inner, rows, n0)
+    if len(rows) < len(failures):
+        st = st.take(rows)
+    sol = _angular(st, basis0, cond)
+    return rows, sol, _graph(st, sol, basis0, basis1, omega0, omega1), _identities(st, sol)
 
 
 def solve_instance(inst: PerturbationInstance) -> InstanceSolution:
     """Full pipeline on one instance: split, angular operator, all checks.
 
-    Structural failures are returned in ``failure`` rather than raised, so
-    that callers can report the stages that did run.
+    A stack of one.  Structural failures are returned in ``failure`` rather
+    than raised, so that callers can report the stages that did run.
     """
-    try:
-        ps = perturbed_split(inst)
-    except EigenFailure as exc:
-        return InstanceSolution(perturbed=None, failure=exc)
-    try:
-        sol = angular_operator(inst, ps)
-        graph = verify_graph_props(sol, inst, ps)
-    except (RankMismatch, NotAGraph, ConvergenceFailure) as exc:
-        return InstanceSolution(perturbed=ps, failure=exc)
-    return InstanceSolution(
-        perturbed=ps,
-        solution=sol,
-        graph=graph,
-        identities=lemma22_check(sol, inst),
-    )
+    return solve_stack([inst]).instance(0)

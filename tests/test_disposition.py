@@ -171,6 +171,28 @@ def test_assemble_rejects_bad_block_shape():
         spl.assemble_instance([0.0], [-1.0, 1.0], (-1.0, 1.0), np.zeros((2, 2)))
 
 
+def test_partition_checked_only_where_outside_input_enters(monkeypatch):
+    calls = []
+    check = spl.disposition.check_partition
+
+    def spy(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(spl.disposition, "check_partition", spy)
+    # the generators build partitions that are valid by construction
+    cfg = spl.CampaignConfig(trials=5, seed=3, n0=(1, 4), n1=(2, 4))
+    insts = [spl.trial_instance(cfg, i)[0] for i in range(cfg.trials)]
+    spl.sharpness_search(
+        spl.SharpnessConfig(n0=2, n1=3, D=2.0, d=0.5, v=0.5, restarts=1, iters=5)
+    )
+    assert calls == []
+    # instances from outside are validated
+    spl.matio.instance_from_dict(spl.matio.instance_to_dict(insts[0]))
+    spl.assemble_instance([0.0], [-1.0, 1.0], (-1.0, 1.0), [[0.5, 0.0]])
+    assert len(calls) == 2
+
+
 def test_assembled_split_matches_eigh_route():
     # the split read off the partition is bit for bit the one that an
     # eigendecomposition of the diagonal A yields

@@ -86,8 +86,8 @@ class BoundInputs:
 
 
 def check_geometry(D: float, d: float) -> None:
-    if not D > 0.0:
-        raise DomainViolation(f"gap length must be positive, got D={D}")
+    if not 0.0 < D < math.inf:
+        raise DomainViolation(f"gap length must be positive and finite, got D={D}")
     if not 0.0 < d <= D / 2.0:
         raise DomainViolation(f"need 0 < d <= D/2, got d={d}, D/2={D / 2.0}")
 

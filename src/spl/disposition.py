@@ -8,6 +8,7 @@ and strictly off-diagonal with respect to that splitting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -230,7 +231,7 @@ def assemble_instance(
 
 def _assemble(sigma0_values, sigma1_values, gap, b) -> PerturbationInstance:
     """:func:`assemble_instance` without the partition check, for the
-    generators, whose partitions are valid by construction."""
+    generators, which build valid partitions (see :func:`_check_separation`)."""
     s0 = np.asarray(sigma0_values, dtype=float)
     s1 = np.asarray(sigma1_values, dtype=float)
     bm = np.atleast_2d(np.asarray(b, dtype=complex))
@@ -266,6 +267,25 @@ def _assemble(sigma0_values, sigma1_values, gap, b) -> PerturbationInstance:
     )
 
 
+def _check_separation(d: float, outer) -> None:
+    """Refuse a generated partition whose separation d lies within the edge
+    tolerance of the gap ends.
+
+    The generators take finite parameters, put both gap ends in the outer
+    list and every other outer value outside the gap, and draw the inner
+    values at least d inside it, one at exactly d.  Of the rules of
+    :func:`check_partition` only one can then fail: an inner value within
+    ``EDGE_RTOL`` times the partition's scale (its largest outer modulus)
+    of a gap end.  The perturbed split would count that value as outer,
+    closing the gap.
+    """
+    tol = linalg.EDGE_RTOL * max(abs(x) for x in outer)
+    if not d > tol:
+        raise DispositionViolation(
+            f"separation {d} lies within the edge tolerance {tol:.3e} of the gap ends"
+        )
+
+
 def _rng_from(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
@@ -289,6 +309,8 @@ def random_instance(params: InstanceParams, seed) -> PerturbationInstance:
     width = gr - gl
     if not gl < gr:
         raise InfeasibleParams(f"gap ({gl}, {gr}) is empty")
+    if not math.isfinite(width):
+        raise InfeasibleParams(f"gap ({gl}, {gr}) is not finite")
     if not 0.0 < p.d <= width / 2.0:
         raise InfeasibleParams(f"need 0 < d <= {width / 2.0}, got d={p.d}")
     if p.v < 0.0:
@@ -297,8 +319,8 @@ def random_instance(params: InstanceParams, seed) -> PerturbationInstance:
         raise InfeasibleParams("inner component needs at least one eigenvalue")
     if p.n1 < 2:
         raise InfeasibleParams("outer component must occupy both gap endpoints")
-    if p.outer_radius < 0.0:
-        raise InfeasibleParams(f"negative outer_radius {p.outer_radius}")
+    if not 0.0 <= p.outer_radius < math.inf:
+        raise InfeasibleParams(f"outer_radius must be finite and >= 0, got {p.outer_radius}")
     if p.pin_side not in ("left", "right"):
         raise InfeasibleParams(f"pin_side must be 'left' or 'right', got {p.pin_side!r}")
 
@@ -311,6 +333,7 @@ def random_instance(params: InstanceParams, seed) -> PerturbationInstance:
         outer.append(gl - off if side == 0 else gr + off)
     inner = rng.uniform(gl + p.d, gr - p.d, size=p.n0)
     inner[0] = gl + p.d if p.pin_side == "left" else gr - p.d
+    _check_separation(p.d, outer)
 
     btilde = rng.standard_normal((p.n0, p.n1)) + 1j * rng.standard_normal((p.n0, p.n1))
     if p.v > 0.0:

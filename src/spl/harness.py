@@ -24,6 +24,7 @@ from .disposition import (
     InstanceParams,
     PerturbationInstance,
     _assemble,
+    _check_separation,
     assemble_instance,
     random_instance,
     validate_disposition,
@@ -201,6 +202,8 @@ def validate_config(cfg: CampaignConfig) -> None:
     if not gl < gr:
         raise ConfigError(f"gap ({gl}, {gr}) is empty")
     width = gr - gl
+    if not math.isfinite(width):
+        raise ConfigError(f"gap ({gl}, {gr}) is not finite")
     n0_lo, n0_hi = _as_int_range(cfg.n0)
     n1_lo, n1_hi = _as_int_range(cfg.n1)
     if n0_lo < 1 or n0_hi < n0_lo:
@@ -210,8 +213,8 @@ def validate_config(cfg: CampaignConfig) -> None:
     d_lo, d_hi = _as_float_range(cfg.d)
     if not 0.0 < d_lo <= d_hi <= width / 2.0:
         raise ConfigError(f"separation range {cfg.d} must lie in (0, {width / 2.0}]")
-    if cfg.outer_radius < 0.0:
-        raise ConfigError(f"outer_radius must be nonnegative, got {cfg.outer_radius}")
+    if not 0.0 <= cfg.outer_radius < math.inf:
+        raise ConfigError(f"outer_radius must be finite and >= 0, got {cfg.outer_radius}")
     if cfg.parallel < 0:
         raise ConfigError(f"parallel must be nonnegative, got {cfg.parallel}")
     if cfg.regime == "C" and not d_lo > width / 3.0:
@@ -669,9 +672,10 @@ class SharpnessConfig:
     outer_radius: float = 2.0
 
 
-def _measured_for(s0, s1, gap, b) -> tuple[float, PerturbationInstance]:
-    # the search keeps its inner values strictly inside the gap and its
-    # outer values on or outside its ends, so the partition is valid
+def _measured_for(s0, s1, gap, b, d) -> tuple[float, PerturbationInstance]:
+    # the search keeps its inner values at least d inside the gap and its
+    # outer values on or outside its ends
+    _check_separation(d, s1)
     inst = _assemble(s0, s1, gap, b)
     return riccati.measured_rotation(inst, riccati.perturbed_split(inst)), inst
 
@@ -698,6 +702,7 @@ def sharpness_search(cfg: SharpnessConfig) -> dict:
             [gap[0], gap[1]] + [gap[1]] * (cfg.n1 - 2),
             gap,
             np.zeros((cfg.n0, cfg.n1)),
+            cfg.d,
         )
         return _sharpness_result(cfg, 0.0, 0.0, 0.0, inst)
     if not 0.0 < cfg.v < math.sqrt(cfg.d * (cfg.D - cfg.d)):
@@ -724,7 +729,7 @@ def sharpness_search(cfg: SharpnessConfig) -> dict:
                 gap[0] - o if s == 0 else gap[1] + o for o, s in zip(offs_, sides_)
             ]
 
-        measured, inst = _measured_for(s0, outer_values(offs, sides), gap, b)
+        measured, inst = _measured_for(s0, outer_values(offs, sides), gap, b, cfg.d)
         if measured > best_measured:
             best_measured, best_inst = measured, inst
         step = 0.3
@@ -747,7 +752,9 @@ def sharpness_search(cfg: SharpnessConfig) -> dict:
                 if nrm == 0.0:
                     continue
                 b_new = bdir_new * (cfg.v / nrm)
-            cand, inst_cand = _measured_for(s0_new, outer_values(offs_new, sides), gap, b_new)
+            cand, inst_cand = _measured_for(
+                s0_new, outer_values(offs_new, sides), gap, b_new, cfg.d
+            )
             if cand > measured:
                 measured, s0, offs, b = cand, s0_new, offs_new, b_new
                 if cand > best_measured:

@@ -170,14 +170,15 @@ def eigh(h) -> EigenSystem:
     resid_m = a @ vectors - vectors * values[..., None, :]
     orth_m = adjoint(vectors) @ vectors - np.eye(a.shape[-1])
     # The Frobenius norm bounds the spectral norm, so a pass on it is a pass.
-    # The norms of the whole stack, the residuals relative to their matrix's
-    # scale, bound every matrix's; they pass the stack when they pass with a
-    # factor 2 to spare (their sums run in another order than one matrix's).
-    # Otherwise each matrix is checked on its own, the spectral norms (whose
-    # SVDs cost twice the eigensolve) taken only when its Frobenius norms miss.
+    # The norms of the whole stack bound every matrix's; they pass the stack
+    # when they pass against its smallest scale with a factor 2 to spare
+    # (their sums run in another order than one matrix's).  Otherwise each
+    # matrix is checked on its own, the spectral norms (whose SVDs cost twice
+    # the eigensolve) taken only when its Frobenius norms miss.
+    limit = 0.5 * EIG_RTOL
     if not (
-        lapack(np.linalg.norm, resid_m / scale[..., None, None]) <= 0.5 * EIG_RTOL
-        and lapack(np.linalg.norm, orth_m) <= 0.5 * EIG_RTOL
+        lapack(np.linalg.norm, resid_m) <= limit * float(scale.min())
+        and lapack(np.linalg.norm, orth_m) <= limit
     ):
         n = a.shape[-1]
         for r, o, sc in zip(

@@ -551,7 +551,7 @@ def _bases(es: EigenSystem, inner: np.ndarray, rows: list[int], n0: int):
 
 
 def solve_stack(insts: Sequence[PerturbationInstance]) -> StackSolution:
-    """The pipeline on instances of one shape (n0, n1), stage by stage.
+    """The pipeline on instances of one shape (n0, n1) and one gap, stage by stage.
 
     Per-instance structural outcomes are masks: an inner eigenvalue count
     other than n0 (RankMismatch, the gap closed) and a numerically singular
@@ -563,6 +563,9 @@ def solve_stack(insts: Sequence[PerturbationInstance]) -> StackSolution:
     """
     k = len(insts)
     n0 = insts[0].n0
+    gap = (insts[0].split.gap_left, insts[0].split.gap_right)
+    if any((inst.split.gap_left, inst.split.gap_right) != gap for inst in insts):
+        raise ValueError("the instances of a stack must share one gap")
     st = InstanceStack.of(insts)
     enclosures = [_enclosure(inst) for inst in insts]
     try:
@@ -571,14 +574,7 @@ def solve_stack(insts: Sequence[PerturbationInstance]) -> StackSolution:
         if k > 1:
             raise
         return StackSolution(n0, None, None, None, enclosures, [exc], [])
-    gaps = {(inst.split.gap_left, inst.split.gap_right) for inst in insts}
-    if len(gaps) == 1:  # a campaign's: a scalar broadcasts faster than a column
-        (gap_left, gap_right), = gaps
-    else:
-        gap_left, gap_right = np.array([
-            [inst.split.gap_left, inst.split.gap_right] for inst in insts
-        ]).T[:, :, None]
-    inner = _inner_mask(es.values, es.edge_tol[:, None], gap_left, gap_right)
+    inner = _inner_mask(es.values, es.edge_tol[:, None], *gap)
     dims = inner.sum(axis=1).tolist()
     failures = [None if dim == n0 else _rank_mismatch(dim, n0) for dim in dims]
     rows = [i for i, failure in enumerate(failures) if failure is None]

@@ -333,6 +333,8 @@ def test_check_geometry():
     check_geometry(2.0, 1.0)
     with pytest.raises(DomainViolation):
         check_geometry(0.0, 0.1)
+    with pytest.raises(DomainViolation):
+        check_geometry(math.inf, 0.1)
 
 
 def test_make_bound_report_e1_numbers():

@@ -183,6 +183,44 @@ def test_sharpness_infeasible(capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "InfeasibleParams"
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        # an inner value 1e-12 from a gap end sits inside the edge tolerance
+        (["sharpness", "--D", "2", "--d", "1e-12", "--v", "1e-11", "--n0", "1", "--n1", "2",
+          "--restarts", "1", "--iters", "5"], "DispositionViolation"),
+        (["sharpness", "--D", "2", "--d", "1e-12", "--v", "0", "--n0", "1", "--n1", "2"],
+         "DispositionViolation"),
+        (["verify", "--trials", "5", "--seed", "1", "--d", "1e-12", "--n0", "1:2",
+          "--n1", "2:3"], "DispositionViolation"),
+        (["sharpness", "--D", "inf", "--d", "0.5", "--v", "0.3", "--n0", "1", "--n1", "2"],
+         "DomainViolation"),
+        (["sharpness", "--D", "inf", "--d", "0.5", "--v", "0", "--n0", "1", "--n1", "2"],
+         "DomainViolation"),
+    ],
+    ids=["sharpness-tiny-d", "sharpness-tiny-d-v0", "verify-tiny-d",
+         "sharpness-infinite-D", "sharpness-infinite-D-v0"],
+)
+def test_degenerate_geometry_exits_with_config_error(
+    tmp_path, capsys, argv, error
+):
+    if argv[0] == "verify":
+        argv = argv + ["--out", str(tmp_path / "r.json")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["error"] == error
+
+
+@pytest.mark.parametrize(
+    "option", ["--gap-left=-inf", "--gap-right=inf", "--outer-radius=inf", "--outer-radius=nan"]
+)
+def test_verify_refuses_non_finite_geometry(tmp_path, capsys, option):
+    # these reached numpy's uniform sampler and died with an OverflowError
+    code = cli.main(["verify", "--trials", "3", "--seed", "1", "--n0", "1:2", "--n1", "2:4",
+                     option, "--out", str(tmp_path / "r.json")])
+    assert code == cli.EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
 E1_DOC = {"sigma0": [0.0], "sigma1": [-1.0, 1.0], "gap": [-1.0, 1.0],
           "B": {"n": 1, "real": [[0.5, 0.0]]}}
 MATRIX_DOC = {"n": 3, "real": [[0.2, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]]}

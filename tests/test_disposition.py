@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -267,6 +269,9 @@ def test_random_instance_pin_side(side, expected):
         {"n1": 1},
         {"outer_radius": -1.0},
         {"pin_side": "middle"},
+        {"outer_radius": math.inf},
+        {"outer_radius": math.nan},
+        {"gap_left": -math.inf},
     ],
 )
 def test_random_instance_infeasible(kw):
@@ -274,6 +279,20 @@ def test_random_instance_infeasible(kw):
     base.update(kw)
     with pytest.raises(InfeasibleParams):
         spl.random_instance(spl.InstanceParams(**base), 0)
+
+
+@pytest.mark.parametrize("pin_side", ["left", "right"])
+def test_random_instance_refuses_separation_within_edge_tolerance(pin_side):
+    base = dict(n0=2, n1=3, gap_left=-1.0, gap_right=1.0, outer_radius=2.0, v=1e-12,
+                pin_side=pin_side)
+    # the outer values are drawn before the inner ones, so d does not move them;
+    # the drawn one lies past 2.9, so the partition's scale is not the gap end's
+    sigma1 = spl.random_instance(spl.InstanceParams(d=0.5, **base), 1).split.sigma1
+    scale = float(np.abs(sigma1).max())
+    assert scale > 2.9
+    with pytest.raises(DispositionViolation, match="edge tolerance"):
+        spl.random_instance(spl.InstanceParams(d=0.9 * spl.linalg.EDGE_RTOL * scale, **base), 1)
+    spl.random_instance(spl.InstanceParams(d=1.1 * spl.linalg.EDGE_RTOL * scale, **base), 1)
 
 
 def test_random_instance_distance_and_norm_sweep():

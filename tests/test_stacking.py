@@ -202,19 +202,15 @@ def test_rank_zero_instance_leaves_its_bucket_unchanged():
     assert records == alone(mixed, mixed_trials)
 
 
-def test_stack_of_instances_with_different_gaps():
-    # the same partitions shifted to the gap (-0.4, 1.6): one stack, two gaps
-    insts, trials, _, _ = bucket_with(None)
-    shifted = [
-        spl.assemble_instance(
-            inst.split.sigma0 + 0.6, inst.split.sigma1 + 0.6, (-0.4, 1.6), inst.B
-        )
-        for inst in insts[:4]
-    ]
-    mixed = insts[:4] + shifted
-    records = dumped(harness._stack_records(mixed, BUCKET.tolerances, trials[:8]))
-    assert records == alone(mixed, trials[:8])
-    assert len(riccati.solve_stack(mixed).solved) == len(mixed)
+def test_stack_of_instances_with_different_gaps_is_refused():
+    # a campaign's trials share its gap; a stack does not mix gaps
+    insts, _, _, _ = bucket_with(None)
+    inst = insts[0]
+    shifted = spl.assemble_instance(
+        inst.split.sigma0 + 0.6, inst.split.sigma1 + 0.6, (-0.4, 1.6), inst.B
+    )
+    with pytest.raises(ValueError, match="one gap"):
+        riccati.solve_stack([inst, shifted])
 
 
 def raise_for(monkeypatch, routine, marker):
@@ -335,3 +331,34 @@ def test_parallel_chunks_split_buckets_without_changing_bytes(monkeypatch):
             rec = serial.records[i]
             where.setdefault((rec["n0"], rec["n1"]), set()).add(c)
     assert len(where) == 6 and all(len(cs) > 1 for cs in where.values())
+
+
+#: SHA-256 of reports computed by the per-trial pipeline that solved every
+#: trial on its own, before campaigns were stacked; the stacked pipeline
+#: must reproduce them byte for byte, serially and over two processes.
+PER_TRIAL_DIGESTS = {
+    "tiny": "2c90eb75057f1f9d5748df763e9ec948def30a0f5aeb92017e0710d7f72c4211",
+    "acceptance": "95d69d0a03d4e5fcfa1b51f577a80f6e2c225336d92ae7dab5441f5c9135acdd",
+    "analyze": "c9b60bea622e2c7102c6b7c52251ba76295ae145215f59f2037ad8592a5c4ec4",
+}
+
+ACCEPTANCE = spl.CampaignConfig(
+    trials=24, seed=20260809, n0=(1, 20), n1=(2, 20), d=(0.05, 0.95)
+)
+
+
+@pytest.mark.parametrize("parallel", [0, 2])
+@pytest.mark.parametrize("name, cfg", [("tiny", TINY), ("acceptance", ACCEPTANCE)])
+def test_reports_match_the_per_trial_pipeline(monkeypatch, name, cfg, parallel):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    report = spl.run_campaign(dataclasses.replace(cfg, parallel=parallel))
+    assert digest(report) == PER_TRIAL_DIGESTS[name]
+
+
+def test_analyze_reports_match_the_per_trial_pipeline():
+    wide = spl.CampaignConfig(trials=6, seed=4343, n0=(5, 12), n1=(2, 4), d=(0.05, 0.95))
+    h = hashlib.sha256()
+    for cfg in (ACCEPTANCE, wide):  # the second has n0 > n1
+        for i in range(6):
+            h.update(matio.dumps(spl.analyze(spl.trial_instance(cfg, i)[0]), indent=2).encode())
+    assert h.hexdigest() == PER_TRIAL_DIGESTS["analyze"]

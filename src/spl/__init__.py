@@ -17,7 +17,6 @@ from .bounds import (
     bound_detailed,
     enclosure,
     kappa,
-    kappa_max_over_D,
     make_bound_report,
     phi,
     phi_sup_analytic,
@@ -29,8 +28,6 @@ from .disposition import (
     PerturbationInstance,
     SpectralSplit,
     assemble_instance,
-    hide_block_structure,
-    offdiag_project,
     random_instance,
     validate_disposition,
 )
@@ -48,15 +45,12 @@ from .harness import (
     trial_record_for_instance,
 )
 from .linalg import (
-    AngleReport,
     EigenSystem,
     PolarParts,
-    Projector,
     eigh,
     op_norm,
     polar_decompose,
     random_unitary,
-    spectral_projector,
     subspace_angle,
 )
 from .riccati import (

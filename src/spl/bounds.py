@@ -281,19 +281,6 @@ def phi_sup_oracle(a: float, d: float, v: float, grid: GridSpec | None = None) -
     return PhiSup(sup=best, x=bx, y=by, branch="grid")
 
 
-def kappa_max_over_D(d: float, v: float) -> float:
-    """Worst case of the bound coefficient over all gap lengths D >= 2d.
-
-    The coefficient is nonincreasing in D, so the maximum sits at D = 2d
-    and equals 2 v d / (d^2 - v^2) = tan(2 arctan(v/d));  requires v < d.
-    """
-    if not d > 0.0:
-        raise DomainViolation(f"separation must be positive, got d={d}")
-    if not 0.0 <= v < d:
-        raise DomainViolation(f"need 0 <= v < d, got v={v}, d={d}")
-    return 2.0 * v * d / (d * d - v * v)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Measured projector difference against every applicable bound."""
@@ -315,10 +302,6 @@ class BoundReport:
     ratio_detailed: float | None
     ok_apriori: bool | None
     ok_detailed: bool | None
-
-    @property
-    def violated(self) -> bool:
-        return (self.ok_apriori is False) or (self.ok_detailed is False)
 
 
 def _ratio(measured: float, bound: float) -> float:

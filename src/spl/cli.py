@@ -5,13 +5,14 @@ of every bound), verify (randomized campaign), sweep (bound landscape to
 CSV), sharpness (bound-tightness search).
 
 Exit codes: 0 clean, 2 in-regime bound violation, 3 structural failure
-(non-graph subspace, eigensolver breakdown, gap closure), 4 configuration
-or input error.
+(non-graph subspace, eigensolver breakdown, gap closure), 4 configuration,
+input or usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -36,6 +37,26 @@ EXIT_OK = 0
 EXIT_BOUND_VIOLATION = 2
 EXIT_STRUCTURAL = 3
 EXIT_CONFIG = 4
+
+#: Option values argparse must not mistake for options: negative numbers,
+#: also in scientific notation, and -inf/-nan, which then meet the same
+#: checks as inf and nan.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose usage errors exit with EXIT_CONFIG: argparse's
+    own code 2 would read as a bound violation.  Subparsers inherit it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
 def _parse_int_or_range(text: str):
@@ -155,7 +176,7 @@ def _cmd_sharpness(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spl",
         description="Verification laboratory for spectral subspace rotation bounds",
     )

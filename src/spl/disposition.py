@@ -23,7 +23,7 @@ from .errors import (
     InfeasibleParams,
     NotAGap,
 )
-from .linalg import EigenSystem, Projector, as_hermitian, eigh, op_norm
+from .linalg import EigenSystem, eigh, op_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,8 +32,7 @@ class SpectralSplit:
 
     sigma0/sigma1 list eigenvalues (with multiplicity, ascending) inside and
     outside the open gap (gap_left, gap_right).  d is the exact minimum
-    distance between the two lists, gap_len the gap width.  E0 projects
-    onto the inner spectral subspace.
+    distance between the two lists, gap_len the gap width.
     """
 
     sigma0: np.ndarray
@@ -42,7 +41,6 @@ class SpectralSplit:
     gap_right: float
     d: float
     gap_len: float
-    E0: Projector
 
     @property
     def n0(self) -> int:
@@ -52,26 +50,20 @@ class SpectralSplit:
     def n1(self) -> int:
         return self.sigma1.size
 
-    @property
-    def n(self) -> int:
-        return self.n0 + self.n1
-
 
 @dataclass(frozen=True, eq=False)
 class PerturbationInstance:
-    """Block operator data: diagonal A, off-diagonal V, perturbed L = A + V.
+    """Block operator data of the perturbed operator L = A + V.
 
-    A0/A1 are the inner/outer diagonal blocks; B (inner-rows by outer-cols)
-    is the coupling block embedded in V.  v equals the operator norm of both
-    B and V.  Instances built by :func:`assemble_instance` are expressed in
+    A0/A1 are the inner/outer diagonal blocks of the diagonal A; B
+    (inner-rows by outer-cols) is the coupling block of the off-diagonal V.
+    v equals the operator norm of both B and V.  Instances are expressed in
     the split basis, i.e. A is diagonal with sigma0 entries first.
     """
 
-    A: np.ndarray
     A0: np.ndarray
     A1: np.ndarray
     B: np.ndarray
-    V: np.ndarray
     L: np.ndarray
     v: float
     split: SpectralSplit
@@ -87,7 +79,7 @@ class PerturbationInstance:
 
     @property
     def n(self) -> int:
-        return self.A.shape[0]
+        return self.L.shape[0]
 
     @property
     def norm_A(self) -> float:
@@ -143,17 +135,15 @@ def split_from_eigensystem(es: EigenSystem, gap: tuple[float, float]) -> Spectra
     inner = (vals > gl) & (vals < gr) & ~at_left & ~at_right
     if not bool(inner.any()):
         raise EmptyInnerComponent(f"no eigenvalue strictly inside ({gl}, {gr})")
-    cols0 = es.vectors[:, inner]
-    e0 = Projector(matrix=cols0 @ cols0.conj().T, rank=cols0.shape[1])
-    return _split(vals[inner], vals[~inner], (gl, gr), e0)
+    return _split(vals[inner], vals[~inner], (gl, gr))
 
 
-def _split(sigma0, sigma1, gap, e0: Projector) -> SpectralSplit:
-    """SpectralSplit of ascending inner/outer lists with inner projector e0."""
+def _split(sigma0, sigma1, gap) -> SpectralSplit:
+    """SpectralSplit of ascending inner/outer lists."""
     gl, gr = gap
     d = float(np.abs(sigma0[:, None] - sigma1[None, :]).min())
     return SpectralSplit(
-        sigma0=sigma0, sigma1=sigma1, gap_left=gl, gap_right=gr, d=d, gap_len=gr - gl, E0=e0
+        sigma0=sigma0, sigma1=sigma1, gap_left=gl, gap_right=gr, d=d, gap_len=gr - gl
     )
 
 
@@ -196,21 +186,6 @@ def check_partition(
         )
 
 
-def offdiag_project(w, split: SpectralSplit) -> np.ndarray:
-    """Off-diagonal part of a Hermitian perturbation w.r.t. a split.
-
-    Returns V = (W - J W J) / 2, the component of W anticommuting with the
-    split involution J = 2 E0 - I.  Applying the map twice equals applying
-    it once.
-    """
-    wm = as_hermitian(w)
-    if wm.shape[0] != split.n:
-        raise DimensionMismatch(f"perturbation is {wm.shape[0]}-dim, split is {split.n}-dim")
-    j = 2.0 * split.E0.matrix - np.eye(split.n)
-    v = 0.5 * (wm - j @ wm @ j)
-    return 0.5 * (v + v.conj().T)
-
-
 def assemble_instance(
     sigma0_values: Sequence[float],
     sigma1_values: Sequence[float],
@@ -219,11 +194,11 @@ def assemble_instance(
 ) -> PerturbationInstance:
     """Build a block perturbation instance from explicit spectra and coupling.
 
-    A = diag(diag(sigma0), diag(sigma1)) in the split basis, V embeds the
-    coupling block b (shape n0 x n1) off-diagonally, L = A + V.  A zero b is
+    L = A + V with A = diag(diag(sigma0), diag(sigma1)) in the split basis
+    and the coupling block b (shape n0 x n1) off-diagonal in V.  A zero b is
     accepted but the instance is flagged trivial.  The split is read off the
-    validated partition: sorted spectra, exact separation and
-    E0 = diag(I_n0, 0).
+    validated partition: sorted spectra and exact separation; the inner
+    spectral projector is diag(I_n0, 0).
     """
     check_partition(sigma0_values, sigma1_values, gap)
     return _assemble(sigma0_values, sigma1_values, gap, b)
@@ -239,31 +214,20 @@ def _assemble(sigma0_values, sigma1_values, gap, b) -> PerturbationInstance:
         raise DimensionMismatch(
             f"coupling block must be {s0.size}x{s1.size}, got {bm.shape}"
         )
-    n0, n1 = s0.size, s1.size
-    n = n0 + n1
+    n0, n = s0.size, s0.size + s1.size
     a0 = np.diag(s0).astype(complex)
     a1 = np.diag(s1).astype(complex)
-    a = np.zeros((n, n), dtype=complex)
-    a[:n0, :n0] = a0
-    a[n0:, n0:] = a1
-    v = np.zeros((n, n), dtype=complex)
-    v[:n0, n0:] = bm
-    v[n0:, :n0] = bm.conj().T
+    el = np.zeros((n, n), dtype=complex)
+    el[:n0, :n0] = a0
+    el[n0:, n0:] = a1
+    el[:n0, n0:] = bm
+    el[n0:, :n0] = bm.conj().T
+    # as the entrywise sum A + V does, turn every -0.0 part into +0.0
+    el += 0.0
     vnorm = op_norm(bm)
-    e0 = np.zeros((n, n), dtype=complex)
-    e0[:n0, :n0] = np.eye(n0)
-    split = _split(np.sort(s0), np.sort(s1), (float(gap[0]), float(gap[1])),
-                   Projector(matrix=e0, rank=n0))
+    split = _split(np.sort(s0), np.sort(s1), (float(gap[0]), float(gap[1])))
     return PerturbationInstance(
-        A=a,
-        A0=a0,
-        A1=a1,
-        B=bm,
-        V=v,
-        L=a + v,
-        v=vnorm,
-        split=split,
-        trivial=(vnorm == 0.0),
+        A0=a0, A1=a1, B=bm, L=el, v=vnorm, split=split, trivial=(vnorm == 0.0)
     )
 
 
@@ -341,17 +305,3 @@ def random_instance(params: InstanceParams, seed) -> PerturbationInstance:
     else:
         b = np.zeros((p.n0, p.n1), dtype=complex)
     return _assemble(inner, outer, (gl, gr), b)
-
-
-def hide_block_structure(inst: PerturbationInstance, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Conjugate (A, V) by a seeded random unitary.
-
-    Returns dense Hermitian (A', V') with hidden block structure; spectra,
-    split geometry and all subspace angles are unchanged, which exercises
-    the full eigenvector-based projector pipeline.
-    """
-    rng = _rng_from(seed)
-    w = linalg.random_unitary(inst.n, rng)
-    a = w @ inst.A @ w.conj().T
-    v = w @ inst.V @ w.conj().T
-    return 0.5 * (a + a.conj().T), 0.5 * (v + v.conj().T)

@@ -19,14 +19,6 @@ class DimensionMismatch(SplError):
     """Operands have incompatible shapes."""
 
 
-class EmptySelection(SplError):
-    """Spectral selector matches no eigenvalue."""
-
-
-class AmbiguousEdge(SplError):
-    """An eigenvalue sits too close to an open selection endpoint."""
-
-
 # --- spectral disposition ---------------------------------------------------
 
 class DispositionViolation(SplError):

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AmbiguousEdge,
-    ConvergenceFailure,
-    DimensionMismatch,
-    EmptySelection,
-    NonHermitianInput,
-)
+from .errors import ConvergenceFailure, DimensionMismatch, NonHermitianInput
 
 #: Entrywise Hermitian symmetry tolerance, relative to the largest entry.
 HERMITICITY_RTOL = 1e-12
@@ -101,10 +95,6 @@ class EigenSystem:
     vectors: np.ndarray
 
     @property
-    def n(self) -> int:
-        return self.values.shape[-1]
-
-    @property
     def norm(self):
         """Spectral norm of the decomposed matrix (one per matrix of a stack)."""
         return np.abs(self.values).max(axis=-1)
@@ -112,14 +102,6 @@ class EigenSystem:
     @property
     def edge_tol(self) -> float:
         return EDGE_RTOL * self.norm
-
-
-@dataclass(frozen=True, eq=False)
-class Projector:
-    """Orthogonal projector with its rank."""
-
-    matrix: np.ndarray
-    rank: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,13 +127,6 @@ class PolarParts:
     def apply(self, f) -> np.ndarray:
         """f(absval) for a scalar function f acting on the eigenvalues."""
         return self.vectors @ (f(self.values)[..., :, None] * adjoint(self.vectors))
-
-
-@dataclass(frozen=True, eq=False)
-class AngleReport:
-    """Angle data between the ranges of two orthogonal projectors."""
-
-    norm_diff: float
 
 
 def eigh(h) -> EigenSystem:
@@ -201,64 +176,16 @@ def _check_residuals(resid_m: np.ndarray, orth_m: np.ndarray, scale: float) -> N
             )
 
 
-def _interval_mask(es: EigenSystem, lo: float, hi: float, edge: str) -> np.ndarray:
-    if not lo < hi:
-        raise ValueError(f"empty interval ({lo}, {hi})")
-    tol = es.edge_tol
-    near = (np.abs(es.values - lo) <= tol) | (np.abs(es.values - hi) <= tol)
-    if edge == "strict" and bool(near.any()):
-        offending = es.values[near]
-        raise AmbiguousEdge(
-            f"eigenvalues {offending} within {tol:.3e} of an endpoint of ({lo}, {hi})"
-        )
-    # snap: endpoint-grazing eigenvalues count as endpoints, hence excluded
-    return (es.values > lo) & (es.values < hi) & ~near
+def subspace_angle(p, q) -> float:
+    """||P - Q|| of two orthogonal projector matrices, clipped to [0, 1].
 
-
-def select_indices(es: EigenSystem, selector, edge: str = "snap") -> np.ndarray:
-    """Resolve an open-interval or index-set selector to eigenvalue indices.
-
-    ``edge`` controls eigenvalues within ``edge_tol`` of an open endpoint:
-    "snap" treats them as sitting on the endpoint (excluded), "strict"
-    raises AmbiguousEdge.
+    The reference route for the measured rotation of
+    :func:`spl.riccati.measured_rotation`, which computes it as ||Y1||.
     """
-    if isinstance(selector, tuple):
-        if len(selector) != 2:
-            raise ValueError("interval selector must be a (lo, hi) tuple")
-        mask = _interval_mask(es, float(selector[0]), float(selector[1]), edge)
-        idx = np.flatnonzero(mask)
-    else:
-        idx = np.asarray(sorted(set(int(i) for i in selector)), dtype=int)
-    if idx.size and (idx.min() < 0 or idx.max() >= es.n):
-        raise IndexError(f"selector indices out of range 0..{es.n - 1}")
-    if idx.size == 0:
-        raise EmptySelection("selector matches no eigenvalue")
-    return idx
-
-
-def spectral_projector(es: EigenSystem, selector, edge: str = "snap") -> Projector:
-    """Orthogonal projector onto the span of the selected eigenvectors.
-
-    ``selector`` is an open interval ``(lo, hi)`` of floats or an iterable of
-    eigenvalue indices.  See :func:`select_indices` for endpoint handling.
-    """
-    idx = select_indices(es, selector, edge=edge)
-    cols = es.vectors[:, idx]
-    return Projector(matrix=cols @ cols.conj().T, rank=int(idx.size))
-
-
-def subspace_angle(p: Projector, q: Projector) -> AngleReport:
-    """Angle report for two subspaces given by orthogonal projectors.
-
-    norm_diff is the spectral norm of P - Q, clipped to [0, 1].
-    """
-    if p.matrix.shape != q.matrix.shape:
-        raise DimensionMismatch(
-            f"projector shapes differ: {p.matrix.shape} vs {q.matrix.shape}"
-        )
-    diff = p.matrix - q.matrix
-    sing = lapack(np.linalg.svd, diff, compute_uv=False)
-    return AngleReport(norm_diff=min(float(sing[0]), 1.0) if sing.size else 0.0)
+    if p.shape != q.shape:
+        raise DimensionMismatch(f"projector shapes differ: {p.shape} vs {q.shape}")
+    sing = lapack(np.linalg.svd, p - q, compute_uv=False)
+    return min(float(sing[0]), 1.0) if sing.size else 0.0
 
 
 def polar_decompose(x) -> PolarParts:

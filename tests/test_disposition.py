@@ -14,7 +14,7 @@ from spl.errors import (
     NotAGap,
 )
 
-from conftest import random_hermitian
+from conftest import inner_projector, projector, random_hermitian, split_parts
 
 
 # --- validate_disposition -----------------------------------------------------
@@ -46,6 +46,14 @@ def test_validate_empty_inner():
         spl.validate_disposition(np.diag([-1.0, 1.0]), (-1.0, 1.0))
 
 
+def test_validate_snaps_edge_grazers():
+    # 1 - 1e-12 lies inside the gap but within the edge tolerance of its
+    # right end, so it is identified with that end and counts as outer
+    split = spl.validate_disposition(np.diag([0.0, -1.0, 1.0 - 1e-12, 1.0]), (-1.0, 1.0))
+    npt.assert_allclose(split.sigma0, [0.0])
+    npt.assert_allclose(split.sigma1, [-1.0, 1.0 - 1e-12, 1.0])
+
+
 def test_validate_bad_gap_order():
     with pytest.raises(ValueError):
         spl.validate_disposition(np.diag([0.0, -1.0, 1.0]), (1.0, -1.0))
@@ -54,14 +62,15 @@ def test_validate_bad_gap_order():
 def test_split_operators():
     a = np.diag([0.0, -1.0, 1.0])
     split = spl.validate_disposition(a, (-1.0, 1.0))
-    n = split.n
-    e0 = split.E0.matrix
+    n = a.shape[0]
+    es = spl.eigh(a)
+    e0 = projector(es.vectors[:, np.isin(es.values, split.sigma0)])
     # E0 is an orthogonal projector of rank n0; J = 2 E0 - I is an
     # involution commuting with A
     npt.assert_allclose(e0 @ e0, e0, atol=1e-12)
     npt.assert_allclose(e0.conj().T, e0, atol=1e-12)
-    assert split.E0.rank == split.n0 == 1
-    npt.assert_allclose(np.trace(e0).real, split.E0.rank, atol=1e-12)
+    assert split.n0 == 1
+    npt.assert_allclose(np.trace(e0).real, split.n0, atol=1e-12)
     j = 2.0 * e0 - np.eye(n)
     npt.assert_allclose(j @ j, np.eye(n), atol=1e-10)
     npt.assert_allclose(j @ a, a @ j, atol=1e-12)
@@ -94,38 +103,6 @@ def test_shift_covariance():
     assert shifted.gap_len == split.gap_len
 
 
-# --- offdiag_project ------------------------------------------------------------
-
-
-def test_offdiag_kills_diagonal():
-    split = spl.validate_disposition(np.diag([0.0, -1.0, 1.0]), (-1.0, 1.0))
-    w = np.diag([2.0, 3.0, 4.0])
-    npt.assert_allclose(spl.offdiag_project(w, split), np.zeros((3, 3)), atol=1e-12)
-
-
-def test_offdiag_fixes_offdiagonal():
-    split = spl.validate_disposition(np.diag([0.0, -1.0, 1.0]), (-1.0, 1.0))
-    rng = np.random.default_rng(7)
-    w = random_hermitian(rng, 3)
-    v = spl.offdiag_project(w, split)
-    npt.assert_allclose(spl.offdiag_project(v, split), v, atol=1e-12)
-    j = 2.0 * split.E0.matrix - np.eye(split.n)
-    assert spl.op_norm(j @ v + v @ j) <= 1e-10 * max(spl.op_norm(v), 1e-300)
-
-
-def test_offdiag_all_ones_pattern():
-    split = spl.validate_disposition(np.diag([0.0, -1.0, 1.0]), (-1.0, 1.0))
-    v = spl.offdiag_project(np.ones((3, 3)), split)
-    expected = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    npt.assert_allclose(v, expected, atol=1e-12)
-
-
-def test_offdiag_dimension_mismatch():
-    split = spl.validate_disposition(np.diag([0.0, -1.0, 1.0]), (-1.0, 1.0))
-    with pytest.raises(DimensionMismatch):
-        spl.offdiag_project(np.eye(4), split)
-
-
 # --- assemble_instance ------------------------------------------------------------
 
 
@@ -136,13 +113,16 @@ def test_assemble_e1(e1):
     npt.assert_allclose(e1.L, expected, atol=0)
     assert e1.v == 0.5
     assert not e1.trivial
-    assert spl.op_norm(e1.V) == 0.5
+    assert spl.op_norm(split_parts(e1)[1]) == 0.5
 
 
 def test_assemble_trivial_flag():
     inst = spl.assemble_instance([0.0], [-1.0, 1.0], (-1.0, 1.0), [[0.0, 0.0]])
     assert inst.trivial
-    npt.assert_allclose(inst.L, inst.A, atol=0)
+    npt.assert_allclose(inst.L, split_parts(inst)[0], atol=0)
+    # L has the bytes of the sum A + V: the -0.0 parts of B* = 0 became +0.0
+    parts = inst.L.view(float)
+    assert not np.signbit(parts[parts == 0.0]).any()
 
 
 def test_assemble_norm_is_block_norm():
@@ -203,18 +183,17 @@ def test_assembled_split_matches_eigh_route():
     )
     for index in range(cfg.trials):
         inst, _ = spl.trial_instance(cfg, index)
-        ref = spl.validate_disposition(inst.A, cfg.gap)
+        ref = spl.validate_disposition(split_parts(inst)[0], cfg.gap)
         split = inst.split
         assert split.sigma0.tobytes() == ref.sigma0.tobytes()
         assert split.sigma1.tobytes() == ref.sigma1.tobytes()
         assert split.d == ref.d
-        assert split.E0.rank == ref.E0.rank
-        assert split.E0.matrix.tobytes() == ref.E0.matrix.tobytes()
 
 
 def test_instance_anticommutes_with_involution(e1):
-    j = 2.0 * e1.split.E0.matrix - np.eye(e1.n)
-    assert spl.op_norm(j @ e1.V + e1.V @ j) <= 1e-10 * e1.v
+    j = 2.0 * inner_projector(e1) - np.eye(e1.n)
+    v = split_parts(e1)[1]
+    assert spl.op_norm(j @ v + v @ j) <= 1e-10 * e1.v
 
 
 # --- random_instance ---------------------------------------------------------------
@@ -246,7 +225,8 @@ def test_random_instance_zero_perturbation():
     )
     inst = spl.random_instance(params, 5)
     assert inst.trivial
-    npt.assert_allclose(inst.V, np.zeros_like(inst.V), atol=0)
+    v = split_parts(inst)[1]
+    npt.assert_allclose(v, np.zeros_like(v), atol=0)
 
 
 @pytest.mark.parametrize("side,expected", [("left", -0.6), ("right", 0.6)])
@@ -323,17 +303,28 @@ def test_hide_block_structure_preserves_geometry():
         n0=2, n1=3, gap_left=-1.0, gap_right=1.0, d=0.4, outer_radius=1.0, v=0.5
     )
     inst = spl.random_instance(params, 21)
-    a_dense, v_dense = spl.hide_block_structure(inst, 22)
+    # conjugate A and V by a seeded random unitary to hide the block structure
+    w = spl.random_unitary(inst.n, np.random.default_rng(22))
+
+    def hide(m):
+        h = w @ m @ w.conj().T
+        return 0.5 * (h + h.conj().T)
+
+    a_dense, v_dense = (hide(m) for m in split_parts(inst))
     split = spl.validate_disposition(a_dense, (-1.0, 1.0))
     npt.assert_allclose(np.sort(split.sigma0), np.sort(inst.split.sigma0), atol=1e-10)
     npt.assert_allclose(split.d, inst.split.d, atol=1e-10)
+    # every inner value lies at least d = 0.4 inside the gap, before and
+    # after the perturbation, so a margin of 1e-6 selects them
+    def inner_cols(h):
+        es = spl.eigh(h)
+        return es.vectors[:, np.abs(es.values) < 1.0 - 1e-6]
+
     # off-diagonality survives conjugation
-    j = 2.0 * split.E0.matrix - np.eye(split.n)
+    e0_dense = projector(inner_cols(a_dense))
+    j = 2.0 * e0_dense - np.eye(inst.n)
     assert spl.op_norm(j @ v_dense + v_dense @ j) <= 1e-9 * inst.v
     # measured rotation is unitarily invariant: dense path equals block path
-    es_dense = spl.eigh(a_dense + v_dense)
-    q_dense = spl.spectral_projector(es_dense, (-1.0, 1.0))
-    ps = spl.perturbed_split(inst)
-    measured_block = spl.subspace_angle(inst.split.E0, ps.EL0).norm_diff
-    measured_dense = spl.subspace_angle(split.E0, q_dense).norm_diff
+    measured_dense = spl.subspace_angle(e0_dense, projector(inner_cols(a_dense + v_dense)))
+    measured_block = spl.measured_rotation(inst, spl.perturbed_split(inst))
     npt.assert_allclose(measured_dense, measured_block, atol=1e-9)

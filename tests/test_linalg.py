@@ -1,5 +1,7 @@
+import ast
 import math
 import types
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -8,15 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spl
-from spl.errors import (
-    AmbiguousEdge,
-    ConvergenceFailure,
-    DimensionMismatch,
-    EmptySelection,
-    NonHermitianInput,
-)
+from spl.errors import ConvergenceFailure, DimensionMismatch, NonHermitianInput
 
-from conftest import random_complex, random_hermitian
+from conftest import inner_projector, projector, random_complex, random_hermitian
 
 SQRT2 = math.sqrt(2.0)
 
@@ -125,108 +121,54 @@ def test_eigh_invariants_property(n, seed):
     assert spl.op_norm(es.vectors.conj().T @ es.vectors - np.eye(n)) <= 1e-10
 
 
-# --- spectral_projector ---------------------------------------------------------
-
-
-def test_projector_diagonal_interval():
-    es = spl.eigh(np.diag([0.0, -1.0, 1.0]))
-    p = spl.spectral_projector(es, (-1.0, 1.0))
-    assert p.rank == 1
-    expected = np.zeros((3, 3))
-    expected[0, 0] = 1.0
-    npt.assert_allclose(p.matrix, expected, atol=1e-14)
-
-
-def test_projector_all_eigenvalues_is_identity():
-    es = spl.eigh(np.diag([0.0, -1.0, 1.0]))
-    p = spl.spectral_projector(es, (-10.0, 10.0))
-    assert p.rank == 3
-    npt.assert_allclose(p.matrix, np.eye(3), atol=1e-14)
-
-
-def test_projector_index_selector_matches_interval():
-    rng = np.random.default_rng(1)
-    es = spl.eigh(random_hermitian(rng, 6))
-    lo, hi = es.values[1] - 1e-3, es.values[4] + 1e-3
-    p_int = spl.spectral_projector(es, (lo, hi))
-    p_idx = spl.spectral_projector(es, [1, 2, 3, 4])
-    npt.assert_allclose(p_int.matrix, p_idx.matrix, atol=1e-12)
-
-
-def test_projector_empty_selection():
-    es = spl.eigh(np.diag([0.0, -1.0, 1.0]))
-    with pytest.raises(EmptySelection):
-        spl.spectral_projector(es, (0.2, 0.4))
-
-
-def test_projector_edge_snap_vs_strict():
-    es = spl.eigh(np.diag([0.0, 1.0]))
-    # right endpoint grazes the eigenvalue at 1: snapped out by default
-    p = spl.spectral_projector(es, (-0.5, 1.0 + 1e-12))
-    assert p.rank == 1
-    with pytest.raises(AmbiguousEdge):
-        spl.spectral_projector(es, (-0.5, 1.0 + 1e-12), edge="strict")
+# --- subspace_angle --------------------------------------------------------------
 
 
 def test_projector_perturbed_3x3(e1):
-    es = spl.eigh(e1.L)
-    p = spl.spectral_projector(es, (-1.0, 1.0))
-    assert p.rank == 1
+    ps = spl.perturbed_split(e1)
+    assert ps.basis0.shape[1] == 1
     direction = np.array([1.0, SQRT2 - 1.0, 0.0])
     direction /= np.linalg.norm(direction)
-    npt.assert_allclose(p.matrix, np.outer(direction, direction), atol=1e-12)
-
-
-def test_projector_index_out_of_range():
-    es = spl.eigh(np.diag([0.0, 1.0]))
-    with pytest.raises(IndexError):
-        spl.spectral_projector(es, [0, 5])
-
-
-# --- subspace_angle --------------------------------------------------------------
+    npt.assert_allclose(projector(ps.basis0), np.outer(direction, direction), atol=1e-12)
 
 
 def test_angle_identical_projectors():
     es = spl.eigh(np.diag([0.0, -1.0, 1.0]))
-    p = spl.spectral_projector(es, (-1.0, 1.0))
-    report = spl.subspace_angle(p, p)
-    assert report.norm_diff == 0.0
+    p = projector(es.vectors[:, [1]])
+    assert spl.subspace_angle(p, p) == 0.0
 
 
 @pytest.mark.parametrize("theta", [math.pi / 6, math.pi / 8, 1.1])
 def test_angle_2x2_rotation(theta):
-    p = spl.Projector(matrix=np.diag([1.0, 0.0]).astype(complex), rank=1)
+    p = np.diag([1.0, 0.0]).astype(complex)
     c, s = math.cos(theta), math.sin(theta)
     q_dir = np.array([c, s])
-    q = spl.Projector(matrix=np.outer(q_dir, q_dir).astype(complex), rank=1)
-    report = spl.subspace_angle(p, q)
-    npt.assert_allclose(report.norm_diff, abs(s), atol=1e-12)
+    q = np.outer(q_dir, q_dir).astype(complex)
+    npt.assert_allclose(spl.subspace_angle(p, q), abs(s), atol=1e-12)
 
 
 def test_angle_e1_projectors(e1):
-    es = spl.eigh(e1.L)
-    q = spl.spectral_projector(es, (-1.0, 1.0))
-    report = spl.subspace_angle(e1.split.E0, q)
-    npt.assert_allclose(report.norm_diff, math.sin(math.pi / 8.0), atol=1e-12)
+    q = projector(spl.perturbed_split(e1).basis0)
+    npt.assert_allclose(
+        spl.subspace_angle(inner_projector(e1), q), math.sin(math.pi / 8.0), atol=1e-12
+    )
 
 
 def test_angle_symmetric_and_bounded():
     rng = np.random.default_rng(17)
     for _ in range(20):
         es = spl.eigh(random_hermitian(rng, 7))
-        p = spl.spectral_projector(es, [0, 1, 2])
-        q = spl.spectral_projector(es, sorted(rng.choice(7, size=3, replace=False)))
+        p = projector(es.vectors[:, [0, 1, 2]])
+        q = projector(es.vectors[:, sorted(rng.choice(7, size=3, replace=False))])
         r_pq = spl.subspace_angle(p, q)
         r_qp = spl.subspace_angle(q, p)
-        assert r_pq.norm_diff == r_qp.norm_diff
-        assert 0.0 <= r_pq.norm_diff <= 1.0
+        assert r_pq == r_qp
+        assert 0.0 <= r_pq <= 1.0
 
 
 def test_angle_dimension_mismatch():
-    p = spl.Projector(matrix=np.eye(2, dtype=complex), rank=2)
-    q = spl.Projector(matrix=np.eye(3, dtype=complex), rank=3)
     with pytest.raises(DimensionMismatch):
-        spl.subspace_angle(p, q)
+        spl.subspace_angle(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
 
 
 # --- polar_decompose --------------------------------------------------------------
@@ -353,7 +295,7 @@ def raise_linalg_error(*args, **kwargs):
         ("norm", lambda: spl.eigh(np.eye(2))),  # residual check
         ("eigh", lambda: spl.eigh(np.eye(2))),
         ("svd", lambda: spl.polar_decompose(np.eye(2))),
-        ("svd", lambda: spl.subspace_angle(*[spl.Projector(np.eye(2), 2)] * 2)),
+        ("svd", lambda: spl.subspace_angle(np.eye(2), np.eye(2))),
         ("qr", lambda: spl.random_unitary(2, np.random.default_rng(0))),
     ],
     ids=["op_norm", "eigh-residual", "eigh", "polar_decompose", "subspace_angle", "qr"],
@@ -362,6 +304,53 @@ def test_lapack_failure_is_convergence_failure(monkeypatch, routine, call):
     monkeypatch.setattr(np.linalg, routine, raise_linalg_error)
     with pytest.raises(ConvergenceFailure):
         call()
+
+
+#: numpy.linalg routines that call LAPACK, norm included (a matrix norm
+#: takes an SVD, and a stack's norm goes through LAPACK's wrappers too).
+LAPACK_ROUTINES = {"svd", "svdvals", "eigh", "eigvalsh", "eigvals", "solve", "qr", "norm"}
+#: The np.linalg references that are not ``lapack(...)`` calls, by enclosing
+#: function: the exception type lapack catches, and op_norm's norm of 1-D
+#: input, a vector norm that calls no LAPACK routine.
+NOT_LAPACK_CALLS = {("lapack", "LinAlgError"), ("op_norm", "norm")}
+
+
+def test_every_lapack_call_is_typed():
+    # every call site in src, not only those test_lapack_failure_is_convergence_failure
+    # mocks: a LinAlgError must surface as ConvergenceFailure everywhere
+    calls, others = 0, set()
+    for path in sorted(Path(spl.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parent = {
+            child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+                imported = {alias.name for alias in node.names}
+                assert not imported & LAPACK_ROUTINES, f"{path.name}: imports {imported}"
+            if not (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "linalg"
+                and isinstance(node.value.value, ast.Name)
+                and node.value.value.id in ("np", "numpy")
+            ):
+                continue
+            call = parent[node]
+            if (
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Name)
+                and call.func.id == "lapack"
+                and call.args[:1] == [node]
+            ):
+                calls += 1
+                continue
+            scope = parent[node]
+            while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                scope = parent[scope]
+            others.add((getattr(scope, "name", path.name), node.attr))
+    assert calls >= 10
+    assert others == NOT_LAPACK_CALLS
 
 
 def test_random_unitary_is_unitary():

@@ -62,8 +62,7 @@ class BoundInputs:
 
     def __post_init__(self):
         check_geometry(self.D, self.d)
-        if self.v < 0.0:
-            raise DomainViolation(f"perturbation norm must be nonnegative, got {self.v}")
+        check_norm(self.v)
 
     @property
     def a(self) -> float:
@@ -90,6 +89,12 @@ def check_geometry(D: float, d: float) -> None:
         raise DomainViolation(f"gap length must be positive and finite, got D={D}")
     if not 0.0 < d <= D / 2.0:
         raise DomainViolation(f"need 0 < d <= D/2, got d={d}, D/2={D / 2.0}")
+
+
+def check_norm(v: float) -> None:
+    """Refuse a perturbation norm that is negative, infinite or NaN."""
+    if not 0.0 <= v < math.inf:
+        raise DomainViolation(f"perturbation norm must be finite and nonnegative, got v={v}")
 
 
 def sin_arctan(t: float) -> float:
@@ -119,8 +124,7 @@ def r_v(v: float, d: float, D: float, checked: bool = True) -> float:
     regime.
     """
     check_geometry(D, d)
-    if v < 0.0:
-        raise DomainViolation(f"perturbation norm must be nonnegative, got {v}")
+    check_norm(v)
     if checked and v >= math.sqrt(d * D):
         raise RegimeViolation(f"need v < sqrt(d*D) = {math.sqrt(d * D)}, got v={v}")
     value = 2.0 * v * v / (math.hypot(D - d, 2.0 * v) + (D - d))
@@ -158,8 +162,7 @@ def kappa(D: float, d: float, v: float, checked: bool = True) -> KappaValue:
     v restriction and evaluates wherever the denominator stays positive.
     """
     check_geometry(D, d)
-    if v < 0.0:
-        raise DomainViolation(f"perturbation norm must be nonnegative, got {v}")
+    check_norm(v)
     if checked and v >= math.sqrt(d * (D - d)):
         raise DomainViolation(
             f"need v < sqrt(d*(D-d)) = {math.sqrt(d * (D - d))}, got v={v}"
@@ -182,8 +185,7 @@ def bound_apriori(v: float, d: float, checked: bool = True) -> float:
     """
     if not d > 0.0:
         raise DomainViolation(f"separation must be positive, got d={d}")
-    if v < 0.0:
-        raise DomainViolation(f"perturbation norm must be nonnegative, got {v}")
+    check_norm(v)
     if checked and v >= math.sqrt(2.0) * d:
         raise RegimeViolation(f"need v < sqrt(2)*d = {math.sqrt(2.0) * d}, got v={v}")
     return sin_arctan(v / d)
@@ -283,9 +285,12 @@ def phi_sup_oracle(a: float, d: float, v: float, grid: GridSpec | None = None) -
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Measured projector difference against every applicable bound."""
+    """Every bound applicable at (D, d, v), and a measurement against them.
 
-    measured: float
+    From :func:`applicable_bounds`, before a measurement, ``measured``, the
+    ratios and the checks are None.
+    """
+
     D: float
     d: float
     v: float
@@ -298,10 +303,23 @@ class BoundReport:
     kappa_branch: str | None
     r_v: float | None
     enclosure: tuple[float, float] | None
-    ratio_apriori: float | None
-    ratio_detailed: float | None
-    ok_apriori: bool | None
-    ok_detailed: bool | None
+    measured: float | None = None
+    ratio_apriori: float | None = None
+    ratio_detailed: float | None = None
+    ok_apriori: bool | None = None
+    ok_detailed: bool | None = None
+
+    def against(self, measured: float, slack: float = 1e-9) -> BoundReport:
+        """This report's bounds checked against a measurement."""
+        b13, b32 = self.bound_apriori, self.bound_detailed
+        return BoundReport(**{
+            **self.__dict__,
+            "measured": measured,
+            "ratio_apriori": None if b13 is None else _ratio(measured, b13),
+            "ratio_detailed": None if b32 is None else _ratio(measured, b32),
+            "ok_apriori": None if b13 is None else measured <= b13 + slack,
+            "ok_detailed": None if b32 is None else measured <= b32 + slack,
+        })
 
 
 def _ratio(measured: float, bound: float) -> float:
@@ -309,6 +327,38 @@ def _ratio(measured: float, bound: float) -> float:
     if bound == 0.0:
         return 0.0
     return measured / bound
+
+
+def applicable_bounds(
+    D: float, d: float, v: float, gamma_l: float, gamma_r: float
+) -> BoundReport:
+    """Evaluate all bounds applicable at (D, d, v), before a measurement.
+
+    (gamma_l, gamma_r) is the gap, of length D; its erosion by the radius
+    r_v gives the enclosure.
+    """
+    inputs = BoundInputs(D=D, d=d, v=v)
+    b13 = kv = b32 = rv = encl = None
+    if inputs.regime_gap_survives:
+        b13 = bound_apriori(v, d)
+    if inputs.regime_detailed:
+        kv = kappa(D, d, v)
+        b32 = sin_half_arctan(kv.value)
+    if inputs.regime_split:
+        rv = r_v(v, d, D)
+        encl = (gamma_l + d - rv, gamma_r - d + rv)
+    return BoundReport(
+        D=D, d=d, v=v,
+        regime_gap_survives=inputs.regime_gap_survives,
+        regime_split=inputs.regime_split,
+        regime_detailed=inputs.regime_detailed,
+        bound_apriori=b13,
+        bound_detailed=b32,
+        kappa=kv.value if kv is not None else None,
+        kappa_branch=kv.branch if kv is not None else None,
+        r_v=rv,
+        enclosure=encl,
+    )
 
 
 def make_bound_report(
@@ -321,38 +371,4 @@ def make_bound_report(
     slack: float = 1e-9,
 ) -> BoundReport:
     """Evaluate all bounds applicable at (D, d, v) against a measurement."""
-    inputs = BoundInputs(D=D, d=d, v=v)
-    b13 = k = kv = b32 = rv = encl = None
-    ratio13 = ratio32 = ok13 = ok32 = None
-    if inputs.regime_gap_survives:
-        b13 = bound_apriori(v, d)
-        ratio13 = _ratio(measured, b13)
-        ok13 = measured <= b13 + slack
-    if inputs.regime_detailed:
-        kv = kappa(D, d, v)
-        k = kv.value
-        b32 = sin_half_arctan(k)
-        ratio32 = _ratio(measured, b32)
-        ok32 = measured <= b32 + slack
-    if inputs.regime_split:
-        rv = r_v(v, d, D)
-        encl = enclosure(gamma_l, gamma_r, d, v)
-    return BoundReport(
-        measured=measured,
-        D=D,
-        d=d,
-        v=v,
-        regime_gap_survives=inputs.regime_gap_survives,
-        regime_split=inputs.regime_split,
-        regime_detailed=inputs.regime_detailed,
-        bound_apriori=b13,
-        bound_detailed=b32,
-        kappa=k,
-        kappa_branch=kv.branch if kv is not None else None,
-        r_v=rv,
-        enclosure=encl,
-        ratio_apriori=ratio13,
-        ratio_detailed=ratio32,
-        ok_apriori=ok13,
-        ok_detailed=ok32,
-    )
+    return applicable_bounds(D, d, v, gamma_l, gamma_r).against(measured, slack)

@@ -23,7 +23,7 @@ from .errors import (
     InfeasibleParams,
     NotAGap,
 )
-from .linalg import EigenSystem, eigh, op_norm
+from .linalg import EigenSystem, adjoint, eigh, op_norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,10 +78,6 @@ class PerturbationInstance:
         return self.A1.shape[0]
 
     @property
-    def n(self) -> int:
-        return self.L.shape[0]
-
-    @property
     def norm_A(self) -> float:
         return float(np.abs(np.concatenate([self.split.sigma0, self.split.sigma1])).max())
 
@@ -89,6 +85,40 @@ class PerturbationInstance:
     def scale(self) -> float:
         """Quadratic scale (|A| + |V|)**2 used by identity tolerances."""
         return (self.norm_A + self.v) ** 2
+
+
+@dataclass(eq=False)
+class InstanceStack:
+    """Instances of one block shape (n0, n1) with their blocks L, A0, A1, B
+    stacked along a leading batch axis.
+
+    Built stacks (:func:`_assemble`) hold each instance's blocks as views
+    of its row; :meth:`of` stacks given instances, and a stack of one is a
+    view of its instance's blocks.
+    """
+
+    insts: list[PerturbationInstance]
+    L: np.ndarray
+    A0: np.ndarray
+    A1: np.ndarray
+    B: np.ndarray
+
+    @property
+    def n0(self) -> int:
+        return self.A0.shape[-1]
+
+    @classmethod
+    def of(cls, insts: list[PerturbationInstance]) -> InstanceStack:
+        if len(insts) == 1:
+            inst = insts[0]
+            return cls(insts, L=inst.L[None], A0=inst.A0[None], A1=inst.A1[None], B=inst.B[None])
+        return cls(insts, *(np.stack([getattr(i, f) for i in insts]) for f in ("L", "A0", "A1", "B")))
+
+    def take(self, rows: list[int]) -> InstanceStack:
+        return InstanceStack(
+            [self.insts[i] for i in rows],
+            L=self.L[rows], A0=self.A0[rows], A1=self.A1[rows], B=self.B[rows],
+        )
 
 
 @dataclass(frozen=True)
@@ -201,34 +231,59 @@ def assemble_instance(
     spectral projector is diag(I_n0, 0).
     """
     check_partition(sigma0_values, sigma1_values, gap)
-    return _assemble(sigma0_values, sigma1_values, gap, b)
+    return _assemble_one(sigma0_values, sigma1_values, gap, b)
 
 
-def _assemble(sigma0_values, sigma1_values, gap, b) -> PerturbationInstance:
+def _assemble_one(sigma0_values, sigma1_values, gap, b) -> PerturbationInstance:
     """:func:`assemble_instance` without the partition check, for the
-    generators, which build valid partitions (see :func:`_check_separation`)."""
+    sharpness search, which builds valid partitions (see
+    :func:`_check_separation`): a stack of one of :func:`_assemble`."""
     s0 = np.asarray(sigma0_values, dtype=float)
     s1 = np.asarray(sigma1_values, dtype=float)
     bm = np.atleast_2d(np.asarray(b, dtype=complex))
-    if bm.shape != (s0.size, s1.size):
-        raise DimensionMismatch(
-            f"coupling block must be {s0.size}x{s1.size}, got {bm.shape}"
-        )
-    n0, n = s0.size, s0.size + s1.size
-    a0 = np.diag(s0).astype(complex)
-    a1 = np.diag(s1).astype(complex)
-    el = np.zeros((n, n), dtype=complex)
-    el[:n0, :n0] = a0
-    el[n0:, n0:] = a1
-    el[:n0, n0:] = bm
-    el[n0:, :n0] = bm.conj().T
+    return _assemble(s0[None], s1[None], gap, bm[None]).insts[0]
+
+
+def _assemble(sigma0: np.ndarray, sigma1: np.ndarray, gap, b: np.ndarray) -> InstanceStack:
+    """Instances of stacked spectra (k, n0) and (k, n1) and coupling blocks
+    (k, n0, n1), each block built for the whole stack at once.
+
+    The partitions are not checked: the callers generate valid ones.  Each
+    instance's blocks and split are views of its row of the stack.
+    """
+    k, n0 = sigma0.shape
+    n1 = sigma1.shape[1]
+    if b.shape != (k, n0, n1):
+        raise DimensionMismatch(f"coupling block must be {n0}x{n1}, got {b.shape[1:]}")
+    a0, a1 = _diagonals(sigma0), _diagonals(sigma1)
+    el = np.zeros((k, n0 + n1, n0 + n1), dtype=complex)
+    el[:, :n0, :n0] = a0
+    el[:, n0:, n0:] = a1
+    el[:, :n0, n0:] = b
+    el[:, n0:, :n0] = adjoint(b)
     # as the entrywise sum A + V does, turn every -0.0 part into +0.0
     el += 0.0
-    vnorm = op_norm(bm)
-    split = _split(np.sort(s0), np.sort(s1), (float(gap[0]), float(gap[1])))
-    return PerturbationInstance(
-        A0=a0, A1=a1, B=bm, L=el, v=vnorm, split=split, trivial=(vnorm == 0.0)
-    )
+    norms = op_norms(b).tolist()
+    s0, s1 = np.sort(sigma0), np.sort(sigma1)
+    seps = np.abs(s0[:, :, None] - s1[:, None, :]).min(axis=(1, 2)).tolist()
+    gl, gr = float(gap[0]), float(gap[1])
+    # positional arguments: this runs once per candidate of the sharpness search
+    insts = [
+        PerturbationInstance(
+            a0[i], a1[i], b[i], el[i], v, SpectralSplit(s0[i], s1[i], gl, gr, seps[i], gr - gl),
+            v == 0.0,
+        )
+        for i, v in enumerate(norms)
+    ]
+    return InstanceStack(insts, el, a0, a1, b)
+
+
+def _diagonals(values: np.ndarray) -> np.ndarray:
+    """Complex diagonal matrices of the rows of ``values``."""
+    k, n = values.shape
+    out = np.zeros((k, n, n), dtype=complex)
+    out.reshape(k, n * n)[:, :: n + 1] = values
+    return out
 
 
 def _check_separation(d: float, outer) -> None:
@@ -243,22 +298,14 @@ def _check_separation(d: float, outer) -> None:
     of a gap end.  The perturbed split would count that value as outer,
     closing the gap.
     """
-    tol = linalg.EDGE_RTOL * max(abs(x) for x in outer)
+    tol = linalg.EDGE_RTOL * max(map(abs, outer))
     if not d > tol:
         raise DispositionViolation(
             f"separation {d} lies within the edge tolerance {tol:.3e} of the gap ends"
         )
 
 
-def _rng_from(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
-    return np.random.default_rng(np.random.SeedSequence(int(seed)))
-
-
-def random_instance(params: InstanceParams, seed) -> PerturbationInstance:
+def random_instance(params: InstanceParams, seed: int) -> PerturbationInstance:
     """Seeded random instance with exact separation and perturbation norm.
 
     The outer component holds both gap endpoints exactly plus n1 - 2 values
@@ -266,7 +313,7 @@ def random_instance(params: InstanceParams, seed) -> PerturbationInstance:
     drawn from the admissible hull with one value pinned at distance exactly
     ``d`` from the boundary chosen by ``pin_side``, so the separation equals
     d exactly.  The coupling block is a complex Gaussian matrix rescaled to
-    norm v.  Bit-identical output for identical seeds.
+    norm v.  Bit-identical output for identical integer seeds.
     """
     p = params
     gl, gr = float(p.gap_left), float(p.gap_right)
@@ -288,20 +335,38 @@ def random_instance(params: InstanceParams, seed) -> PerturbationInstance:
     if p.pin_side not in ("left", "right"):
         raise InfeasibleParams(f"pin_side must be 'left' or 'right', got {p.pin_side!r}")
 
-    rng = _rng_from(seed)
-    extras = p.n1 - 2
+    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    draw = _draw(rng, p.n0, p.n1, (gl, gr), p.d, p.outer_radius, p.pin_side)
+    return _build([draw], (gl, gr), [p.v]).insts[0]
+
+
+def _draw(rng, n0: int, n1: int, gap, d: float, outer_radius: float, pin_side: str) -> tuple:
+    """The random draws of one instance of :func:`random_instance`, in the
+    generator's order: (inner, outer, btilde), the inner values with one
+    pinned at distance d, the outer values and the unscaled coupling block.
+    """
+    gl, gr = gap
+    extras = n1 - 2
     sides = rng.integers(0, 2, size=extras)
-    offsets = rng.uniform(0.0, p.outer_radius, size=extras) if extras else np.empty(0)
+    offsets = rng.uniform(0.0, outer_radius, size=extras) if extras else np.empty(0)
     outer = [gl, gr]
     for side, off in zip(sides, offsets):
         outer.append(gl - off if side == 0 else gr + off)
-    inner = rng.uniform(gl + p.d, gr - p.d, size=p.n0)
-    inner[0] = gl + p.d if p.pin_side == "left" else gr - p.d
-    _check_separation(p.d, outer)
+    inner = rng.uniform(gl + d, gr - d, size=n0)
+    inner[0] = gl + d if pin_side == "left" else gr - d
+    _check_separation(d, outer)
+    btilde = rng.standard_normal((n0, n1)) + 1j * rng.standard_normal((n0, n1))
+    return inner, outer, btilde
 
-    btilde = rng.standard_normal((p.n0, p.n1)) + 1j * rng.standard_normal((p.n0, p.n1))
-    if p.v > 0.0:
-        b = btilde * (p.v / op_norm(btilde))
-    else:
-        b = np.zeros((p.n0, p.n1), dtype=complex)
-    return _assemble(inner, outer, (gl, gr), b)
+
+def _build(draws: list, gap, v: list[float]) -> InstanceStack:
+    """Instances of same-shape draws of :func:`_draw`, built as one stack.
+
+    Each coupling block is rescaled to its norm in ``v`` (exactly zero for
+    v = 0) with one stacked SVD, then the stack is assembled.
+    """
+    inner, outer, btilde = (np.array(part) for part in zip(*draws))
+    v = np.array(v)
+    b = btilde * (v / op_norms(btilde))[:, None, None]
+    b[v == 0.0] = 0.0
+    return _assemble(inner, outer, gap, b)

@@ -21,12 +21,13 @@ import numpy as np
 
 from . import bounds, matio, riccati
 from .disposition import (
-    InstanceParams,
+    InstanceStack,
     PerturbationInstance,
-    _assemble,
+    _assemble_one,
+    _build,
     _check_separation,
+    _draw,
     assemble_instance,
-    random_instance,
     validate_disposition,
 )
 from .errors import (
@@ -235,7 +236,19 @@ def _regime_upper_limit(regime: str, d: float, width: float) -> float:
 
 
 def trial_instance(cfg: CampaignConfig, index: int) -> tuple[PerturbationInstance, dict]:
-    """Deterministically regenerate the instance of one campaign trial."""
+    """Deterministically regenerate the instance of one campaign trial.
+
+    The same draws and build as the campaign's, on a stack of one.
+    """
+    validate_config(cfg)
+    trial = _trial_draw(cfg, index)
+    return _build_trials(cfg, [trial]).insts[0], trial[0]
+
+
+def _trial_draw(cfg: CampaignConfig, index: int) -> tuple[dict, tuple]:
+    """The random draws of one trial of a valid config, in generation order:
+    the trial's parameters (n0, n1, d, pin side, regime) and then the
+    instance draws of :func:`disposition._draw`."""
     ss = np.random.SeedSequence(cfg.seed, spawn_key=(int(index),))
     rng = np.random.default_rng(ss)
     gl, gr = float(cfg.gap[0]), float(cfg.gap[1])
@@ -251,13 +264,17 @@ def trial_instance(cfg: CampaignConfig, index: int) -> tuple[PerturbationInstanc
     if regime == "mixed":
         regime = "A" if int(rng.integers(0, 2)) == 0 else "B"
     v = cfg.v_fraction * _regime_upper_limit(regime, d, width)
-    params = InstanceParams(
-        n0=n0, n1=n1, gap_left=gl, gap_right=gr,
-        d=d, outer_radius=cfg.outer_radius, v=v, pin_side=pin_side,
-    )
-    inst = random_instance(params, rng)
     draw = {"n0": n0, "n1": n1, "d": d, "v": v, "pin_side": pin_side, "regime_target": regime}
-    return inst, draw
+    return draw, _draw(rng, n0, n1, (gl, gr), d, cfg.outer_radius, pin_side)
+
+
+def _build_trials(cfg: CampaignConfig, trials: list) -> InstanceStack:
+    """The instances of same-shape trial draws, built as one stack."""
+    return _build(
+        [parts for _, parts in trials],
+        (float(cfg.gap[0]), float(cfg.gap[1])),
+        [draw["v"] for draw, _ in trials],
+    )
 
 
 def trial_record_for_instance(
@@ -305,20 +322,18 @@ def _records(insts: list[PerturbationInstance], res: riccati.StackSolution, tol:
     out = []
     for i, (inst, trial) in enumerate(zip(insts, trials)):
         rec = dict.fromkeys(RECORD_KEYS)
-        split = inst.split
-        D, d, v = split.gap_len, split.d, inst.v
-        inputs = bounds.BoundInputs(D=D, d=d, v=v)
+        applicable = res.bounds[i]
         rec.update(
-            trial=trial, n0=inst.n0, n1=inst.n1, D=D, d=d, v=v,
-            regime12=inputs.regime_gap_survives,
-            regime29=inputs.regime_split,
-            regime31=inputs.regime_detailed,
+            trial=trial, n0=inst.n0, n1=inst.n1, D=applicable.D, d=applicable.d, v=applicable.v,
+            regime12=applicable.regime_gap_survives,
+            regime29=applicable.regime_split,
+            regime31=applicable.regime_detailed,
             violations=[],
         )
         out.append(rec)
         if res.eigen is not None:
             gap_closed = rec["gap_closed"] = res.dims[i] != inst.n0
-            encl = res.enclosures[i]
+            encl = applicable.enclosure
             if encl is not None:
                 rec["encl_lo"], rec["encl_hi"] = encl
                 # omega0, the inner eigenvalues, ascending
@@ -329,7 +344,7 @@ def _records(insts: list[PerturbationInstance], res: riccati.StackSolution, tol:
                 )
             if gap_closed:
                 rec["error"] = "GapClosed"
-                if inputs.regime_split:
+                if applicable.regime_split:
                     rec["violations"] = ["structural:GapClosed"]
                 continue
         failure = res.failures[i]
@@ -339,9 +354,7 @@ def _records(insts: list[PerturbationInstance], res: riccati.StackSolution, tol:
             continue
 
         fields = solved[i]
-        report = bounds.make_bound_report(
-            fields["measured"], D, d, v, split.gap_left, split.gap_right, slack=tol.bound_slack
-        )
+        report = applicable.against(fields["measured"], tol.bound_slack)
         scale = inst.scale
         rec.update(
             fields,
@@ -363,7 +376,7 @@ def _records(insts: list[PerturbationInstance], res: riccati.StackSolution, tol:
             violations.append("bound32")
         if rec["enclosure_ok"] is False:
             violations.append("enclosure")
-        if inputs.regime_detailed and not rec["mu"] < 1.0:
+        if applicable.regime_detailed and not rec["mu"] < 1.0:
             violations.append("mu")
         if any(rec[key] > tol.graph for key in GRAPH_RESIDUALS):
             violations.append("graph")
@@ -375,7 +388,7 @@ def _records(insts: list[PerturbationInstance], res: riccati.StackSolution, tol:
     return out
 
 
-def _stack_records(insts: list[PerturbationInstance], tol: Tolerances, trials: list) -> list[dict]:
+def _stack_records(st: InstanceStack, tol: Tolerances, trials: list) -> list[dict]:
     """Records of same-shape instances solved as one stack.
 
     A stack that fails as a whole (a LAPACK call or an eigensolve check
@@ -383,44 +396,46 @@ def _stack_records(insts: list[PerturbationInstance], tol: Tolerances, trials: l
     time, so every instance gets the record it gets on its own.
     """
     try:
-        res = riccati.solve_stack(insts)
+        res = riccati.solve_stack(st)
     except (EigenFailure, ConvergenceFailure):
         # a stack of one records these in its solution; only larger ones raise
         return [
             rec
-            for inst, trial in zip(insts, trials)
-            for rec in _stack_records([inst], tol, [trial])
+            for inst, trial in zip(st.insts, trials)
+            for rec in _stack_records(InstanceStack.of([inst]), tol, [trial])
         ]
-    return _records(insts, res, tol, trials)
+    return _records(st.insts, res, tol, trials)
 
 
 def _trial_batch(cfg: CampaignConfig, indices: list[int]) -> list[dict]:
     """Records of the trials ``indices``, in that order.
 
-    Trials are drawn in windows of about WINDOW_ENTRIES matrix entries;
-    the trials of a window with the same block shape (n0, n1) are solved
-    as one stack.
+    Trials are drawn one at a time in windows of about WINDOW_ENTRIES
+    matrix entries; the trials of a window with the same block shape
+    (n0, n1) are built and solved as one stack.
     """
     records: list[dict] = []
     window: list[int] = []
     buckets: dict[tuple[int, int], list] = {}
     entries = 0
     for i in indices:
-        inst, _ = trial_instance(cfg, i)
+        trial = _trial_draw(cfg, i)
+        n0, n1 = trial[0]["n0"], trial[0]["n1"]
         window.append(i)
-        buckets.setdefault((inst.n0, inst.n1), []).append((i, inst))
-        entries += inst.n * inst.n
+        buckets.setdefault((n0, n1), []).append((i, trial))
+        entries += (n0 + n1) ** 2
         if entries >= WINDOW_ENTRIES:
-            records += _window_records(window, buckets, cfg.tolerances)
+            records += _window_records(cfg, window, buckets)
             window, buckets, entries = [], {}, 0
-    return records + _window_records(window, buckets, cfg.tolerances)
+    return records + _window_records(cfg, window, buckets)
 
 
-def _window_records(window: list[int], buckets: dict, tol: Tolerances) -> list[dict]:
+def _window_records(cfg: CampaignConfig, window: list[int], buckets: dict) -> list[dict]:
     by_trial = {}
     for bucket in buckets.values():
         trials = [i for i, _ in bucket]
-        by_trial.update(zip(trials, _stack_records([inst for _, inst in bucket], tol, trials)))
+        st = _build_trials(cfg, [trial for _, trial in bucket])
+        by_trial.update(zip(trials, _stack_records(st, cfg.tolerances, trials)))
     return [by_trial[i] for i in window]
 
 
@@ -612,25 +627,18 @@ def sweep_rows(D_values, d: float, v_values) -> list[dict]:
             row = dict.fromkeys(SWEEP_COLUMNS)
             row["D"], row["d"], row["v"] = float(D), float(d), float(v)
             try:
-                inputs = bounds.BoundInputs(D=float(D), d=float(d), v=float(v))
+                b = bounds.applicable_bounds(row["D"], row["d"], row["v"], -D / 2.0, D / 2.0)
             except DomainViolation:
                 row["regime12"] = row["regime29"] = row["regime31"] = False
                 rows.append(row)
                 continue
-            row["regime12"] = inputs.regime_gap_survives
-            row["regime29"] = inputs.regime_split
-            row["regime31"] = inputs.regime_detailed
-            if inputs.regime_gap_survives:
-                row["bound13"] = bounds.bound_apriori(v, d)
-            if inputs.regime_detailed:
-                kv = bounds.kappa(D, d, v)
-                row["kappa"] = kv.value
-                row["branch"] = kv.branch
-                row["bound32"] = bounds.sin_half_arctan(kv.value)
-            if inputs.regime_split:
-                row["r_V"] = bounds.r_v(v, d, D)
-                lo, hi = bounds.enclosure(-D / 2.0, D / 2.0, d, v)
-                row["encl_lo"], row["encl_hi"] = lo, hi
+            row.update(
+                regime12=b.regime_gap_survives, regime29=b.regime_split,
+                regime31=b.regime_detailed, kappa=b.kappa, branch=b.kappa_branch,
+                bound13=b.bound_apriori, bound32=b.bound_detailed, r_V=b.r_v,
+            )
+            if b.enclosure is not None:
+                row["encl_lo"], row["encl_hi"] = b.enclosure
             rows.append(row)
     return rows
 
@@ -676,7 +684,7 @@ def _measured_for(s0, s1, gap, b, d) -> tuple[float, PerturbationInstance]:
     # the search keeps its inner values at least d inside the gap and its
     # outer values on or outside its ends
     _check_separation(d, s1)
-    inst = _assemble(s0, s1, gap, b)
+    inst = _assemble_one(s0, s1, gap, b)
     return riccati.measured_rotation(inst, riccati.perturbed_split(inst)), inst
 
 

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from . import bounds
-from .disposition import PerturbationInstance
+from .disposition import InstanceStack, PerturbationInstance
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -171,38 +171,14 @@ class InstanceSolution:
 
 
 @dataclass(frozen=True, eq=False)
-class InstanceStack:
-    """The blocks L, A0, A1, B of same-shape instances, stacked along a
-    leading batch axis; a stack of one is a view of its instance's."""
-
-    L: np.ndarray
-    A0: np.ndarray
-    A1: np.ndarray
-    B: np.ndarray
-
-    @property
-    def n0(self) -> int:
-        return self.A0.shape[-1]
-
-    @classmethod
-    def of(cls, insts: Sequence[PerturbationInstance]) -> InstanceStack:
-        if len(insts) == 1:
-            inst = insts[0]
-            return cls(L=inst.L[None], A0=inst.A0[None], A1=inst.A1[None], B=inst.B[None])
-        return cls(*(np.stack([getattr(i, f) for i in insts]) for f in ("L", "A0", "A1", "B")))
-
-    def take(self, rows: list[int]) -> InstanceStack:
-        return InstanceStack(L=self.L[rows], A0=self.A0[rows], A1=self.A1[rows], B=self.B[rows])
-
-
-@dataclass(frozen=True, eq=False)
 class StackSolution:
     """Every stage of :func:`solve_stack` for a stack of instances of n0
     inner rows.
 
     Per instance: the eigensystem of L (None when its eigensolve failed),
-    the mask and the count (``dims``) of the inner eigenvalues, the
-    enclosure and the structural failure (None for a solved instance).
+    the mask and the count (``dims``) of the inner eigenvalues, the bounds
+    applicable at its geometry (:func:`bounds.applicable_bounds`, which give
+    the enclosure) and the structural failure (None for a solved instance).
     ``solved`` lists the solved instances in stack order; ``solution``,
     ``graph`` and ``identities`` are stacked over them.
     """
@@ -211,7 +187,7 @@ class StackSolution:
     eigen: EigenSystem | None
     inner: np.ndarray | None
     dims: list | None
-    enclosures: list
+    bounds: list
     failures: list
     solved: list
     solution: RiccatiSolution | None = None
@@ -224,7 +200,8 @@ class StackSolution:
         if self.eigen is None:
             return InstanceSolution(perturbed=None, failure=failure)
         ps = _split_view(
-            self.eigen.values[i], self.eigen.vectors[i], self.inner[i], self.enclosures[i], self.n0
+            self.eigen.values[i], self.eigen.vectors[i], self.inner[i],
+            self.bounds[i].enclosure, self.n0,
         )
         if failure is not None:
             return InstanceSolution(perturbed=ps, failure=failure)
@@ -278,6 +255,13 @@ def _enclosure(inst: PerturbationInstance) -> tuple[float, float] | None:
     if bounds.BoundInputs(D=split.gap_len, d=split.d, v=inst.v).regime_split:
         return bounds.enclosure(split.gap_left, split.gap_right, split.d, inst.v)
     return None
+
+
+def _bounds(inst: PerturbationInstance) -> bounds.BoundReport:
+    split = inst.split
+    return bounds.applicable_bounds(
+        split.gap_len, split.d, inst.v, split.gap_left, split.gap_right
+    )
 
 
 def _split_view(values, vectors, inner, enclosure, n0: int) -> PerturbedSplit:
@@ -544,8 +528,10 @@ def _bases(es: EigenSystem, inner: np.ndarray, rows: list[int], n0: int):
     )
 
 
-def solve_stack(insts: Sequence[PerturbationInstance]) -> StackSolution:
+def solve_stack(insts: InstanceStack | Sequence[PerturbationInstance]) -> StackSolution:
     """The pipeline on instances of one shape (n0, n1) and one gap, stage by stage.
+
+    ``insts`` is an :class:`InstanceStack`, or instances to stack.
 
     Per-instance structural outcomes are masks: an inner eigenvalue count
     other than n0 (RankMismatch, the gap closed) and a numerically singular
@@ -555,19 +541,20 @@ def solve_stack(insts: Sequence[PerturbationInstance]) -> StackSolution:
     raises it (EigenFailure or ConvergenceFailure), and solving its
     instances one at a time types each instance's own failure.
     """
+    st = insts if isinstance(insts, InstanceStack) else InstanceStack.of(insts)
+    insts = st.insts
     k = len(insts)
     n0 = insts[0].n0
     gap = (insts[0].split.gap_left, insts[0].split.gap_right)
     if any((inst.split.gap_left, inst.split.gap_right) != gap for inst in insts):
         raise ValueError("the instances of a stack must share one gap")
-    st = InstanceStack.of(insts)
-    enclosures = [_enclosure(inst) for inst in insts]
+    applicable = [_bounds(inst) for inst in insts]
     try:
         es = _eigen(st.L)
     except EigenFailure as exc:
         if k > 1:
             raise
-        return StackSolution(n0, None, None, None, enclosures, [exc], [])
+        return StackSolution(n0, None, None, None, applicable, [exc], [])
     inner = _inner_mask(es.values, es.edge_tol[:, None], *gap)
     dims = inner.sum(axis=1).tolist()
     failures = [None if dim == n0 else _rank_mismatch(dim, n0) for dim in dims]
@@ -578,7 +565,7 @@ def solve_stack(insts: Sequence[PerturbationInstance]) -> StackSolution:
         if k > 1:
             raise
         failures[0], stages = exc, ([],)
-    return StackSolution(n0, es, inner, dims, enclosures, failures, *stages)
+    return StackSolution(n0, es, inner, dims, applicable, failures, *stages)
 
 
 def _solve_split(

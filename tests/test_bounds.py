@@ -336,6 +336,40 @@ def test_bound_inputs_validation():
         spl.BoundInputs(D=2.0, d=1.0, v=-0.5)
 
 
+@pytest.mark.parametrize("v", [-0.5, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda v: spl.BoundInputs(D=2.0, d=1.0, v=v),
+        lambda v: spl.r_v(v, 1.0, 2.0, checked=False),
+        lambda v: spl.kappa(2.0, 1.0, v, checked=False),
+        lambda v: spl.bound_apriori(v, 1.0, checked=False),
+    ],
+    ids=["BoundInputs", "r_v", "kappa", "bound_apriori"],
+)
+def test_perturbation_norm_must_be_finite_and_nonnegative(evaluate, v):
+    # NaN passed a "v < 0" test and only failed when the report was serialised
+    with pytest.raises(DomainViolation, match="v="):
+        evaluate(v)
+
+
+def test_applicable_bounds_are_the_formulas_at_the_geometry():
+    # one evaluation per trial serves the enclosure, the regime flags and the report
+    for D, d, v in [(2.0, 1.0, 0.5), (2.0, 0.3, 0.5), (3.0, 0.5, 0.9), (2.0, 0.4, 0.0)]:
+        gl, gr = -D / 2.0, D / 2.0
+        b = spl.bounds.applicable_bounds(D, d, v, gl, gr)
+        inputs = spl.BoundInputs(D=D, d=d, v=v)
+        assert (b.regime_gap_survives, b.regime_split, b.regime_detailed) == (
+            inputs.regime_gap_survives, inputs.regime_split, inputs.regime_detailed
+        )
+        assert b.bound_apriori == (spl.bound_apriori(v, d) if inputs.regime_gap_survives else None)
+        assert b.kappa == (spl.kappa(D, d, v).value if inputs.regime_detailed else None)
+        assert b.r_v == (spl.r_v(v, d, D) if inputs.regime_split else None)
+        assert b.enclosure == (spl.enclosure(gl, gr, d, v) if inputs.regime_split else None)
+        assert b.measured is None and b.ratio_apriori is None and b.ok_detailed is None
+        assert b.against(0.1) == spl.make_bound_report(0.1, D, d, v, gl, gr)
+
+
 def test_check_geometry():
     check_geometry(2.0, 1.0)
     with pytest.raises(DomainViolation):

@@ -117,6 +117,13 @@ def test_bounds_domain_error(capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "DomainViolation"
 
 
+@pytest.mark.parametrize("v", ["nan", "inf"])
+def test_bounds_non_finite_v_is_a_domain_error(capsys, v):
+    assert cli.main(["bounds", "--D", "2", "--d", "1", "--v", v]) == cli.EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DomainViolation" and "v=" in err["detail"]
+
+
 def test_verify_roundtrip(tmp_path, capsys):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"

@@ -191,7 +191,7 @@ def test_assembled_split_matches_eigh_route():
 
 
 def test_instance_anticommutes_with_involution(e1):
-    j = 2.0 * inner_projector(e1) - np.eye(e1.n)
+    j = 2.0 * inner_projector(e1) - np.eye(e1.L.shape[0])
     v = split_parts(e1)[1]
     assert spl.op_norm(j @ v + v @ j) <= 1e-10 * e1.v
 
@@ -304,7 +304,7 @@ def test_hide_block_structure_preserves_geometry():
     )
     inst = spl.random_instance(params, 21)
     # conjugate A and V by a seeded random unitary to hide the block structure
-    w = spl.random_unitary(inst.n, np.random.default_rng(22))
+    w = spl.random_unitary(inst.L.shape[0], np.random.default_rng(22))
 
     def hide(m):
         h = w @ m @ w.conj().T
@@ -322,7 +322,7 @@ def test_hide_block_structure_preserves_geometry():
 
     # off-diagonality survives conjugation
     e0_dense = projector(inner_cols(a_dense))
-    j = 2.0 * e0_dense - np.eye(inst.n)
+    j = 2.0 * e0_dense - np.eye(inst.L.shape[0])
     assert spl.op_norm(j @ v_dense + v_dense @ j) <= 1e-9 * inst.v
     # measured rotation is unitarily invariant: dense path equals block path
     measured_dense = spl.subspace_angle(e0_dense, projector(inner_cols(a_dense + v_dense)))

@@ -139,6 +139,35 @@ def test_polar_decompose_of_mixed_ranks_matches_per_matrix(n0, n1):
         assert same_bytes(getattr(stacked, name), [getattr(p, name) for p in singles]), name
 
 
+@pytest.mark.parametrize("n0, n1", SHAPES)
+def test_stacked_generation_calls_match_per_matrix_calls(n0, n1):
+    # instance generation: the coupling rescale, the split's sort and separation
+    rng = np.random.default_rng(53 * n0 + n1)
+    btilde = rng.standard_normal((STACK, n0, n1)) + 1j * rng.standard_normal((STACK, n0, n1))
+    norms = np.linalg.svdvals(btilde)
+    assert same_bytes(norms, [np.linalg.svdvals(m) for m in btilde])
+    v = rng.uniform(0.1, 2.0, STACK)
+    v[1] = 0.0
+    b = btilde * (v / norms[:, 0])[:, None, None]
+    b[v == 0.0] = 0.0
+    # per matrix: Python floats, and an exact zero block for v = 0
+    singles = [
+        m * (x / float(np.linalg.svdvals(m)[0])) if x > 0.0 else np.zeros((n0, n1), dtype=complex)
+        for m, x in zip(btilde, v.tolist())
+    ]
+    assert same_bytes(b, singles)
+
+    inner = rng.uniform(-0.9, 0.9, (STACK, n0))
+    ends = np.tile([-1.0, 1.0], (STACK, 1))
+    far = rng.uniform(1.0, 3.0, (STACK, n1 - 2)) * rng.choice([-1.0, 1.0], (STACK, n1 - 2))
+    outer = np.concatenate([ends, far], axis=1)
+    s0, s1 = np.sort(inner), np.sort(outer)
+    assert same_bytes(s0, [np.sort(x) for x in inner])
+    assert same_bytes(s1, [np.sort(x) for x in outer])
+    seps = np.abs(s0[:, :, None] - s1[:, None, :]).min(axis=(1, 2))
+    assert same_bytes(seps, [np.abs(a[:, None] - c[None, :]).min() for a, c in zip(s0, s1)])
+
+
 # --- bucket independence ---------------------------------------------------------
 
 #: A tiny campaign of one block shape: every trial lands in one bucket.
@@ -153,6 +182,12 @@ def gap_closed_instance():
     """Shape (2, 3); the coupling pushes the spectrum across the gap ends."""
     b = [[5.0, 0.0, 0.0], [0.0, 4.0, 0.0]]
     return spl.assemble_instance([0.0, 0.2], [-1.0, 1.0, 1.5], (-1.0, 1.0), b)
+
+
+def stack_records(insts, trials):
+    """Records of ``insts`` solved as one stack."""
+    st = riccati.InstanceStack.of(insts)
+    return dumped(harness._stack_records(st, BUCKET.tolerances, trials))
 
 
 def alone(insts, trials, tol=harness.Tolerances()):
@@ -173,7 +208,7 @@ def test_records_identical_alone_and_in_their_bucket():
     insts, trials, _, _ = bucket_with(None)
     campaign = dumped(spl.run_campaign(BUCKET).records)
     assert campaign == alone(insts, trials)
-    assert dumped(harness._stack_records(insts, BUCKET.tolerances, trials)) == campaign
+    assert stack_records(insts, trials) == campaign
 
 
 def test_gap_closed_instance_leaves_its_bucket_unchanged():
@@ -184,7 +219,7 @@ def test_gap_closed_instance_leaves_its_bucket_unchanged():
     res = riccati.solve_stack(mixed)
     assert type(res.failures[5]) is spl.errors.RankMismatch
     assert res.solved == [i for i in range(len(mixed)) if i != 5]
-    records = dumped(harness._stack_records(mixed, BUCKET.tolerances, mixed_trials))
+    records = stack_records(mixed, mixed_trials)
     assert records == alone(mixed, mixed_trials)
     assert '"error": "GapClosed"' in records[5]
 
@@ -198,7 +233,7 @@ def test_rank_zero_instance_leaves_its_bucket_unchanged():
     insts, trials, mixed, mixed_trials = bucket_with(trivial)
     res = riccati.solve_stack(mixed)
     assert len(res.solved) == len(mixed) and res.solution.mu[5] == 0.0
-    records = dumped(harness._stack_records(mixed, BUCKET.tolerances, mixed_trials))
+    records = stack_records(mixed, mixed_trials)
     assert records == alone(mixed, mixed_trials)
 
 
@@ -252,7 +287,7 @@ def test_not_a_graph_instance_leaves_its_bucket_unchanged(monkeypatch):
     res = riccati.solve_stack(insts)
     assert type(res.failures[4]) is spl.errors.NotAGraph
     assert res.solved == [i for i in range(len(insts)) if i != 4]
-    records = dumped(harness._stack_records(insts, BUCKET.tolerances, trials))
+    records = stack_records(insts, trials)
     assert records == alone(insts, trials)
     assert '"error": "NotAGraph"' in records[4]
     assert sum('"error": null' in r for r in records) == len(records) - 1
@@ -270,7 +305,7 @@ def test_failed_stacked_lapack_call_reruns_bucket_per_trial(monkeypatch, routine
     else:  # the transposed inner block Y0 that the graph inversion solves with
         marker = np.ascontiguousarray(spl.perturbed_split(target).basis0[: target.n0, :].T)
     seen = raise_for(monkeypatch, routine, marker)
-    records = dumped(harness._stack_records(insts, BUCKET.tolerances, trials))
+    records = stack_records(insts, trials)
     assert seen[0] == len(insts)  # the stack was tried as one call first
     # today's per-trial path: the same typed structural record for the target
     per_trial = alone(insts, trials)
@@ -362,3 +397,65 @@ def test_analyze_reports_match_the_per_trial_pipeline():
         for i in range(6):
             h.update(matio.dumps(spl.analyze(spl.trial_instance(cfg, i)[0]), indent=2).encode())
     assert h.hexdigest() == PER_TRIAL_DIGESTS["analyze"]
+
+
+# --- the two generation routes -------------------------------------------------------
+
+#: Campaigns whose window-built instances must equal ``trial_instance``'s.
+ROUTE_CONFIGS = {
+    "tiny": dataclasses.replace(TINY, trials=120),
+    "acceptance": ACCEPTANCE,
+    "unperturbed": dataclasses.replace(TINY, trials=60, v_fraction=0.0),
+    "regime-C": spl.CampaignConfig(
+        trials=60, seed=77, n0=(1, 3), n1=(2, 4), d=(0.7, 0.95), regime="C"
+    ),
+}
+
+
+def window_instances(monkeypatch, cfg):
+    """(trial, instance) of every instance a campaign's windows build."""
+    built = []
+
+    def capture(st, tol, trials):
+        # the blocks reach the solver as built, each instance a view of its row
+        assert all(np.shares_memory(inst.L, st.L) for inst in st.insts)
+        built.extend(zip(trials, st.insts))
+        return [None] * len(trials)
+
+    monkeypatch.setattr(harness, "_stack_records", capture)
+    harness._trial_batch(cfg, list(range(cfg.trials)))
+    return sorted(built, key=lambda pair: pair[0])
+
+
+@pytest.mark.parametrize("name", ROUTE_CONFIGS)
+def test_window_instances_equal_trial_instances(monkeypatch, name):
+    cfg = ROUTE_CONFIGS[name]
+    built = window_instances(monkeypatch, cfg)
+    assert [i for i, _ in built] == list(range(cfg.trials))
+    stacked = 0
+    for i, inst in built:
+        single, _ = spl.trial_instance(cfg, i)
+        assert same_bytes(
+            [inst.L, inst.A0, inst.A1, inst.B], [single.L, single.A0, single.A1, single.B]
+        ), i
+        split, alone = inst.split, single.split
+        assert same_bytes([split.sigma0, split.sigma1], [alone.sigma0, alone.sigma1]), i
+        assert (inst.v, split.d, split.gap_left, split.gap_right, split.gap_len, inst.trivial) == (
+            single.v, alone.d, alone.gap_left, alone.gap_right, alone.gap_len, single.trivial
+        ), i
+        stacked += inst.L.base.shape[0] > 1
+    # built in stacks of several; the acceptance shape's 361 block shapes
+    # rarely share a window's bucket
+    assert stacked > 0 or name == "acceptance"
+    if cfg.v_fraction == 0.0:
+        assert all(inst.trivial and not inst.B.any() for _, inst in built)
+
+
+def test_per_trial_records_equal_campaign_records():
+    cfg = dataclasses.replace(TINY, trials=40)
+    campaign = dumped(spl.run_campaign(cfg).records)
+    per_trial = [
+        spl.trial_record_for_instance(spl.trial_instance(cfg, i)[0], trial=i)
+        for i in range(cfg.trials)
+    ]
+    assert dumped(per_trial) == campaign

@@ -63,7 +63,6 @@ from .riccati import (
     measured_rotation,
     perturbed_split,
     riccati_residual,
-    solve_instance,
     verify_graph_props,
 )
 

@@ -84,17 +84,31 @@ class BoundInputs:
         return self.v < math.sqrt(self.d * (self.D - self.d))
 
 
+#: Magnitudes accepted for D, d and v.  The bounds are scale-invariant,
+#: but d*D, d*(D-d) and v*v under- or overflow far outside this range.
+SCALE_RANGE = (1e-100, 1e100)
+
+
 def check_geometry(D: float, d: float) -> None:
     if not 0.0 < D < math.inf:
         raise DomainViolation(f"gap length must be positive and finite, got D={D}")
     if not 0.0 < d <= D / 2.0:
         raise DomainViolation(f"need 0 < d <= D/2, got d={d}, D/2={D / 2.0}")
+    lo, hi = SCALE_RANGE
+    if D > hi or d < lo:
+        raise DomainViolation(
+            f"need D <= {hi:g} and d >= {lo:g} (their products under- or overflow), "
+            f"got D={D}, d={d}"
+        )
 
 
 def check_norm(v: float) -> None:
-    """Refuse a perturbation norm that is negative, infinite or NaN."""
+    """Refuse a perturbation norm that is negative, infinite, NaN or above
+    the largest magnitude of SCALE_RANGE."""
     if not 0.0 <= v < math.inf:
         raise DomainViolation(f"perturbation norm must be finite and nonnegative, got v={v}")
+    if v > SCALE_RANGE[1]:
+        raise DomainViolation(f"need v <= {SCALE_RANGE[1]:g} (v*v overflows), got v={v}")
 
 
 def sin_arctan(t: float) -> float:

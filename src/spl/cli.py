@@ -104,33 +104,25 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    checked = not args.unchecked
     D, d, v = args.D, args.d, args.v
-    inputs = bounds.BoundInputs(D=D, d=d, v=v)
-    doc = {
-        "D": D, "d": d, "v": v,
-        "regime12": inputs.regime_gap_survives,
-        "regime29": inputs.regime_split,
-        "regime31": inputs.regime_detailed,
-        "kappa": None, "branch": None,
-        "bound13": None, "bound32": None,
-        "r_V": None, "encl_lo": None, "encl_hi": None,
-    }
-    if inputs.regime_gap_survives or not checked:
-        doc["bound13"] = bounds.bound_apriori(v, d, checked=checked)
-    if inputs.regime_detailed or not checked:
-        try:
-            kv = bounds.kappa(D, d, v, checked=checked)
-            doc["kappa"], doc["branch"] = kv.value, kv.branch
-            doc["bound32"] = bounds.sin_half_arctan(kv.value)
-        except SingularDenominator:
-            if checked:
-                raise
-    if inputs.regime_split or not checked:
-        doc["r_V"] = bounds.r_v(v, d, D, checked=checked)
-        lo, hi = bounds.enclosure(-D / 2.0, D / 2.0, d, v, checked=checked)
-        doc["encl_lo"], doc["encl_hi"] = lo, hi
-    _emit(matio.dumps(doc, indent=2), None)
+    row = harness.bound_row(D, d, v)
+    if args.unchecked:
+        # out of regime, evaluate the formulas wherever they are defined
+        if row["bound13"] is None:
+            row["bound13"] = bounds.bound_apriori(v, d, checked=False)
+        if row["kappa"] is None:
+            try:
+                kv = bounds.kappa(D, d, v, checked=False)
+                row.update(kappa=kv.value, branch=kv.branch,
+                           bound32=bounds.sin_half_arctan(kv.value))
+            except SingularDenominator:
+                pass
+        if row["r_V"] is None:
+            row["r_V"] = bounds.r_v(v, d, D, checked=False)
+            row["encl_lo"], row["encl_hi"] = bounds.enclosure(
+                -D / 2.0, D / 2.0, d, v, checked=False
+            )
+    _emit(matio.dumps(row, indent=2), None)
     return EXIT_OK
 
 

@@ -51,31 +51,54 @@ class SpectralSplit:
         return self.sigma1.size
 
 
-@dataclass(frozen=True, eq=False)
-class PerturbationInstance:
-    """Block operator data of the perturbed operator L = A + V.
+class _Blocks:
+    """The blocks of L = [[A0, B], [B*, A1]] in the split basis, as views of
+    L (of each matrix of a stack): A0/A1 the inner/outer diagonal blocks of
+    the diagonal A, B (inner rows by outer columns) the coupling block of
+    the off-diagonal V."""
 
-    A0/A1 are the inner/outer diagonal blocks of the diagonal A; B
-    (inner-rows by outer-cols) is the coupling block of the off-diagonal V.
-    v equals the operator norm of both B and V.  Instances are expressed in
-    the split basis, i.e. A is diagonal with sigma0 entries first.
+    L: np.ndarray
+
+    @property
+    def A0(self) -> np.ndarray:
+        n0 = self.n0
+        return self.L[..., :n0, :n0]
+
+    @property
+    def A1(self) -> np.ndarray:
+        n0 = self.n0
+        return self.L[..., n0:, n0:]
+
+    @property
+    def B(self) -> np.ndarray:
+        n0 = self.n0
+        return self.L[..., :n0, n0:]
+
+
+@dataclass(frozen=True, eq=False)
+class PerturbationInstance(_Blocks):
+    """The perturbed operator L = A + V in the split basis, i.e. A is
+    diagonal with the sigma0 entries first, and its spectral split.
+
+    v equals the operator norm of both B and V; the instance is trivial
+    when v is zero.
     """
 
-    A0: np.ndarray
-    A1: np.ndarray
-    B: np.ndarray
     L: np.ndarray
     v: float
     split: SpectralSplit
-    trivial: bool
 
     @property
     def n0(self) -> int:
-        return self.A0.shape[0]
+        return self.split.n0
 
     @property
     def n1(self) -> int:
-        return self.A1.shape[0]
+        return self.split.n1
+
+    @property
+    def trivial(self) -> bool:
+        return self.v == 0.0
 
     @property
     def norm_A(self) -> float:
@@ -88,37 +111,30 @@ class PerturbationInstance:
 
 
 @dataclass(eq=False)
-class InstanceStack:
-    """Instances of one block shape (n0, n1) with their blocks L, A0, A1, B
-    stacked along a leading batch axis.
+class InstanceStack(_Blocks):
+    """Instances of one block shape (n0, n1) with their operators L stacked
+    along a leading batch axis.
 
-    Built stacks (:func:`_assemble`) hold each instance's blocks as views
-    of its row; :meth:`of` stacks given instances, and a stack of one is a
-    view of its instance's blocks.
+    Built stacks (:func:`_assemble`) hold each instance's L as a view of
+    its row; :meth:`of` stacks given instances, and a stack of one is a
+    view of its instance's L.
     """
 
     insts: list[PerturbationInstance]
     L: np.ndarray
-    A0: np.ndarray
-    A1: np.ndarray
-    B: np.ndarray
 
     @property
     def n0(self) -> int:
-        return self.A0.shape[-1]
+        return self.insts[0].n0
 
     @classmethod
     def of(cls, insts: list[PerturbationInstance]) -> InstanceStack:
         if len(insts) == 1:
-            inst = insts[0]
-            return cls(insts, L=inst.L[None], A0=inst.A0[None], A1=inst.A1[None], B=inst.B[None])
-        return cls(insts, *(np.stack([getattr(i, f) for i in insts]) for f in ("L", "A0", "A1", "B")))
+            return cls(insts, insts[0].L[None])
+        return cls(insts, np.stack([inst.L for inst in insts]))
 
     def take(self, rows: list[int]) -> InstanceStack:
-        return InstanceStack(
-            [self.insts[i] for i in rows],
-            L=self.L[rows], A0=self.A0[rows], A1=self.A1[rows], B=self.B[rows],
-        )
+        return InstanceStack([self.insts[i] for i in rows], self.L[rows])
 
 
 @dataclass(frozen=True)
@@ -226,7 +242,7 @@ def assemble_instance(
 
     L = A + V with A = diag(diag(sigma0), diag(sigma1)) in the split basis
     and the coupling block b (shape n0 x n1) off-diagonal in V.  A zero b is
-    accepted but the instance is flagged trivial.  The split is read off the
+    accepted; the instance is then trivial.  The split is read off the
     validated partition: sorted spectra and exact separation; the inner
     spectral projector is diag(I_n0, 0).
     """
@@ -246,19 +262,18 @@ def _assemble_one(sigma0_values, sigma1_values, gap, b) -> PerturbationInstance:
 
 def _assemble(sigma0: np.ndarray, sigma1: np.ndarray, gap, b: np.ndarray) -> InstanceStack:
     """Instances of stacked spectra (k, n0) and (k, n1) and coupling blocks
-    (k, n0, n1), each block built for the whole stack at once.
+    (k, n0, n1), each built for the whole stack at once.
 
     The partitions are not checked: the callers generate valid ones.  Each
-    instance's blocks and split are views of its row of the stack.
+    instance's L and split are views of its row of the stack.
     """
     k, n0 = sigma0.shape
     n1 = sigma1.shape[1]
     if b.shape != (k, n0, n1):
         raise DimensionMismatch(f"coupling block must be {n0}x{n1}, got {b.shape[1:]}")
-    a0, a1 = _diagonals(sigma0), _diagonals(sigma1)
-    el = np.zeros((k, n0 + n1, n0 + n1), dtype=complex)
-    el[:, :n0, :n0] = a0
-    el[:, n0:, n0:] = a1
+    n = n0 + n1
+    el = np.zeros((k, n, n), dtype=complex)
+    el.reshape(k, n * n)[:, :: n + 1] = np.concatenate((sigma0, sigma1), axis=1)
     el[:, :n0, n0:] = b
     el[:, n0:, :n0] = adjoint(b)
     # as the entrywise sum A + V does, turn every -0.0 part into +0.0
@@ -269,21 +284,10 @@ def _assemble(sigma0: np.ndarray, sigma1: np.ndarray, gap, b: np.ndarray) -> Ins
     gl, gr = float(gap[0]), float(gap[1])
     # positional arguments: this runs once per candidate of the sharpness search
     insts = [
-        PerturbationInstance(
-            a0[i], a1[i], b[i], el[i], v, SpectralSplit(s0[i], s1[i], gl, gr, seps[i], gr - gl),
-            v == 0.0,
-        )
+        PerturbationInstance(el[i], v, SpectralSplit(s0[i], s1[i], gl, gr, seps[i], gr - gl))
         for i, v in enumerate(norms)
     ]
-    return InstanceStack(insts, el, a0, a1, b)
-
-
-def _diagonals(values: np.ndarray) -> np.ndarray:
-    """Complex diagonal matrices of the rows of ``values``."""
-    k, n = values.shape
-    out = np.zeros((k, n, n), dtype=complex)
-    out.reshape(k, n * n)[:, :: n + 1] = values
-    return out
+    return InstanceStack(insts, el)
 
 
 def _check_separation(d: float, outer) -> None:

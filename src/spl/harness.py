@@ -205,6 +205,9 @@ def validate_config(cfg: CampaignConfig) -> None:
     width = gr - gl
     if not math.isfinite(width):
         raise ConfigError(f"gap ({gl}, {gr}) is not finite")
+    scale_lo, scale_hi = bounds.SCALE_RANGE
+    if width > scale_hi:
+        raise ConfigError(f"gap ({gl}, {gr}) is longer than {scale_hi:g}")
     n0_lo, n0_hi = _as_int_range(cfg.n0)
     n1_lo, n1_hi = _as_int_range(cfg.n1)
     if n0_lo < 1 or n0_hi < n0_lo:
@@ -214,8 +217,12 @@ def validate_config(cfg: CampaignConfig) -> None:
     d_lo, d_hi = _as_float_range(cfg.d)
     if not 0.0 < d_lo <= d_hi <= width / 2.0:
         raise ConfigError(f"separation range {cfg.d} must lie in (0, {width / 2.0}]")
+    if d_lo < scale_lo:
+        raise ConfigError(f"separation range {cfg.d} starts below {scale_lo:g}")
     if not 0.0 <= cfg.outer_radius < math.inf:
         raise ConfigError(f"outer_radius must be finite and >= 0, got {cfg.outer_radius}")
+    if cfg.outer_radius > scale_hi:
+        raise ConfigError(f"outer_radius must be at most {scale_hi:g}, got {cfg.outer_radius}")
     if cfg.parallel < 0:
         raise ConfigError(f"parallel must be nonnegative, got {cfg.parallel}")
     if cfg.regime == "C" and not d_lo > width / 3.0:
@@ -558,11 +565,12 @@ def analyze(inst: PerturbationInstance, tol: Tolerances | None = None) -> dict:
     errors; campaign-style flat fields are nested under "record", a second
     view of the same pipeline result.
     """
-    solved = riccati.solve_stack([inst])
-    res = solved.instance(0)
-    if res.failure is not None:
-        raise res.failure
-    ps, sol, graph, idents = res
+    res = riccati.solve_stack([inst])
+    if res.failures[0] is not None:
+        raise res.failures[0]
+    sol, graph = riccati._row(res.solution, 0), riccati._row(res.graph, 0)
+    values, inner = res.eigen.values[0], res.inner[0]
+    enclosure = res.bounds[0].enclosure
     split = inst.split
     return {
         "instance": {
@@ -577,10 +585,10 @@ def analyze(inst: PerturbationInstance, tol: Tolerances | None = None) -> dict:
             "sigma1": [float(x) for x in split.sigma1],
         },
         "perturbed": {
-            "omega0": [float(x) for x in ps.omega0],
-            "omega1": [float(x) for x in ps.omega1],
-            "gap_closed": ps.gap_closed,
-            "enclosure": list(ps.enclosure) if ps.enclosure is not None else None,
+            "omega0": [float(x) for x in values[inner]],
+            "omega1": [float(x) for x in values[~inner]],
+            "gap_closed": False,  # a closed gap raised RankMismatch above
+            "enclosure": list(enclosure) if enclosure is not None else None,
         },
         "angular": {
             "mu": sol.mu,
@@ -598,7 +606,7 @@ def analyze(inst: PerturbationInstance, tol: Tolerances | None = None) -> dict:
                 "term_imag": r.term_imag,
                 "top": r.top,
             }
-            for r in idents
+            for r in res.identities.reports(0)
         ],
         "graph": {
             "measured": graph.measured,
@@ -607,11 +615,25 @@ def analyze(inst: PerturbationInstance, tol: Tolerances | None = None) -> dict:
             "spec0_residual": graph.spec0_residual,
             "spec1_residual": graph.spec1_residual,
         },
-        "record": _records([inst], solved, tol or Tolerances(), [None])[0],
+        "record": _records([inst], res, tol or Tolerances(), [None])[0],
     }
 
 
 # --- bound sweeps --------------------------------------------------------------
+
+
+def bound_row(D: float, d: float, v: float) -> dict:
+    """The bounds applicable at (D, d, v) on the gap (-D/2, D/2), as a row
+    of SWEEP_COLUMNS with None for the out-of-regime fields.
+
+    Raises DomainViolation when (D, d, v) violates the basic geometry.
+    """
+    b = bounds.applicable_bounds(D, d, v, -D / 2.0, D / 2.0)
+    encl_lo, encl_hi = b.enclosure or (None, None)
+    return dict(zip(SWEEP_COLUMNS, (
+        D, d, v, b.regime_gap_survives, b.regime_split, b.regime_detailed,
+        b.kappa, b.kappa_branch, b.bound_apriori, b.bound_detailed, b.r_v, encl_lo, encl_hi,
+    )))
 
 
 def sweep_rows(D_values, d: float, v_values) -> list[dict]:
@@ -624,21 +646,12 @@ def sweep_rows(D_values, d: float, v_values) -> list[dict]:
     rows = []
     for D in D_values:
         for v in v_values:
-            row = dict.fromkeys(SWEEP_COLUMNS)
-            row["D"], row["d"], row["v"] = float(D), float(d), float(v)
             try:
-                b = bounds.applicable_bounds(row["D"], row["d"], row["v"], -D / 2.0, D / 2.0)
+                row = bound_row(float(D), float(d), float(v))
             except DomainViolation:
-                row["regime12"] = row["regime29"] = row["regime31"] = False
-                rows.append(row)
-                continue
-            row.update(
-                regime12=b.regime_gap_survives, regime29=b.regime_split,
-                regime31=b.regime_detailed, kappa=b.kappa, branch=b.kappa_branch,
-                bound13=b.bound_apriori, bound32=b.bound_detailed, r_V=b.r_v,
-            )
-            if b.enclosure is not None:
-                row["encl_lo"], row["encl_hi"] = b.enclosure
+                row = dict.fromkeys(SWEEP_COLUMNS)
+                row.update(D=float(D), d=float(d), v=float(v),
+                           regime12=False, regime29=False, regime31=False)
             rows.append(row)
     return rows
 

@@ -11,12 +11,12 @@ residual  X A0 - A1 X + X B X - B*.
 (n0, n1) and runs each stage once for all of them, every decomposition as
 one stacked numpy.linalg call over a leading batch axis; numpy computes
 each matrix of a stack exactly as on its own, so an instance's numbers do
-not depend on the rest of its stack.  :func:`solve_instance` and the
-per-instance stage functions are stacks of one.  The one SVD of X
-(:func:`polar_decompose`) gives ||X||, the polar parts, the eigenpairs of
-|X| and (I + |X|^2)^(+-1/2).  The measured rotation ||E0 - E0'|| is ||Y1||,
-the norm of the outer rows of the orthonormal perturbed inner basis
-(:func:`measured_rotation`); it is computed without X.
+not depend on the rest of its stack.  The per-instance stage functions
+are stacks of one.  The one SVD of X (:func:`polar_decompose`) gives
+||X||, the polar parts, the eigenpairs of |X| and (I + |X|^2)^(+-1/2).
+The measured rotation ||E0 - E0'|| is ||Y1||, the norm of the outer rows
+of the orthonormal perturbed inner basis (:func:`measured_rotation`); it
+is computed without X.
 
 Inner products are conjugate-linear in the first argument (numpy.vdot).
 """
@@ -38,7 +38,6 @@ from .errors import (
     EigenFailure,
     NotAGraph,
     RankMismatch,
-    SplError,
 )
 from .linalg import (
     EigenSystem,
@@ -151,29 +150,8 @@ class GraphReport:
 
 
 @dataclass(frozen=True, eq=False)
-class InstanceSolution:
-    """Every stage of :func:`solve_instance`, each run once.
-
-    ``failure`` holds the structural error that stopped the pipeline
-    (EigenFailure, RankMismatch on gap closure, NotAGraph, or the
-    ConvergenceFailure of a later LAPACK call); the stages after it are
-    None.  Unpacks as ``(perturbed, solution, graph, identities)``.
-    """
-
-    perturbed: PerturbedSplit | None
-    solution: RiccatiSolution | None = None
-    graph: GraphReport | None = None
-    identities: list[IdentityReport] | None = None
-    failure: SplError | None = None
-
-    def __iter__(self):
-        return iter((self.perturbed, self.solution, self.graph, self.identities))
-
-
-@dataclass(frozen=True, eq=False)
 class StackSolution:
-    """Every stage of :func:`solve_stack` for a stack of instances of n0
-    inner rows.
+    """Every stage of :func:`solve_stack` for a stack of instances.
 
     Per instance: the eigensystem of L (None when its eigensolve failed),
     the mask and the count (``dims``) of the inner eigenvalues, the bounds
@@ -183,7 +161,6 @@ class StackSolution:
     ``graph`` and ``identities`` are stacked over them.
     """
 
-    n0: int
     eigen: EigenSystem | None
     inner: np.ndarray | None
     dims: list | None
@@ -193,25 +170,6 @@ class StackSolution:
     solution: RiccatiSolution | None = None
     graph: GraphReport | None = None
     identities: Identities | None = None
-
-    def instance(self, i: int) -> InstanceSolution:
-        """The :class:`InstanceSolution` view of instance ``i``."""
-        failure = self.failures[i]
-        if self.eigen is None:
-            return InstanceSolution(perturbed=None, failure=failure)
-        ps = _split_view(
-            self.eigen.values[i], self.eigen.vectors[i], self.inner[i],
-            self.bounds[i].enclosure, self.n0,
-        )
-        if failure is not None:
-            return InstanceSolution(perturbed=ps, failure=failure)
-        row = self.solved.index(i)
-        return InstanceSolution(
-            perturbed=ps,
-            solution=_row(self.solution, row),
-            graph=_row(self.graph, row),
-            identities=self.identities.reports(row),
-        )
 
 
 def _row(stacked, row: int):
@@ -264,18 +222,6 @@ def _bounds(inst: PerturbationInstance) -> bounds.BoundReport:
     )
 
 
-def _split_view(values, vectors, inner, enclosure, n0: int) -> PerturbedSplit:
-    cols0 = vectors[:, inner]
-    return PerturbedSplit(
-        omega0=values[inner],
-        omega1=values[~inner],
-        basis0=cols0,
-        basis1=vectors[:, ~inner],
-        enclosure=enclosure,
-        gap_closed=cols0.shape[1] != n0,
-    )
-
-
 def _rank_mismatch(dim: int, n0: int) -> RankMismatch:
     return RankMismatch(
         f"gap closed: perturbed inner subspace has dimension {dim}, expected {n0}"
@@ -293,7 +239,15 @@ def perturbed_split(inst: PerturbationInstance) -> PerturbedSplit:
     es = _eigen(inst.L)
     split = inst.split
     inner = _inner_mask(es.values, es.edge_tol, split.gap_left, split.gap_right)
-    return _split_view(es.values, es.vectors, inner, _enclosure(inst), inst.n0)
+    cols0 = es.vectors[:, inner]
+    return PerturbedSplit(
+        omega0=es.values[inner],
+        omega1=es.values[~inner],
+        basis0=cols0,
+        basis1=es.vectors[:, ~inner],
+        enclosure=_enclosure(inst),
+        gap_closed=cols0.shape[1] != inst.n0,
+    )
 
 
 def _rotation(basis0: np.ndarray, n0: int) -> np.ndarray:
@@ -334,17 +288,24 @@ def _not_a_graph(cond: float) -> NotAGraph:
     )
 
 
-def _angular(st: InstanceStack, basis0: np.ndarray, cond: list[float]) -> RiccatiSolution:
+def _blocks(st: InstanceStack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A0, A1, B) of a stack, copied out of L once for the stages that
+    compute with them: sums and products run slower on strided views."""
+    return st.A0.copy(), st.A1.copy(), st.B.copy()
+
+
+def _angular(blocks: tuple, basis0: np.ndarray, cond: list[float]) -> RiccatiSolution:
     """Stacked graph inversion X = Y1 Y0^{-1} and everything built from X."""
-    n0 = st.n0
+    a0, a1, b = blocks
+    n0 = a0.shape[-1]
     y0 = basis0[:, :n0, :]
     y1 = basis0[:, n0:, :]
     x = lapack(np.linalg.solve, y0.swapaxes(1, 2), y1.swapaxes(1, 2)).swapaxes(1, 2)
     polar = polar_decompose(x)
-    resid = riccati_residual(x, st.A0, st.A1, st.B)
+    resid = riccati_residual(x, a0, a1, b)
     half = polar.apply(lambda s: np.sqrt(1.0 + s * s))
     half_inv = polar.apply(lambda s: 1.0 / np.sqrt(1.0 + s * s))
-    lambda0 = half @ (st.A0 + st.B @ x) @ half_inv
+    lambda0 = half @ (a0 + b @ x) @ half_inv
     return RiccatiSolution(
         X=x,
         polar=polar,
@@ -371,7 +332,7 @@ def angular_operator(inst: PerturbationInstance, ps: PerturbedSplit) -> RiccatiS
     cond = _conditioning(basis0, n0)
     if not _is_graph(cond[0]):
         raise _not_a_graph(cond[0])
-    return _row(_angular(InstanceStack.of([inst]), basis0, cond), 0)
+    return _row(_angular(_blocks(InstanceStack.of([inst])), basis0, cond), 0)
 
 
 def riccati_residual(x, a0, a1, b):
@@ -439,9 +400,10 @@ def _col_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...j", a.conj(), b)
 
 
-def _graph(st: InstanceStack, sol: RiccatiSolution, basis0, basis1, omega0, omega1) -> GraphReport:
+def _graph(blocks: tuple, sol: RiccatiSolution, basis0, basis1, omega0, omega1) -> GraphReport:
     """Stacked graph checks, see :func:`verify_graph_props`."""
-    n0 = st.n0
+    a0, a1, b = blocks
+    n0 = a0.shape[-1]
     measured = _rotation(basis0, n0)
     # sin(arctan mu) as in bounds.sin_arctan
     angle_residual = np.abs(measured - sol.mu / np.sqrt(1.0 + sol.mu * sol.mu))
@@ -450,8 +412,8 @@ def _graph(st: InstanceStack, sol: RiccatiSolution, basis0, basis1, omega0, omeg
     z1 = basis1[:, n0:, :]
     graph1_residual = op_norms(z0 + adjoint(sol.X) @ z1)
 
-    spec0 = lapack(np.linalg.eigvals, st.A0 + st.B @ sol.X)
-    spec1 = lapack(np.linalg.eigvals, st.A1 - adjoint(st.B) @ adjoint(sol.X))
+    spec0 = lapack(np.linalg.eigvals, a0 + b @ sol.X)
+    spec1 = lapack(np.linalg.eigvals, a1 - adjoint(b) @ adjoint(sol.X))
     l0_herm, l0_spec = lambda0_diagnostics(sol)
     return GraphReport(
         measured=measured,
@@ -477,7 +439,7 @@ def verify_graph_props(
     Lambda0 is Hermitian with spectrum omega0.
     """
     stacked = _graph(
-        InstanceStack.of([inst]), _one(sol),
+        _blocks(InstanceStack.of([inst])), _one(sol),
         ps.basis0[None], ps.basis1[None], ps.omega0[None], ps.omega1[None],
     )
     return _row(stacked, 0)
@@ -554,7 +516,7 @@ def solve_stack(insts: InstanceStack | Sequence[PerturbationInstance]) -> StackS
     except EigenFailure as exc:
         if k > 1:
             raise
-        return StackSolution(n0, None, None, None, applicable, [exc], [])
+        return StackSolution(None, None, None, applicable, [exc], [])
     inner = _inner_mask(es.values, es.edge_tol[:, None], *gap)
     dims = inner.sum(axis=1).tolist()
     failures = [None if dim == n0 else _rank_mismatch(dim, n0) for dim in dims]
@@ -565,7 +527,7 @@ def solve_stack(insts: InstanceStack | Sequence[PerturbationInstance]) -> StackS
         if k > 1:
             raise
         failures[0], stages = exc, ([],)
-    return StackSolution(n0, es, inner, dims, applicable, failures, *stages)
+    return StackSolution(es, inner, dims, applicable, failures, *stages)
 
 
 def _solve_split(
@@ -591,14 +553,7 @@ def _solve_split(
         omega0, omega1, basis0, basis1 = _bases(es, inner, rows, n0)
     if len(rows) < len(failures):
         st = st.take(rows)
-    sol = _angular(st, basis0, cond)
-    return rows, sol, _graph(st, sol, basis0, basis1, omega0, omega1), _identities(st, sol)
+    blocks = _blocks(st)
+    sol = _angular(blocks, basis0, cond)
+    return rows, sol, _graph(blocks, sol, basis0, basis1, omega0, omega1), _identities(st, sol)
 
-
-def solve_instance(inst: PerturbationInstance) -> InstanceSolution:
-    """Full pipeline on one instance: split, angular operator, all checks.
-
-    A stack of one.  Structural failures are returned in ``failure`` rather
-    than raised, so that callers can report the stages that did run.
-    """
-    return solve_stack([inst]).instance(0)

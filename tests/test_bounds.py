@@ -376,6 +376,14 @@ def test_check_geometry():
         check_geometry(0.0, 0.1)
     with pytest.raises(DomainViolation):
         check_geometry(math.inf, 0.1)
+    # the ends of SCALE_RANGE pass, beyond them the products under- or overflow
+    check_geometry(1e100, 1e-100)
+    spl.bounds.check_norm(1e100)
+    for D, d in [(1.1e100, 0.5), (1.0, 9e-101)]:
+        with pytest.raises(DomainViolation, match="1e-100"):
+            check_geometry(D, d)
+    with pytest.raises(DomainViolation, match="1e\\+100"):
+        spl.bounds.check_norm(1.1e100)
 
 
 def test_make_bound_report_e1_numbers():

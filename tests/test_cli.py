@@ -204,9 +204,16 @@ def test_sharpness_infeasible(capsys):
          "DomainViolation"),
         (["sharpness", "--D", "inf", "--d", "0.5", "--v", "0", "--n0", "1", "--n1", "2"],
          "DomainViolation"),
+        # scale-invariant bounds, but d*D, d*(D-d) and v*v under- or overflow
+        (["bounds", "--D", "1e-200", "--d", "4e-201", "--v", "1e-201"], "DomainViolation"),
+        (["verify", "--trials", "3", "--seed", "1", "--gap-left", "-1e200",
+          "--gap-right", "1e200", "--d", "1e199"], "ConfigError"),
+        (["sharpness", "--D", "1e-300", "--d", "4e-301", "--v", "1e-301", "--n0", "1",
+          "--n1", "2"], "DomainViolation"),
     ],
     ids=["sharpness-tiny-d", "sharpness-tiny-d-v0", "verify-tiny-d",
-         "sharpness-infinite-D", "sharpness-infinite-D-v0"],
+         "sharpness-infinite-D", "sharpness-infinite-D-v0",
+         "bounds-underflow", "verify-overflow", "sharpness-underflow"],
 )
 def test_degenerate_geometry_exits_with_config_error(
     tmp_path, capsys, argv, error

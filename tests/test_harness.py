@@ -42,6 +42,10 @@ def tiny_config(**kw):
         {"outer_radius": -1.0},
         {"parallel": -1},
         {"regime": "C", "d": (0.2, 0.4)},
+        # outside bounds.SCALE_RANGE
+        {"gap": (-1e200, 1e200), "d": 1e199},
+        {"d": (1e-101, 0.5)},
+        {"outer_radius": 1.1e100},
     ],
 )
 def test_validate_config_rejects(kw):

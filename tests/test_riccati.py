@@ -304,17 +304,18 @@ def test_inequality_chain_top_eigenpair():
 
 
 def test_solve_instance_pipeline(e1):
-    ps, sol, graph, idents = spl.solve_instance(e1)
-    assert ps.basis0.shape[1] == 1
-    assert graph.measured > 0
-    assert len(idents) == 1
+    res = spl.riccati.solve_stack([e1])
+    assert res.failures == [None] and res.solved == [0]
+    assert res.inner[0].sum() == 1  # the perturbed inner basis has one column
+    assert res.graph.measured[0] > 0
+    assert len(res.identities.reports(0)) == 1
 
 
 def test_solve_instance_reports_structural_failure():
     inst = spl.assemble_instance([0.0], [-1.0, 1.0], (-1.0, 1.0), [[5.0, 0.0]])
-    res = spl.solve_instance(inst)
-    assert isinstance(res.failure, RankMismatch)
-    assert res.perturbed.gap_closed
+    res = spl.riccati.solve_stack([inst])
+    assert isinstance(res.failures[0], RankMismatch)
+    assert res.dims[0] != inst.n0  # the gap closed
     assert res.solution is None and res.graph is None and res.identities is None
 
 
@@ -334,8 +335,8 @@ def raise_linalg_error(*args, **kwargs):
 )
 def test_solve_instance_types_lapack_failures(e1, monkeypatch, routine, failure):
     monkeypatch.setattr(np.linalg, routine, raise_linalg_error)
-    res = spl.solve_instance(e1)
-    assert type(res.failure) is failure
+    res = spl.riccati.solve_stack([e1])
+    assert type(res.failures[0]) is failure
     assert res.graph is None and res.identities is None
     rec = spl.trial_record_for_instance(e1)
     assert rec["error"] == failure.__name__

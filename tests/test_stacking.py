@@ -109,7 +109,8 @@ def test_stacked_lapack_calls_match_per_matrix_calls(n0, n1):
         per = [np.linalg.svd(m, full_matrices=True) for m in x]
         for part in range(3):
             assert same_bytes(full[part], [p[part] for p in per])
-        spec = st.A0 + st.B @ x
+        a0, _, b = riccati._blocks(st)
+        spec = a0 + b @ x
         assert same_bytes(np.linalg.eigvals(spec), [np.linalg.eigvals(m) for m in spec])
         herm = 0.5 * (spec + adjoint(spec))
         assert same_bytes(np.linalg.eigvalsh(herm), [np.linalg.eigvalsh(m) for m in herm])
@@ -119,11 +120,10 @@ def test_stacked_lapack_calls_match_per_matrix_calls(n0, n1):
 @pytest.mark.parametrize("n0, n1", SHAPES)
 def test_stacked_products_match_per_matrix_products(n0, n1):
     insts, st, _, basis1, xs = pipeline_arrays(n0, n1, seed=7 * n0 + n1)
+    blocks = riccati._blocks(st)  # the layout the pipeline computes with
     for x, rank in xs:
-        stacked = pipeline_products(x, st.A0, st.A1, st.B, st.L, basis1, rank)
-        singles = [
-            pipeline_products(*args, rank) for args in zip(x, st.A0, st.A1, st.B, st.L, basis1)
-        ]
+        stacked = pipeline_products(x, *blocks, st.L, basis1, rank)
+        singles = [pipeline_products(*args, rank) for args in zip(x, *blocks, st.L, basis1)]
         for name, value in stacked.items():
             assert same_bytes(value, [single[name] for single in singles]), (name, rank)
 
@@ -399,6 +399,24 @@ def test_analyze_reports_match_the_per_trial_pipeline():
     assert h.hexdigest() == PER_TRIAL_DIGESTS["analyze"]
 
 
+#: SHA-256 of the sharpness search results of SHARPNESS_CONFIGS, whose
+#: every candidate is built as a stack of one.
+SHARPNESS_DIGEST = "b6736dfd61561969a782d97c2e2313a490c64c541c80b35c7d7b95244ddbb00d"
+
+SHARPNESS_CONFIGS = [
+    harness.SharpnessConfig(n0=4, n1=6, D=2.0, d=0.5, v=0.8, restarts=2, iters=200, seed=0),
+    harness.SharpnessConfig(n0=4, n1=6, D=2.0, d=0.5, v=0.8, restarts=2, iters=200, seed=1),
+    harness.SharpnessConfig(n0=3, n1=4, D=2.0, d=0.5, v=0.0),
+]
+
+
+def test_sharpness_results_are_pinned():
+    h = hashlib.sha256()
+    for cfg in SHARPNESS_CONFIGS:
+        h.update(matio.dumps(harness.sharpness_search(cfg), indent=2).encode())
+    assert h.hexdigest() == SHARPNESS_DIGEST
+
+
 # --- the two generation routes -------------------------------------------------------
 
 #: Campaigns whose window-built instances must equal ``trial_instance``'s.
@@ -438,6 +456,8 @@ def test_window_instances_equal_trial_instances(monkeypatch, name):
         assert same_bytes(
             [inst.L, inst.A0, inst.A1, inst.B], [single.L, single.A0, single.A1, single.B]
         ), i
+        # one copy of each instance: its blocks are views of its L
+        assert all(np.shares_memory(block, inst.L) for block in (inst.A0, inst.A1, inst.B)), i
         split, alone = inst.split, single.split
         assert same_bytes([split.sigma0, split.sigma1], [alone.sigma0, alone.sigma1]), i
         assert (inst.v, split.d, split.gap_left, split.gap_right, split.gap_len, inst.trivial) == (

@@ -8,7 +8,6 @@ representation, and checks every closed-form bound against measurements.
 
 from . import bounds, cli, disposition, harness, linalg, matio, riccati
 from .bounds import (
-    BoundInputs,
     BoundReport,
     GridSpec,
     KappaValue,

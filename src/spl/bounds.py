@@ -7,7 +7,8 @@ admissible inner hull is a = D/2 - d.  Trigonometric compositions are
 evaluated through algebraic identities (sin(arctan t) = t/sqrt(1 + t^2),
 half-angle forms) to avoid precision loss for large arguments.
 
-Regime thresholds in increasing strength of the hypothesis:
+Regime thresholds in increasing strength of the hypothesis, as computed
+by :func:`regime_limits`:
   v < sqrt(2)*d        gap survives, a-priori bound applies,
   v < sqrt(d*D)        perturbed spectrum splits, graph representation,
   v < sqrt(d*(D-d))    gap-length-aware bound applies.
@@ -52,38 +53,6 @@ class GridSpec:
     refine_n: int = 201
 
 
-@dataclass(frozen=True)
-class BoundInputs:
-    """Validated (D, d, v) geometry with derived quantities and regime flags."""
-
-    D: float
-    d: float
-    v: float
-
-    def __post_init__(self):
-        check_geometry(self.D, self.d)
-        check_norm(self.v)
-
-    @property
-    def a(self) -> float:
-        return self.D / 2.0 - self.d
-
-    @property
-    def regime_gap_survives(self) -> bool:
-        """v < sqrt(2)*d"""
-        return self.v < math.sqrt(2.0) * self.d
-
-    @property
-    def regime_split(self) -> bool:
-        """v < sqrt(d*D)"""
-        return self.v < math.sqrt(self.d * self.D)
-
-    @property
-    def regime_detailed(self) -> bool:
-        """v < sqrt(d*(D-d))"""
-        return self.v < math.sqrt(self.d * (self.D - self.d))
-
-
 #: Magnitudes accepted for D, d and v.  The bounds are scale-invariant,
 #: but d*D, d*(D-d) and v*v under- or overflow far outside this range.
 SCALE_RANGE = (1e-100, 1e100)
@@ -111,8 +80,16 @@ def check_norm(v: float) -> None:
         raise DomainViolation(f"need v <= {SCALE_RANGE[1]:g} (v*v overflows), got v={v}")
 
 
+def regime_limits(D: float, d: float) -> tuple[float, float, float]:
+    """The thresholds on v of the three regimes, in increasing strength:
+    (sqrt(2)*d, sqrt(d*D), sqrt(d*(D-d))), for a valid geometry."""
+    return math.sqrt(2.0) * d, math.sqrt(d * D), math.sqrt(d * (D - d))
+
+
 def sin_arctan(t: float) -> float:
     """sin(arctan t) for t >= 0, evaluated as t / sqrt(1 + t^2)."""
+    if t > 1e100:  # avoid overflow in t*t; limit value to double precision
+        return 1.0
     return t / math.sqrt(1.0 + t * t)
 
 
@@ -139,8 +116,14 @@ def r_v(v: float, d: float, D: float, checked: bool = True) -> float:
     """
     check_geometry(D, d)
     check_norm(v)
-    if checked and v >= math.sqrt(d * D):
-        raise RegimeViolation(f"need v < sqrt(d*D) = {math.sqrt(d * D)}, got v={v}")
+    if checked:
+        limit = regime_limits(D, d)[1]
+        if v >= limit:
+            raise RegimeViolation(f"need v < sqrt(d*D) = {limit}, got v={v}")
+    return _r_v(v, d, D, checked)
+
+
+def _r_v(v: float, d: float, D: float, checked: bool) -> float:
     value = 2.0 * v * v / (math.hypot(D - d, 2.0 * v) + (D - d))
     if checked and not value < d:
         # only reachable within roundoff of the regime edge
@@ -156,8 +139,10 @@ def enclosure(
     Returns (gamma_l + d - r, gamma_r - d + r) with r the gap-erosion
     radius.  For v = 0 this is the admissible hull of the inner component.
     """
-    D = gamma_r - gamma_l
-    r = r_v(v, d, D, checked=checked)
+    return _erode(gamma_l, gamma_r, d, r_v(v, d, gamma_r - gamma_l, checked=checked))
+
+
+def _erode(gamma_l: float, gamma_r: float, d: float, r: float) -> tuple[float, float]:
     return (gamma_l + d - r, gamma_r - d + r)
 
 
@@ -177,10 +162,14 @@ def kappa(D: float, d: float, v: float, checked: bool = True) -> KappaValue:
     """
     check_geometry(D, d)
     check_norm(v)
-    if checked and v >= math.sqrt(d * (D - d)):
-        raise DomainViolation(
-            f"need v < sqrt(d*(D-d)) = {math.sqrt(d * (D - d))}, got v={v}"
-        )
+    if checked:
+        limit = regime_limits(D, d)[2]
+        if v >= limit:
+            raise DomainViolation(f"need v < sqrt(d*(D-d)) = {limit}, got v={v}")
+    return _kappa(D, d, v)
+
+
+def _kappa(D: float, d: float, v: float) -> KappaValue:
     if v <= kappa_branch_point(D, d):
         return KappaValue(value=2.0 * v / d, branch="linear")
     den = 2.0 * (d * (D - d) - v * v)
@@ -197,8 +186,8 @@ def bound_apriori(v: float, d: float, checked: bool = True) -> float:
 
     Depends on the separation only; valid while v < sqrt(2)*d.
     """
-    if not d > 0.0:
-        raise DomainViolation(f"separation must be positive, got d={d}")
+    if not 0.0 < d < math.inf:
+        raise DomainViolation(f"separation must be positive and finite, got d={d}")
     check_norm(v)
     if checked and v >= math.sqrt(2.0) * d:
         raise RegimeViolation(f"need v < sqrt(2)*d = {math.sqrt(2.0) * d}, got v={v}")
@@ -349,23 +338,26 @@ def applicable_bounds(
     """Evaluate all bounds applicable at (D, d, v), before a measurement.
 
     (gamma_l, gamma_r) is the gap, of length D; its erosion by the radius
-    r_v gives the enclosure.
+    r_v gives the enclosure.  (D, d, v) is validated once and the regime
+    flags decide which formulas are evaluated.
     """
-    inputs = BoundInputs(D=D, d=d, v=v)
+    check_geometry(D, d)
+    check_norm(v)
+    gap_survives, split, detailed = (v < limit for limit in regime_limits(D, d))
     b13 = kv = b32 = rv = encl = None
-    if inputs.regime_gap_survives:
-        b13 = bound_apriori(v, d)
-    if inputs.regime_detailed:
-        kv = kappa(D, d, v)
+    if gap_survives:
+        b13 = sin_arctan(v / d)
+    if detailed:
+        kv = _kappa(D, d, v)
         b32 = sin_half_arctan(kv.value)
-    if inputs.regime_split:
-        rv = r_v(v, d, D)
-        encl = (gamma_l + d - rv, gamma_r - d + rv)
+    if split:
+        rv = _r_v(v, d, D, True)
+        encl = _erode(gamma_l, gamma_r, d, rv)
     return BoundReport(
         D=D, d=d, v=v,
-        regime_gap_survives=inputs.regime_gap_survives,
-        regime_split=inputs.regime_split,
-        regime_detailed=inputs.regime_detailed,
+        regime_gap_survives=gap_survives,
+        regime_split=split,
+        regime_detailed=detailed,
         bound_apriori=b13,
         bound_detailed=b32,
         kappa=kv.value if kv is not None else None,

@@ -39,8 +39,6 @@ from .errors import (
 )
 from .linalg import one_blas_thread, op_norm, set_blas_threads
 
-SQRT2 = math.sqrt(2.0)
-
 REGIMES = ("A", "B", "C", "mixed")
 
 #: Violation tags of failed bound and identity checks; structural failures
@@ -235,10 +233,11 @@ def validate_config(cfg: CampaignConfig) -> None:
 def _regime_upper_limit(regime: str, d: float, width: float) -> float:
     if regime == "A":
         return d
+    gap_survives, _, detailed = bounds.regime_limits(width, d)
     if regime == "B":
-        return math.sqrt(d * (width - d))
+        return detailed
     if regime == "C":
-        return SQRT2 * d
+        return gap_survives
     raise ConfigError(f"no upper limit for regime {regime!r}")
 
 
@@ -297,12 +296,22 @@ def trial_record_for_instance(
     split regime, non-graph subspaces, eigensolver breakdown) are reported
     in the ``error`` field instead of raising.
     """
-    return _records([inst], riccati.solve_stack([inst]), tol or Tolerances(), [trial])[0]
+    return _stack_records(InstanceStack.of([inst]), tol or Tolerances(), [trial])[0]
 
 
-def _records(insts: list[PerturbationInstance], res: riccati.StackSolution, tol: Tolerances,
-             trials: list) -> list[dict]:
-    """Flat campaign records of a solved stack, in stack order."""
+def _applicable(inst: PerturbationInstance) -> bounds.BoundReport:
+    """The bounds at an instance's geometry, evaluated before it is solved:
+    a DomainViolation wins over a structural failure."""
+    split = inst.split
+    return bounds.applicable_bounds(
+        split.gap_len, split.d, inst.v, split.gap_left, split.gap_right
+    )
+
+
+def _records(insts: list[PerturbationInstance], res: riccati.StackSolution,
+             reports: list[bounds.BoundReport], tol: Tolerances, trials: list) -> list[dict]:
+    """Flat campaign records of a solved stack, in stack order; ``reports``
+    holds each instance's :func:`_applicable` bounds."""
     solved = {}
     if res.solution is not None:
         sol, graph, idents = res.solution, res.graph, res.identities
@@ -327,9 +336,8 @@ def _records(insts: list[PerturbationInstance], res: riccati.StackSolution, tol:
             for key in ("lemma26_max", "lemma27_max", "lemma_term_imag_max"):
                 fields[key] = max(fields[key])
     out = []
-    for i, (inst, trial) in enumerate(zip(insts, trials)):
+    for i, (inst, applicable, trial) in enumerate(zip(insts, reports, trials)):
         rec = dict.fromkeys(RECORD_KEYS)
-        applicable = res.bounds[i]
         rec.update(
             trial=trial, n0=inst.n0, n1=inst.n1, D=applicable.D, d=applicable.d, v=applicable.v,
             regime12=applicable.regime_gap_survives,
@@ -402,6 +410,7 @@ def _stack_records(st: InstanceStack, tol: Tolerances, trials: list) -> list[dic
     failed for one of its instances) is solved again one instance at a
     time, so every instance gets the record it gets on its own.
     """
+    applicable = [_applicable(inst) for inst in st.insts]
     try:
         res = riccati.solve_stack(st)
     except (EigenFailure, ConvergenceFailure):
@@ -411,7 +420,7 @@ def _stack_records(st: InstanceStack, tol: Tolerances, trials: list) -> list[dic
             for inst, trial in zip(st.insts, trials)
             for rec in _stack_records(InstanceStack.of([inst]), tol, [trial])
         ]
-    return _records(st.insts, res, tol, trials)
+    return _records(st.insts, res, applicable, tol, trials)
 
 
 def _trial_batch(cfg: CampaignConfig, indices: list[int]) -> list[dict]:
@@ -565,12 +574,13 @@ def analyze(inst: PerturbationInstance, tol: Tolerances | None = None) -> dict:
     errors; campaign-style flat fields are nested under "record", a second
     view of the same pipeline result.
     """
+    applicable = _applicable(inst)
     res = riccati.solve_stack([inst])
     if res.failures[0] is not None:
         raise res.failures[0]
     sol, graph = riccati._row(res.solution, 0), riccati._row(res.graph, 0)
     values, inner = res.eigen.values[0], res.inner[0]
-    enclosure = res.bounds[0].enclosure
+    enclosure = applicable.enclosure
     split = inst.split
     return {
         "instance": {
@@ -615,7 +625,7 @@ def analyze(inst: PerturbationInstance, tol: Tolerances | None = None) -> dict:
             "spec0_residual": graph.spec0_residual,
             "spec1_residual": graph.spec1_residual,
         },
-        "record": _records([inst], res, tol or Tolerances(), [None])[0],
+        "record": _records([inst], res, [applicable], tol or Tolerances(), [None])[0],
     }
 
 
@@ -726,10 +736,9 @@ def sharpness_search(cfg: SharpnessConfig) -> dict:
             cfg.d,
         )
         return _sharpness_result(cfg, 0.0, 0.0, 0.0, inst)
-    if not 0.0 < cfg.v < math.sqrt(cfg.d * (cfg.D - cfg.d)):
-        raise InfeasibleParams(
-            f"search requires 0 <= v < sqrt(d*(D-d)) = {math.sqrt(cfg.d * (cfg.D - cfg.d))}"
-        )
+    detailed = bounds.regime_limits(cfg.D, cfg.d)[2]
+    if not 0.0 < cfg.v < detailed:
+        raise InfeasibleParams(f"search requires 0 <= v < sqrt(d*(D-d)) = {detailed}")
     b32 = bounds.bound_detailed(cfg.D, cfg.d, cfg.v)
     lo, hi = gap[0] + cfg.d, gap[1] - cfg.d
     best_measured = -1.0

@@ -30,7 +30,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import bounds
 from .disposition import InstanceStack, PerturbationInstance
 from .errors import (
     ConvergenceFailure,
@@ -59,9 +58,7 @@ class PerturbedSplit:
 
     omega0/omega1 are the eigenvalues inside/outside the open gap (edge
     grazers count as outside) and basis0/basis1 orthonormal bases of both
-    parts.  enclosure is the erosion interval confining omega0 (None when
-    v >= sqrt(d*D)).
-    gap_closed flags an inner eigenvalue count different from the
+    parts.  gap_closed flags an inner eigenvalue count different from the
     unperturbed one, i.e. spectrum leaked across the gap ends.
     """
 
@@ -69,7 +66,6 @@ class PerturbedSplit:
     omega1: np.ndarray
     basis0: np.ndarray
     basis1: np.ndarray
-    enclosure: tuple[float, float] | None
     gap_closed: bool
 
 
@@ -154,9 +150,8 @@ class StackSolution:
     """Every stage of :func:`solve_stack` for a stack of instances.
 
     Per instance: the eigensystem of L (None when its eigensolve failed),
-    the mask and the count (``dims``) of the inner eigenvalues, the bounds
-    applicable at its geometry (:func:`bounds.applicable_bounds`, which give
-    the enclosure) and the structural failure (None for a solved instance).
+    the mask and the count (``dims``) of the inner eigenvalues and the
+    structural failure (None for a solved instance).
     ``solved`` lists the solved instances in stack order; ``solution``,
     ``graph`` and ``identities`` are stacked over them.
     """
@@ -164,7 +159,6 @@ class StackSolution:
     eigen: EigenSystem | None
     inner: np.ndarray | None
     dims: list | None
-    bounds: list
     failures: list
     solved: list
     solution: RiccatiSolution | None = None
@@ -208,20 +202,6 @@ def _inner_mask(values, tol, gap_left, gap_right) -> np.ndarray:
     return (values > gap_left) & (values < gap_right) & ~near
 
 
-def _enclosure(inst: PerturbationInstance) -> tuple[float, float] | None:
-    split = inst.split
-    if bounds.BoundInputs(D=split.gap_len, d=split.d, v=inst.v).regime_split:
-        return bounds.enclosure(split.gap_left, split.gap_right, split.d, inst.v)
-    return None
-
-
-def _bounds(inst: PerturbationInstance) -> bounds.BoundReport:
-    split = inst.split
-    return bounds.applicable_bounds(
-        split.gap_len, split.d, inst.v, split.gap_left, split.gap_right
-    )
-
-
 def _rank_mismatch(dim: int, n0: int) -> RankMismatch:
     return RankMismatch(
         f"gap closed: perturbed inner subspace has dimension {dim}, expected {n0}"
@@ -245,7 +225,6 @@ def perturbed_split(inst: PerturbationInstance) -> PerturbedSplit:
         omega1=es.values[~inner],
         basis0=cols0,
         basis1=es.vectors[:, ~inner],
-        enclosure=_enclosure(inst),
         gap_closed=cols0.shape[1] != inst.n0,
     )
 
@@ -288,32 +267,37 @@ def _not_a_graph(cond: float) -> NotAGraph:
     )
 
 
-def _blocks(st: InstanceStack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A0, A1, B) of a stack, copied out of L once for the stages that
+def _blocks(st: InstanceStack) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(A0, A1, B, B*) of a stack, copied out of L once for the stages that
     compute with them: sums and products run slower on strided views."""
-    return st.A0.copy(), st.A1.copy(), st.B.copy()
+    b = st.B.copy()
+    return st.A0.copy(), st.A1.copy(), b, adjoint(b)
 
 
-def _angular(blocks: tuple, basis0: np.ndarray, cond: list[float]) -> RiccatiSolution:
-    """Stacked graph inversion X = Y1 Y0^{-1} and everything built from X."""
-    a0, a1, b = blocks
-    n0 = a0.shape[-1]
+def _coupled0(blocks: tuple, x: np.ndarray) -> np.ndarray:
+    """A0 + B X, similar to Lambda0 and with spectrum omega0."""
+    return blocks[0] + blocks[2] @ x
+
+
+def _angular(blocks: tuple, basis0: np.ndarray, cond: list[float]) -> tuple:
+    """Stacked graph inversion X = Y1 Y0^{-1}: everything built from X, and A0 + B X."""
+    n0 = blocks[0].shape[-1]
     y0 = basis0[:, :n0, :]
     y1 = basis0[:, n0:, :]
     x = lapack(np.linalg.solve, y0.swapaxes(1, 2), y1.swapaxes(1, 2)).swapaxes(1, 2)
     polar = polar_decompose(x)
-    resid = riccati_residual(x, a0, a1, b)
     half = polar.apply(lambda s: np.sqrt(1.0 + s * s))
     half_inv = polar.apply(lambda s: 1.0 / np.sqrt(1.0 + s * s))
-    lambda0 = half @ (a0 + b @ x) @ half_inv
-    return RiccatiSolution(
+    coupled0 = _coupled0(blocks, x)
+    sol = RiccatiSolution(
         X=x,
         polar=polar,
         mu=polar.values[:, 0],
-        riccati_residual=resid,
-        Lambda0=lambda0,
+        riccati_residual=_residual(x, *blocks),
+        Lambda0=half @ coupled0 @ half_inv,
         cond_Y0=np.array(cond),
     )
+    return sol, coupled0
 
 
 def angular_operator(inst: PerturbationInstance, ps: PerturbedSplit) -> RiccatiSolution:
@@ -332,7 +316,7 @@ def angular_operator(inst: PerturbationInstance, ps: PerturbedSplit) -> RiccatiS
     cond = _conditioning(basis0, n0)
     if not _is_graph(cond[0]):
         raise _not_a_graph(cond[0])
-    return _row(_angular(_blocks(InstanceStack.of([inst])), basis0, cond), 0)
+    return _row(_angular(_blocks(InstanceStack.of([inst])), basis0, cond)[0], 0)
 
 
 def riccati_residual(x, a0, a1, b):
@@ -341,17 +325,18 @@ def riccati_residual(x, a0, a1, b):
     All four may carry the same leading batch axes; a stack gets one norm
     per instance, one matrix a float.
     """
-    xm = np.asarray(x, dtype=complex)
-    a0m = np.asarray(a0, dtype=complex)
-    a1m = np.asarray(a1, dtype=complex)
-    bm = np.asarray(b, dtype=complex)
+    xm, a0m, a1m, bm = (np.asarray(m, dtype=complex) for m in (x, a0, a1, b))
     n0 = a0m.shape[-1]
     n1 = a1m.shape[-1]
     if xm.shape[-2:] != (n1, n0) or bm.shape[-2:] != (n0, n1):
         raise DimensionMismatch(
             f"incompatible blocks: X {xm.shape}, A0 {a0m.shape}, A1 {a1m.shape}, B {bm.shape}"
         )
-    return _scalar(op_norms(xm @ a0m - a1m @ xm + xm @ bm @ xm - adjoint(bm)))
+    return _scalar(_residual(xm, a0m, a1m, bm, adjoint(bm)))
+
+
+def _residual(x, a0, a1, b, b_adj):
+    return op_norms(x @ a0 - a1 @ x + x @ b @ x - b_adj)
 
 
 def _scalar(a):
@@ -400,10 +385,13 @@ def _col_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...j", a.conj(), b)
 
 
-def _graph(blocks: tuple, sol: RiccatiSolution, basis0, basis1, omega0, omega1) -> GraphReport:
-    """Stacked graph checks, see :func:`verify_graph_props`."""
-    a0, a1, b = blocks
-    n0 = a0.shape[-1]
+def _graph(
+    blocks: tuple, sol: RiccatiSolution, coupled0, basis0, basis1, omega0, omega1
+) -> GraphReport:
+    """Stacked graph checks, see :func:`verify_graph_props`; ``coupled0`` is
+    A0 + B X."""
+    _, a1, _, b_adj = blocks
+    n0 = coupled0.shape[-1]
     measured = _rotation(basis0, n0)
     # sin(arctan mu) as in bounds.sin_arctan
     angle_residual = np.abs(measured - sol.mu / np.sqrt(1.0 + sol.mu * sol.mu))
@@ -412,8 +400,8 @@ def _graph(blocks: tuple, sol: RiccatiSolution, basis0, basis1, omega0, omega1) 
     z1 = basis1[:, n0:, :]
     graph1_residual = op_norms(z0 + adjoint(sol.X) @ z1)
 
-    spec0 = lapack(np.linalg.eigvals, a0 + b @ sol.X)
-    spec1 = lapack(np.linalg.eigvals, a1 - adjoint(b) @ adjoint(sol.X))
+    spec0 = lapack(np.linalg.eigvals, coupled0)
+    spec1 = lapack(np.linalg.eigvals, a1 - b_adj @ adjoint(sol.X))
     l0_herm, l0_spec = lambda0_diagnostics(sol)
     return GraphReport(
         measured=measured,
@@ -438,8 +426,9 @@ def verify_graph_props(
     of A0 + B X and A1 - B* X* reproduce omega0 and omega1, and that
     Lambda0 is Hermitian with spectrum omega0.
     """
+    blocks, one = _blocks(InstanceStack.of([inst])), _one(sol)
     stacked = _graph(
-        _blocks(InstanceStack.of([inst])), _one(sol),
+        blocks, one, _coupled0(blocks, one.X),
         ps.basis0[None], ps.basis1[None], ps.omega0[None], ps.omega1[None],
     )
     return _row(stacked, 0)
@@ -493,7 +482,9 @@ def _bases(es: EigenSystem, inner: np.ndarray, rows: list[int], n0: int):
 def solve_stack(insts: InstanceStack | Sequence[PerturbationInstance]) -> StackSolution:
     """The pipeline on instances of one shape (n0, n1) and one gap, stage by stage.
 
-    ``insts`` is an :class:`InstanceStack`, or instances to stack.
+    ``insts`` is an :class:`InstanceStack`, or instances to stack.  The
+    pipeline is linear algebra only: the closed-form bounds at an
+    instance's geometry, its enclosure included, are its caller's.
 
     Per-instance structural outcomes are masks: an inner eigenvalue count
     other than n0 (RankMismatch, the gap closed) and a numerically singular
@@ -510,13 +501,12 @@ def solve_stack(insts: InstanceStack | Sequence[PerturbationInstance]) -> StackS
     gap = (insts[0].split.gap_left, insts[0].split.gap_right)
     if any((inst.split.gap_left, inst.split.gap_right) != gap for inst in insts):
         raise ValueError("the instances of a stack must share one gap")
-    applicable = [_bounds(inst) for inst in insts]
     try:
         es = _eigen(st.L)
     except EigenFailure as exc:
         if k > 1:
             raise
-        return StackSolution(None, None, None, applicable, [exc], [])
+        return StackSolution(None, None, None, [exc], [])
     inner = _inner_mask(es.values, es.edge_tol[:, None], *gap)
     dims = inner.sum(axis=1).tolist()
     failures = [None if dim == n0 else _rank_mismatch(dim, n0) for dim in dims]
@@ -527,7 +517,7 @@ def solve_stack(insts: InstanceStack | Sequence[PerturbationInstance]) -> StackS
         if k > 1:
             raise
         failures[0], stages = exc, ([],)
-    return StackSolution(es, inner, dims, applicable, failures, *stages)
+    return StackSolution(es, inner, dims, failures, *stages)
 
 
 def _solve_split(
@@ -554,6 +544,7 @@ def _solve_split(
     if len(rows) < len(failures):
         st = st.take(rows)
     blocks = _blocks(st)
-    sol = _angular(blocks, basis0, cond)
-    return rows, sol, _graph(blocks, sol, basis0, basis1, omega0, omega1), _identities(st, sol)
+    sol, coupled0 = _angular(blocks, basis0, cond)
+    checks = _graph(blocks, sol, coupled0, basis0, basis1, omega0, omega1)
+    return rows, sol, checks, _identities(st, sol)
 

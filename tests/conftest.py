@@ -49,6 +49,13 @@ def inner_projector(inst) -> np.ndarray:
     return np.diag([1.0] * inst.n0 + [0.0] * inst.n1).astype(complex)
 
 
+def enclosure_of(inst) -> tuple[float, float]:
+    """spl.enclosure at an instance's gap, d and v; RegimeViolation outside
+    the split regime v < sqrt(d*D)."""
+    split = inst.split
+    return spl.enclosure(split.gap_left, split.gap_right, split.d, inst.v)
+
+
 def projector(cols: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the span of orthonormal columns."""
     return cols @ cols.conj().T

@@ -13,6 +13,8 @@ import pytest
 
 import spl
 
+from conftest import enclosure_of
+
 SQRT2 = math.sqrt(2.0)
 
 CAMPAIGN_CONFIG = spl.CampaignConfig(
@@ -58,7 +60,7 @@ def test_criterion_1_worked_example_golden_values(e1):
         "measured": abs(graph.measured - 0.38268343) <= 1e-7,
         "r_V": abs(rec["r_V"] - 0.20710678) <= 1e-7,
         "encl_hi": abs(rec["encl_hi"] - 0.20710678) <= 1e-7,
-        "edge_attained": abs(float(ps.omega0.max()) - ps.enclosure[1]) <= tol,
+        "edge_attained": abs(float(ps.omega0.max()) - enclosure_of(e1)[1]) <= tol,
         "bound13": abs(rec["bound13"] - 0.44721360) <= 1e-7,
         "bound32": abs(rec["bound32"] - 0.44721360) <= 1e-7,
         "bounds_coincide": abs(rec["bound13"] - rec["bound32"]) <= 1e-12,
@@ -232,7 +234,7 @@ def test_criterion_8_gap_survives_to_regime_edge():
         ps = spl.perturbed_split(inst)
         sep = float(np.min(np.abs(ps.omega0[:, None] - ps.omega1[None, :])))
         worst_sep = min(worst_sep, sep)
-        lo, hi = ps.enclosure
+        lo, hi = enclosure_of(inst)
         ok = ok and (
             not ps.gap_closed
             and ps.omega0.size == inst.n0

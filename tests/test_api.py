@@ -5,7 +5,7 @@ import types
 import spl
 
 PUBLIC_NAMES = [
-    "BoundInputs", "BoundReport", "CampaignConfig", "CampaignReport", "EigenSystem",
+    "BoundReport", "CampaignConfig", "CampaignReport", "EigenSystem",
     "GraphReport", "GridSpec", "IdentityReport", "InstanceParams", "KappaValue",
     "PerturbationInstance", "PerturbedSplit", "PhiSup", "PolarParts", "RiccatiSolution",
     "SharpnessConfig", "SpectralSplit", "Tolerances", "analyze", "angular_operator",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import numpy.testing as npt
 import pytest
 
 import spl
+from spl import cli, harness
 from spl.bounds import check_geometry, sin_arctan, sin_half_arctan
 from spl.errors import DomainViolation, RegimeViolation, SingularDenominator
 
@@ -197,6 +199,7 @@ def test_trig_helpers():
         npt.assert_allclose(sin_arctan(t), math.sin(math.atan(t)), atol=1e-14)
         npt.assert_allclose(sin_half_arctan(t), math.sin(0.5 * math.atan(t)), atol=1e-14)
     assert sin_half_arctan(1e200) == math.sqrt(0.5)
+    assert sin_arctan(1e200) == 1.0  # t*t overflowed, which gave 0
 
 
 # --- rational kernel and its supremum ------------------------------------------------
@@ -319,33 +322,32 @@ def test_kappa_max_over_D_consistency():
 
 
 def test_bound_inputs_flags():
-    inputs = spl.BoundInputs(D=4.0, d=1.0, v=1.2)
-    assert inputs.a == 1.0
-    assert inputs.regime_gap_survives  # 1.2 < sqrt(2)
-    assert inputs.regime_split         # 1.2 < 2
-    assert inputs.regime_detailed      # 1.2 < sqrt(3)
-    inputs = spl.BoundInputs(D=4.0, d=1.0, v=1.5)
-    assert not inputs.regime_gap_survives
-    assert inputs.regime_split
+    report = spl.bounds.applicable_bounds(4.0, 1.0, 1.2, -2.0, 2.0)
+    assert report.regime_gap_survives  # 1.2 < sqrt(2)
+    assert report.regime_split         # 1.2 < 2
+    assert report.regime_detailed      # 1.2 < sqrt(3)
+    report = spl.bounds.applicable_bounds(4.0, 1.0, 1.5, -2.0, 2.0)
+    assert not report.regime_gap_survives
+    assert report.regime_split
 
 
 def test_bound_inputs_validation():
     with pytest.raises(DomainViolation):
-        spl.BoundInputs(D=2.0, d=1.1, v=0.0)
+        spl.bounds.applicable_bounds(2.0, 1.1, 0.0, -1.0, 1.0)
     with pytest.raises(DomainViolation):
-        spl.BoundInputs(D=2.0, d=1.0, v=-0.5)
+        spl.bounds.applicable_bounds(2.0, 1.0, -0.5, -1.0, 1.0)
 
 
 @pytest.mark.parametrize("v", [-0.5, math.nan, math.inf])
 @pytest.mark.parametrize(
     "evaluate",
     [
-        lambda v: spl.BoundInputs(D=2.0, d=1.0, v=v),
+        lambda v: spl.bounds.applicable_bounds(2.0, 1.0, v, -1.0, 1.0),
         lambda v: spl.r_v(v, 1.0, 2.0, checked=False),
         lambda v: spl.kappa(2.0, 1.0, v, checked=False),
         lambda v: spl.bound_apriori(v, 1.0, checked=False),
     ],
-    ids=["BoundInputs", "r_v", "kappa", "bound_apriori"],
+    ids=["applicable_bounds", "r_v", "kappa", "bound_apriori"],
 )
 def test_perturbation_norm_must_be_finite_and_nonnegative(evaluate, v):
     # NaN passed a "v < 0" test and only failed when the report was serialised
@@ -353,19 +355,38 @@ def test_perturbation_norm_must_be_finite_and_nonnegative(evaluate, v):
         evaluate(v)
 
 
+@pytest.mark.parametrize("d", [0.0, -1.0, math.nan, math.inf])
+def test_apriori_separation_must_be_positive_and_finite(d):
+    # an infinite d gave the bound 0
+    with pytest.raises(DomainViolation, match="d="):
+        spl.bound_apriori(0.5, d, checked=False)
+
+
+def test_applicable_bounds_validates_the_geometry_once(monkeypatch):
+    calls = dict.fromkeys(["check_geometry", "check_norm"], 0)
+    for name in calls:
+        def counted(*args, _name=name, _check=getattr(spl.bounds, name)):
+            calls[_name] += 1
+            return _check(*args)
+        monkeypatch.setattr(spl.bounds, name, counted)
+    report = spl.bounds.applicable_bounds(2.0, 0.5, 0.5, -1.0, 1.0)
+    assert report.regime_gap_survives and report.regime_split and report.regime_detailed
+    assert calls == {"check_geometry": 1, "check_norm": 1}
+
+
 def test_applicable_bounds_are_the_formulas_at_the_geometry():
     # one evaluation per trial serves the enclosure, the regime flags and the report
     for D, d, v in [(2.0, 1.0, 0.5), (2.0, 0.3, 0.5), (3.0, 0.5, 0.9), (2.0, 0.4, 0.0)]:
         gl, gr = -D / 2.0, D / 2.0
         b = spl.bounds.applicable_bounds(D, d, v, gl, gr)
-        inputs = spl.BoundInputs(D=D, d=d, v=v)
+        survives, split, detailed = (v < limit for limit in spl.bounds.regime_limits(D, d))
         assert (b.regime_gap_survives, b.regime_split, b.regime_detailed) == (
-            inputs.regime_gap_survives, inputs.regime_split, inputs.regime_detailed
+            survives, split, detailed
         )
-        assert b.bound_apriori == (spl.bound_apriori(v, d) if inputs.regime_gap_survives else None)
-        assert b.kappa == (spl.kappa(D, d, v).value if inputs.regime_detailed else None)
-        assert b.r_v == (spl.r_v(v, d, D) if inputs.regime_split else None)
-        assert b.enclosure == (spl.enclosure(gl, gr, d, v) if inputs.regime_split else None)
+        assert b.bound_apriori == (spl.bound_apriori(v, d) if survives else None)
+        assert b.kappa == (spl.kappa(D, d, v).value if detailed else None)
+        assert b.r_v == (spl.r_v(v, d, D) if split else None)
+        assert b.enclosure == (spl.enclosure(gl, gr, d, v) if split else None)
         assert b.measured is None and b.ratio_apriori is None and b.ok_detailed is None
         assert b.against(0.1) == spl.make_bound_report(0.1, D, d, v, gl, gr)
 
@@ -408,3 +429,33 @@ def test_make_bound_report_out_of_regime():
 def test_make_bound_report_zero_ratio_convention():
     report = spl.make_bound_report(0.0, 2.0, 1.0, 0.0, -1.0, 1.0)
     assert report.ratio_apriori == 0.0 and report.ratio_detailed == 0.0
+
+
+# --- pinned bytes ----------------------------------------------------------------------
+
+#: SHA-256 of the sweep CSVs and then also of the `spl bounds` rows below, as
+#: computed before the regime decision moved into one validated evaluation.
+BOUND_DIGESTS = {
+    "sweep": "920cd1c4bac0a4602030b9d397a6e20e53f5ebf4240efbae19964bc6aa68f31c",
+    "rows": "f9603abee4b52f5f6cd2cef6b753c27b31194cbf8c5b346482e7ae568864a9a2",
+}
+
+#: (D, d, v) of `spl bounds` rows: every regime, out of all of them, and both kappa branches.
+BOUND_POINTS = [
+    ("2", "1", "0"), ("2", "1", "0.5"), ("2", "1", "1.2"), ("2", "1", "1.5"),
+    ("4", "1", "1.5"), ("3", "0.5", "2"), ("10", "0.05", "0.3"), ("1", "0.4", "0.45"),
+]
+
+
+def test_bound_bytes_are_pinned(capsys):
+    # the sweep grid crosses all three regime edges and both kappa branches
+    h = hashlib.sha256()
+    for d in (0.05, 0.3, 0.5, 1.0, 1.7):
+        rows = harness.sweep_rows(np.linspace(0.5, 10, 41), d, np.linspace(0, 3, 61))
+        h.update(harness.sweep_csv(rows).encode())
+    assert h.hexdigest() == BOUND_DIGESTS["sweep"]
+    for D, d, v in BOUND_POINTS:
+        for unchecked in ([], ["--unchecked"]):
+            assert cli.main(["bounds", "--D", D, "--d", d, "--v", v, *unchecked]) == 0
+            h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == BOUND_DIGESTS["rows"]

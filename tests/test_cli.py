@@ -112,6 +112,13 @@ def test_bounds_unchecked(capsys):
     assert doc["r_V"] is not None
 
 
+def test_bounds_unchecked_saturates(capsys):
+    # v/d = 1e160: sin(arctan(v/d)) squared its argument to inf and gave 0
+    argv = ["bounds", "--D", "1", "--d", "1e-60", "--v", "1e100", "--unchecked"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["bound13"] == 1.0
+
+
 def test_bounds_domain_error(capsys):
     assert cli.main(["bounds", "--D", "2", "--d", "1.5", "--v", "0.1"]) == cli.EXIT_CONFIG
     assert json.loads(capsys.readouterr().err)["error"] == "DomainViolation"
@@ -283,9 +290,13 @@ MATRIX_DOC = {"n": 3, "real": [[0.2, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0
         ({**E1_DOC, "sigma0": [math.nan]}, cli.EXIT_CONFIG, "ParseError"),
         ({**E1_DOC, "sigma1": [-1.0, math.inf]}, cli.EXIT_CONFIG, "ParseError"),
         ({**E1_DOC, "gap": [-math.inf, 1.0]}, cli.EXIT_CONFIG, "ParseError"),
+        # the bounds refuse a gap below SCALE_RANGE before the solve would
+        # find the gap closed (RankMismatch, exit 3)
+        ({"sigma0": [0], "sigma1": [-1e-101, 1e-101], "gap": [-1e-101, 1e-101],
+          "B": {"n": 1, "real": [[1e-99, 0]]}}, cli.EXIT_CONFIG, "DomainViolation"),
     ],
     ids=["non-hermitian", "non-square", "nan-matrix", "b-shape", "nan-b", "nan-sigma0",
-         "inf-sigma1", "inf-gap"],
+         "inf-sigma1", "inf-gap", "tiny-gap"],
 )
 def test_analyze_bad_input_exit_codes(tmp_path, capsys, doc, code, error):
     path = tmp_path / "bad.json"

@@ -1,0 +1,33 @@
+"""The solver layers import nothing from the layers above them: the
+closed-form bounds, the campaign harness and the file formats."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "spl"
+
+
+def spl_imports(module: str) -> set[str]:
+    """The spl modules that ``spl.<module>`` imports anywhere in its source."""
+    found = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "spl" + (f".{node.module}" if node.module else "") if node.level else node.module
+            names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found.update(name.split(".")[1] for name in names if name.startswith("spl."))
+    return found
+
+
+def test_import_scan_sees_relative_imports():
+    assert {"disposition", "errors", "linalg"} <= spl_imports("riccati")
+
+
+@pytest.mark.parametrize("module", ["riccati", "linalg", "disposition"])
+def test_solver_imports_no_bounds_harness_or_matio(module):
+    assert not spl_imports(module) & {"bounds", "harness", "matio"}

@@ -12,9 +12,10 @@ from spl.errors import (
     EigenFailure,
     NotAGraph,
     RankMismatch,
+    RegimeViolation,
 )
 
-from conftest import inner_projector, projector
+from conftest import enclosure_of, inner_projector, projector
 
 SQRT2 = math.sqrt(2.0)
 
@@ -35,11 +36,10 @@ def test_perturbed_split_e1(e1):
     npt.assert_allclose(ps.omega0, [(-1.0 + SQRT2) / 2.0], atol=1e-12)
     npt.assert_allclose(np.sort(ps.omega1), [(-1.0 - SQRT2) / 2.0, 1.0], atol=1e-12)
     assert not ps.gap_closed
-    npt.assert_allclose(
-        ps.enclosure, (-(SQRT2 - 1.0) / 2.0, (SQRT2 - 1.0) / 2.0), atol=1e-12
-    )
+    encl = enclosure_of(e1)
+    npt.assert_allclose(encl, (-(SQRT2 - 1.0) / 2.0, (SQRT2 - 1.0) / 2.0), atol=1e-12)
     # the perturbed inner eigenvalue attains the upper enclosure edge
-    npt.assert_allclose(float(ps.omega0.max()), ps.enclosure[1], atol=1e-12)
+    npt.assert_allclose(float(ps.omega0.max()), encl[1], atol=1e-12)
     assert ps.basis0.shape[1] == 1 and ps.basis1.shape[1] == 2
     basis = np.hstack([ps.basis0, ps.basis1])
     npt.assert_allclose(basis.conj().T @ basis, np.eye(3), atol=1e-12)
@@ -58,7 +58,8 @@ def test_perturbed_split_gap_closure_detected():
     inst = spl.assemble_instance([0.0], [-1.0, 1.0], (-1.0, 1.0), [[5.0, 0.0]])
     ps = spl.perturbed_split(inst)
     assert ps.gap_closed
-    assert ps.enclosure is None  # far outside the split regime
+    with pytest.raises(RegimeViolation):  # far outside the split regime
+        enclosure_of(inst)
     with pytest.raises(RankMismatch):
         spl.angular_operator(inst, ps)
 
@@ -67,7 +68,7 @@ def test_perturbed_split_enclosure_random():
     for inst in small_campaign_instances(seed=101, trials=40):
         ps = spl.perturbed_split(inst)
         assert not ps.gap_closed
-        lo, hi = ps.enclosure
+        lo, hi = enclosure_of(inst)
         assert float(ps.omega0.min()) >= lo - 1e-9
         assert float(ps.omega0.max()) <= hi + 1e-9
 
@@ -275,8 +276,11 @@ def test_graph_props_random_instances():
         herm, spectrum = spl.riccati.lambda0_diagnostics(sol)
         assert herm <= 1e-8
         assert spl.riccati.spectrum_mismatch(spectrum, ps.omega0) <= 1e-8
-        inputs = spl.BoundInputs(D=inst.split.gap_len, d=inst.split.d, v=inst.v)
-        if inputs.regime_detailed:
+        split = inst.split
+        report = spl.bounds.applicable_bounds(
+            split.gap_len, split.d, inst.v, split.gap_left, split.gap_right
+        )
+        if report.regime_detailed:
             assert sol.mu < 1.0
 
 

@@ -271,23 +271,32 @@ def _assemble(sigma0: np.ndarray, sigma1: np.ndarray, gap, b: np.ndarray) -> Ins
     n1 = sigma1.shape[1]
     if b.shape != (k, n0, n1):
         raise DimensionMismatch(f"coupling block must be {n0}x{n1}, got {b.shape[1:]}")
-    n = n0 + n1
+    el = _operators(sigma0, sigma1, b)
+    norms = op_norms(b).tolist()
+    s0, s1 = np.sort(sigma0), np.sort(sigma1)
+    seps = np.abs(s0[:, :, None] - s1[:, None, :]).min(axis=(1, 2)).tolist()
+    gl, gr = float(gap[0]), float(gap[1])
+    # positional arguments, the cheaper call: this runs once per campaign trial
+    insts = [
+        PerturbationInstance(el[i], v, SpectralSplit(s0[i], s1[i], gl, gr, seps[i], gr - gl))
+        for i, v in enumerate(norms)
+    ]
+    return InstanceStack(insts, el)
+
+
+def _operators(sigma0: np.ndarray, sigma1: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The operators L = A + V of stacked spectra (k, n0) and (k, n1) and
+    coupling blocks (k, n0, n1), in the split basis: A diagonal with the
+    sigma0 entries first, b and b* the off-diagonal blocks of V."""
+    k, n0 = sigma0.shape
+    n = n0 + sigma1.shape[1]
     el = np.zeros((k, n, n), dtype=complex)
     el.reshape(k, n * n)[:, :: n + 1] = np.concatenate((sigma0, sigma1), axis=1)
     el[:, :n0, n0:] = b
     el[:, n0:, :n0] = adjoint(b)
     # as the entrywise sum A + V does, turn every -0.0 part into +0.0
     el += 0.0
-    norms = op_norms(b).tolist()
-    s0, s1 = np.sort(sigma0), np.sort(sigma1)
-    seps = np.abs(s0[:, :, None] - s1[:, None, :]).min(axis=(1, 2)).tolist()
-    gl, gr = float(gap[0]), float(gap[1])
-    # positional arguments: this runs once per candidate of the sharpness search
-    insts = [
-        PerturbationInstance(el[i], v, SpectralSplit(s0[i], s1[i], gl, gr, seps[i], gr - gl))
-        for i, v in enumerate(norms)
-    ]
-    return InstanceStack(insts, el)
+    return el
 
 
 def _check_separation(d: float, outer) -> None:

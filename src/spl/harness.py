@@ -27,6 +27,7 @@ from .disposition import (
     _build,
     _check_separation,
     _draw,
+    _operators,
     assemble_instance,
     validate_disposition,
 )
@@ -703,12 +704,75 @@ class SharpnessConfig:
     outer_radius: float = 2.0
 
 
-def _measured_for(s0, s1, gap, b, d) -> tuple[float, PerturbationInstance]:
+class _Walk:
+    """One restart of the sharpness search: its generator and its current
+    point (s0, offs, b).  A move is kept only when it raises ``measured``,
+    so the current point is also the restart's best, reached first."""
+
+    def __init__(self, cfg: SharpnessConfig, r: int, gap: tuple[float, float]):
+        lo, hi = gap[0] + cfg.d, gap[1] - cfg.d
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(r,)))
+        self.rng, self.cfg, self.gap, self.lo, self.hi = rng, cfg, gap, lo, hi
+        self.pin = lo if r % 2 == 0 else hi
+        s0 = rng.uniform(lo, hi, cfg.n0) if hi > lo else np.full(cfg.n0, lo)
+        s0[0] = self.pin
+        offs = rng.uniform(0.0, cfg.outer_radius, cfg.n1 - 2)
+        self.sides = rng.integers(0, 2, cfg.n1 - 2)
+        bdir = rng.standard_normal((cfg.n0, cfg.n1)) + 1j * rng.standard_normal((cfg.n0, cfg.n1))
+        self.point = (s0, offs, bdir * (cfg.v / op_norm(bdir)))
+        self.measured = -1.0
+        self.step = 0.3
+
+    def outer(self, offs) -> list:
+        gl, gr = self.gap
+        return [gl, gr] + [gl - o if s == 0 else gr + o for o, s in zip(offs, self.sides)]
+
+    def propose(self) -> tuple | None:
+        """The next move's point, drawn from this restart's generator; None
+        when the coupling direction drawn has norm 0 (no move is made)."""
+        cfg, rng, step, lo, hi = self.cfg, self.rng, self.step, self.lo, self.hi
+        s0, offs, b = self.point
+        group = int(rng.integers(0, 3))
+        if group == 0 and hi > lo:
+            s0 = np.clip(s0 + rng.standard_normal(cfg.n0) * step * (hi - lo), lo, hi)
+            s0[0] = self.pin
+        elif group == 1 and cfg.n1 > 2:
+            offs = np.clip(
+                offs + rng.standard_normal(cfg.n1 - 2) * step * max(cfg.outer_radius, 1e-3),
+                0.0, cfg.outer_radius,
+            )
+        else:
+            bdir = b + step * cfg.v * (
+                rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape)
+            )
+            nrm = op_norm(bdir)
+            if nrm == 0.0:
+                return None
+            b = bdir * (cfg.v / nrm)
+        return s0, offs, b
+
+    def settle(self, point: tuple, measured: float) -> None:
+        """Keep the move to ``point`` if it improves, else shrink the step."""
+        if measured > self.measured:
+            self.point, self.measured = point, measured
+        else:
+            self.step = max(self.step * 0.95, 1e-4)
+
+
+def _step(moves: list[tuple[_Walk, tuple]]) -> None:
+    """Evaluate the moves (walk, point) as one stack and settle each walk."""
+    if not moves:
+        return
+    cfg, gap = moves[0][0].cfg, moves[0][0].gap
+    outers = [w.outer(offs) for w, (_, offs, _) in moves]
     # the search keeps its inner values at least d inside the gap and its
     # outer values on or outside its ends
-    _check_separation(d, s1)
-    inst = _assemble_one(s0, s1, gap, b)
-    return riccati.measured_rotation(inst, riccati.perturbed_split(inst)), inst
+    for outer in outers:
+        _check_separation(cfg.d, outer)
+    L = _operators(np.array([p[0] for _, p in moves]), np.array(outers),
+                   np.array([p[2] for _, p in moves]))
+    for (w, p), measured in zip(moves, riccati._rotations(L, gap, cfg.n0).tolist()):
+        w.settle(p, measured)
 
 
 def sharpness_search(cfg: SharpnessConfig) -> dict:
@@ -720,6 +784,12 @@ def sharpness_search(cfg: SharpnessConfig) -> dict:
     sphere.  Accept-if-improved coordinate perturbations with a decaying
     step; deterministic for a fixed seed.  The returned ratio can approach
     but never exceed 1 (up to the bound slack).
+
+    The restarts run in lockstep: each draws from its own generator, and
+    the candidates of one iteration of all of them are evaluated as one
+    stack.  The result does not depend on that grouping; it is the one of
+    running the restarts one after another, the first best of the lowest
+    restart reported.
     """
     if cfg.n0 < 1 or cfg.n1 < 2:
         raise InfeasibleParams(f"need n0 >= 1 and n1 >= 2, got {cfg.n0}, {cfg.n1}")
@@ -728,71 +798,25 @@ def sharpness_search(cfg: SharpnessConfig) -> dict:
     bounds.check_geometry(cfg.D, cfg.d)
     gap = (-cfg.D / 2.0, cfg.D / 2.0)
     if cfg.v == 0.0:
-        _, inst = _measured_for(
-            [gap[0] + cfg.d] * cfg.n0,
-            [gap[0], gap[1]] + [gap[1]] * (cfg.n1 - 2),
-            gap,
-            np.zeros((cfg.n0, cfg.n1)),
-            cfg.d,
-        )
+        outer = [gap[0], gap[1]] + [gap[1]] * (cfg.n1 - 2)
+        _check_separation(cfg.d, outer)
+        inst = _assemble_one([gap[0] + cfg.d] * cfg.n0, outer, gap, np.zeros((cfg.n0, cfg.n1)))
         return _sharpness_result(cfg, 0.0, 0.0, 0.0, inst)
     detailed = bounds.regime_limits(cfg.D, cfg.d)[2]
     if not 0.0 < cfg.v < detailed:
         raise InfeasibleParams(f"search requires 0 <= v < sqrt(d*(D-d)) = {detailed}")
     b32 = bounds.bound_detailed(cfg.D, cfg.d, cfg.v)
-    lo, hi = gap[0] + cfg.d, gap[1] - cfg.d
-    best_measured = -1.0
-    best_inst = None
 
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(r,)))
-        pin = lo if r % 2 == 0 else hi
-        s0 = rng.uniform(lo, hi, cfg.n0) if hi > lo else np.full(cfg.n0, lo)
-        s0[0] = pin
-        offs = rng.uniform(0.0, cfg.outer_radius, cfg.n1 - 2)
-        sides = rng.integers(0, 2, cfg.n1 - 2)
-        bdir = rng.standard_normal((cfg.n0, cfg.n1)) + 1j * rng.standard_normal((cfg.n0, cfg.n1))
-        b = bdir * (cfg.v / op_norm(bdir))
-
-        def outer_values(offs_, sides_):
-            return [gap[0], gap[1]] + [
-                gap[0] - o if s == 0 else gap[1] + o for o, s in zip(offs_, sides_)
-            ]
-
-        measured, inst = _measured_for(s0, outer_values(offs, sides), gap, b, cfg.d)
-        if measured > best_measured:
-            best_measured, best_inst = measured, inst
-        step = 0.3
-        for _ in range(cfg.iters):
-            group = int(rng.integers(0, 3))
-            s0_new, offs_new, b_new = s0, offs, b
-            if group == 0 and hi > lo:
-                s0_new = np.clip(s0 + rng.standard_normal(cfg.n0) * step * (hi - lo), lo, hi)
-                s0_new[0] = pin
-            elif group == 1 and cfg.n1 > 2:
-                offs_new = np.clip(
-                    offs + rng.standard_normal(cfg.n1 - 2) * step * max(cfg.outer_radius, 1e-3),
-                    0.0, cfg.outer_radius,
-                )
-            else:
-                bdir_new = b + step * cfg.v * (
-                    rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape)
-                )
-                nrm = op_norm(bdir_new)
-                if nrm == 0.0:
-                    continue
-                b_new = bdir_new * (cfg.v / nrm)
-            cand, inst_cand = _measured_for(
-                s0_new, outer_values(offs_new, sides), gap, b_new, cfg.d
-            )
-            if cand > measured:
-                measured, s0, offs, b = cand, s0_new, offs_new, b_new
-                if cand > best_measured:
-                    best_measured, best_inst = cand, inst_cand
-            else:
-                step = max(step * 0.95, 1e-4)
-    ratio = best_measured / b32 if b32 > 0.0 else 0.0
-    return _sharpness_result(cfg, ratio, best_measured, b32, best_inst)
+    walks = [_Walk(cfg, r, gap) for r in range(cfg.restarts)]
+    _step([(w, w.point) for w in walks])
+    for _ in range(cfg.iters):
+        _step([(w, p) for w in walks for p in (w.propose(),) if p is not None])
+    # max keeps the first of equal maxima, as the sequential loop's strict > did
+    best = max(walks, key=lambda w: w.measured)
+    s0, offs, b = best.point
+    ratio = best.measured / b32 if b32 > 0.0 else 0.0
+    inst = _assemble_one(s0, best.outer(offs), gap, b)
+    return _sharpness_result(cfg, ratio, best.measured, b32, inst)
 
 
 def _sharpness_result(cfg, ratio, measured, bound32, inst) -> dict:
@@ -808,6 +832,6 @@ def _sharpness_result(cfg, ratio, measured, bound32, inst) -> dict:
         "restarts": cfg.restarts,
         "iters": cfg.iters,
         "seed": cfg.seed,
-        "ok": bool(ratio <= 1.0 + 1e-9),
+        "ok": bool(ratio <= 1.0 + Tolerances().bound_slack),
         "instance": matio.instance_to_dict(inst),
     }

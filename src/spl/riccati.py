@@ -247,6 +247,19 @@ def measured_rotation(inst: PerturbationInstance, ps: PerturbedSplit) -> float:
     return _rotation(ps.basis0[None], inst.n0)[0].item()
 
 
+def _rotations(L: np.ndarray, gap: tuple[float, float], n0: int) -> np.ndarray:
+    """:func:`measured_rotation` of each stacked operator L, split by the
+    gap as :func:`perturbed_split` splits one: ||Y1|| clipped to 1 where
+    the inner count is n0, else 1.0.  One verified eigensolve for the stack."""
+    es = _eigen(L)
+    inner = _inner_mask(es.values, es.edge_tol[:, None], *gap)
+    rows = np.flatnonzero(inner.sum(axis=1) == n0).tolist()
+    out = np.ones(len(L))
+    if rows:
+        out[rows] = _rotation(_bases(es, inner, rows, n0)[2], n0)
+    return out
+
+
 def _conditioning(basis0: np.ndarray, n0: int) -> list[float]:
     """Condition number of the inner block Y0 of each stacked basis."""
     sing = lapack(np.linalg.svd, basis0[:, :n0, :], compute_uv=False)

@@ -320,6 +320,33 @@ def test_analyze_convergence_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().err)["error"] == "ConvergenceFailure"
 
 
+@pytest.mark.parametrize("failure", ["raise", "residual"])
+def test_sharpness_eigen_failure_in_a_lockstep_stack(tmp_path, capsys, monkeypatch, failure):
+    # the 5th eigensolve is iteration 4 of all four restarts at once; a
+    # LinAlgError there, or a wrong eigenvector of its last matrix caught by
+    # the residual check, is still typed
+    original = np.linalg.eigh
+    sizes = []
+
+    def broken(a, *args, **kwargs):
+        sizes.append(len(a))
+        values, vectors = original(a, *args, **kwargs)
+        if len(sizes) == 5:
+            if failure == "raise":
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            vectors = vectors.copy()
+            vectors[-1, :, 0] = vectors[-1, :, 1]
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", broken)
+    args = ["sharpness", "--D", "2", "--d", "0.5", "--v", "0.8", "--n0", "2", "--n1", "3",
+            "--restarts", "4", "--iters", "10", "--out", str(tmp_path / "s.json")]
+    assert cli.main(args) == cli.EXIT_STRUCTURAL
+    assert json.loads(capsys.readouterr().err)["error"] == "EigenFailure"
+    assert sizes == [4] * 5
+    assert not (tmp_path / "s.json").exists()
+
+
 def test_lapack_failure_is_structural(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")

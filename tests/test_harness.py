@@ -348,6 +348,17 @@ def test_sharpness_search_improves_and_respects_bound():
     npt.assert_allclose(rec["measured"], result["measured"], atol=1e-10)
 
 
+@pytest.mark.parametrize("v, branch", [(0.8, "full"), (0.3, "linear")])
+def test_sharpness_search_attains_the_detailed_bound(v, branch):
+    # the detailed bound is sharp: on the 2+2 family a seeded search comes
+    # within 1e-6 of it, on both branches of kappa
+    assert spl.bounds.kappa(2.0, 0.5, v).branch == branch
+    cfg = spl.SharpnessConfig(n0=2, n1=2, D=2.0, d=0.5, v=v, restarts=4, iters=400, seed=0)
+    result = spl.sharpness_search(cfg)
+    assert 1.0 - 1e-6 <= result["best_ratio"] <= 1.0 + spl.Tolerances().bound_slack
+    assert result["ok"]
+
+
 def test_sharpness_infeasible_params():
     with pytest.raises(InfeasibleParams):
         spl.sharpness_search(spl.SharpnessConfig(n0=0, n1=2, D=2.0, d=1.0, v=0.5))

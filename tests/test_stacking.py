@@ -399,8 +399,8 @@ def test_analyze_reports_match_the_per_trial_pipeline():
     assert h.hexdigest() == PER_TRIAL_DIGESTS["analyze"]
 
 
-#: SHA-256 of the sharpness search results of SHARPNESS_CONFIGS, whose
-#: every candidate is built as a stack of one.
+#: SHA-256 of the sharpness search results of SHARPNESS_CONFIGS, taken when
+#: every candidate was evaluated on its own.
 SHARPNESS_DIGEST = "b6736dfd61561969a782d97c2e2313a490c64c541c80b35c7d7b95244ddbb00d"
 
 SHARPNESS_CONFIGS = [
@@ -415,6 +415,43 @@ def test_sharpness_results_are_pinned():
     for cfg in SHARPNESS_CONFIGS:
         h.update(matio.dumps(harness.sharpness_search(cfg), indent=2).encode())
     assert h.hexdigest() == SHARPNESS_DIGEST
+
+
+#: SHA-256 of the sharpness search results of LOCKSTEP_CONFIGS, taken when
+#: the restarts ran one after another: the lockstep search must not depend
+#: on how many restarts share a stack.  The configs cover 1, 3, 4 and 8
+#: restarts, n1 = 2 (no outer offsets to move), D = 2d (the inner values
+#: cannot move) and odd iteration counts.
+SHARPNESS_LOCKSTEP_DIGEST = "597611f25b4391b2d0066f24c09a762216bfe06da6f500f8d3c24303178a4e26"
+
+LOCKSTEP_CONFIGS = [
+    harness.SharpnessConfig(n0=3, n1=5, D=2.0, d=0.5, v=0.7, restarts=1, iters=61, seed=5),
+    harness.SharpnessConfig(n0=2, n1=2, D=2.0, d=0.5, v=0.6, restarts=3, iters=47, seed=2),
+    harness.SharpnessConfig(n0=2, n1=4, D=1.0, d=0.5, v=0.3, restarts=4, iters=33, seed=7),
+    harness.SharpnessConfig(n0=1, n1=3, D=3.0, d=0.4, v=0.5, restarts=8, iters=25, seed=11),
+    harness.SharpnessConfig(n0=1, n1=2, D=1.0, d=0.5, v=0.4, restarts=3, iters=9, seed=4),
+    harness.SharpnessConfig(n0=4, n1=6, D=2.0, d=0.5, v=0.8, restarts=4, iters=51, seed=3),
+]
+
+
+def test_stacked_rotations_match_the_per_instance_route():
+    # one row's gap closes: its rotation is 1.0, as measured_rotation says
+    closed = spl.assemble_instance(
+        [-0.5, 0.5], [-1.0, 1.0, 1.5], (-1.0, 1.0), 3.0 * np.eye(2, 3)
+    )
+    insts = shape_instances(2, 3, 808)
+    insts.insert(2, closed)
+    singles = [riccati.measured_rotation(i, riccati.perturbed_split(i)) for i in insts]
+    assert singles[2] == 1.0 and riccati.perturbed_split(closed).gap_closed
+    stacked = riccati._rotations(np.stack([i.L for i in insts]), (-1.0, 1.0), 2)
+    assert stacked.tolist() == singles
+
+
+def test_lockstep_sharpness_results_are_pinned():
+    h = hashlib.sha256()
+    for cfg in LOCKSTEP_CONFIGS:
+        h.update(matio.dumps(harness.sharpness_search(cfg), indent=2).encode())
+    assert h.hexdigest() == SHARPNESS_LOCKSTEP_DIGEST
 
 
 # --- the two generation routes -------------------------------------------------------

@@ -6,7 +6,7 @@ the angular operator of the rotated spectral subspace through its graph
 representation, and checks every closed-form bound against measurements.
 """
 
-from . import bounds, cli, disposition, harness, linalg, matio, riccati
+from . import bounds, disposition, harness, linalg, matio, riccati
 from .bounds import (
     BoundReport,
     GridSpec,

@@ -12,6 +12,7 @@ input or usage error.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
@@ -83,12 +84,22 @@ def _parse_linspace(text: str) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
+def _check_out_dir(out: str | None) -> None:
+    """Refuse an --out whose directory does not exist, before any work."""
+    if out and not os.path.isdir(os.path.dirname(out) or "."):
+        raise ConfigError(f"cannot write {out}: its directory does not exist")
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out or 'stdout'}: {exc}") from exc
 
 
 def _cmd_analyze(args) -> int:
@@ -230,6 +241,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out_dir(getattr(args, "out", None))
         return args.func(args)
     except (ConfigError, ParseError, InfeasibleParams, DispositionViolation,
             DomainViolation, SingularDenominator, NonHermitianInput, DimensionMismatch,

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,7 +67,7 @@ GRAPH_RESIDUALS = (
 #: as one stack.  It bounds the instances held at once, so memory does not
 #: grow with the campaign or the block size: a window holds about 200
 #: trials of blocks up to 2 + 4 rows, and about 8 of the acceptance shape,
-#: whose 361 shapes would rarely share a bucket anyway.
+#: whose 380 shapes would rarely share a bucket anyway.
 WINDOW_ENTRIES = 4096
 
 #: Column order of sweep CSV files.
@@ -193,6 +192,8 @@ def _as_float_range(x) -> tuple[float, float]:
 def validate_config(cfg: CampaignConfig) -> None:
     if cfg.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {cfg.trials}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if not 0.0 <= cfg.v_fraction < 1.0:
         # exactly 0 is allowed and forces trivial (unperturbed) instances
         raise ConfigError(f"v_fraction must lie in [0, 1), got {cfg.v_fraction}")
@@ -526,6 +527,9 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     # the initializer pins workers that do not fork from this process
     with one_blas_thread():
         if workers >= 2:
+            # imported here: a serial run never loads the process-pool machinery
+            from concurrent.futures import ProcessPoolExecutor
+
             chunk = max(1, math.ceil(cfg.trials / (workers * 4)))
             batches = [indices[i:i + chunk] for i in range(0, cfg.trials, chunk)]
             records: list[dict] = []
@@ -795,6 +799,8 @@ def sharpness_search(cfg: SharpnessConfig) -> dict:
         raise InfeasibleParams(f"need n0 >= 1 and n1 >= 2, got {cfg.n0}, {cfg.n1}")
     if cfg.restarts < 1 or cfg.iters < 0:
         raise InfeasibleParams("need restarts >= 1 and iters >= 0")
+    if cfg.seed < 0:
+        raise InfeasibleParams(f"seed must be >= 0, got {cfg.seed}")
     bounds.check_geometry(cfg.D, cfg.d)
     gap = (-cfg.D / 2.0, cfg.D / 2.0)
     if cfg.v == 0.0:

@@ -1,5 +1,11 @@
+import errno
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -261,6 +267,95 @@ def test_usage_exit_codes(capsys, argv, code):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--trials", "3", "--seed", "1"],
+     ["sharpness", "--D", "2", "--d", "1", "--v", "0.5", "--n0", "1", "--n1", "2"]],
+    ids=["verify", "sharpness"],
+)
+def test_out_in_a_missing_directory_is_refused_before_work(tmp_path, capsys, monkeypatch, argv):
+    def no_work(cfg):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(spl.harness, "run_campaign", no_work)
+    monkeypatch.setattr(spl.harness, "sharpness_search", no_work)
+    code = cli.main(argv + ["--out", str(tmp_path / "missing" / "r.json")])
+    assert code == cli.EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "missing" in err["detail"]
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    # the directory exists, so only the write after the work fails
+    code = cli.main(["sweep", "--D-range", "2:4:3", "--d", "1", "--v-range", "0:0.5:2",
+                     "--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and str(tmp_path) in err["detail"]
+
+
+def test_failed_stdout_write_is_a_usage_error(capsys, monkeypatch):
+    class FullStdout(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    assert cli.main(["bounds", "--D", "2", "--d", "0.5", "--v", "0.3"]) == cli.EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "stdout" in err["detail"]
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [(["verify", "--trials", "4", "--seed", "-1", "--parallel", "2"], "ConfigError"),
+     (["sharpness", "--D", "2", "--d", "1", "--v", "0.5", "--n0", "1", "--n1", "2",
+       "--seed", "-1"], "InfeasibleParams")],
+    ids=["verify-parallel", "sharpness"],
+)
+def test_negative_seed_is_refused_before_work(tmp_path, capsys, monkeypatch, argv, error):
+    # SeedSequence refused it only at the first draw, in a forked worker
+    def no_pool(**kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(spl.harness, "_usable_cpus", lambda: 2)
+    assert cli.main(argv + ["--out", str(tmp_path / "r.json")]) == cli.EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == error and "seed" in err["detail"]
+
+
+#: Run in a fresh interpreter: ``import spl`` loads neither the command line
+#: nor argparse, serial ``verify`` and ``sharpness`` load no process pool, and
+#: a ``--parallel 2`` campaign loads it and writes the serial bytes.
+STARTUP_SCRIPT = """
+import sys
+import spl
+print(sorted(m for m in ("spl.cli", "argparse") if m in sys.modules))
+from spl import cli, harness
+POOL = ("multiprocessing", "concurrent.futures.process")
+out = sys.argv[1]
+verify = ["verify", "--trials", "6", "--seed", "3", "--n0", "1:3", "--n1", "2:3"]
+assert cli.main(verify + ["--out", out + "/serial.json"]) == 0
+assert cli.main(["sharpness", "--D", "2", "--d", "1", "--v", "0.5", "--n0", "1", "--n1", "2",
+                 "--iters", "5", "--out", out + "/sharp.json"]) == 0
+print(sorted(m for m in POOL if m in sys.modules))
+harness._usable_cpus = lambda: 2
+assert cli.main(verify + ["--parallel", "2", "--out", out + "/parallel.json"]) == 0
+print(sorted(m for m in POOL if m in sys.modules))
+"""
+
+
+def test_serial_runs_never_load_the_process_pool(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(spl.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "[]", "[]", "['concurrent.futures.process', 'multiprocessing']"
+    ]
+    assert (tmp_path / "parallel.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
 
 
 def test_negative_option_values_parse():

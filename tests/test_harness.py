@@ -46,6 +46,7 @@ def tiny_config(**kw):
         {"gap": (-1e200, 1e200), "d": 1e199},
         {"d": (1e-101, 0.5)},
         {"outer_radius": 1.1e100},
+        {"seed": -1},
     ],
 )
 def test_validate_config_rejects(kw):
@@ -138,7 +139,7 @@ def test_pool_workers_run_one_blas_thread(two_blas_threads, monkeypatch, method)
 
     cfg = tiny_config(trials=8)
     serial = spl.run_campaign(cfg).to_json()
-    monkeypatch.setattr(spl.harness, "ProcessPoolExecutor", ProbedPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", ProbedPool)
     monkeypatch.setattr(spl.harness, "_usable_cpus", lambda: 2)
     assert spl.run_campaign(dataclasses.replace(cfg, parallel=2)).to_json() == serial
     assert seen == [1]
@@ -357,6 +358,18 @@ def test_sharpness_search_attains_the_detailed_bound(v, branch):
     result = spl.sharpness_search(cfg)
     assert 1.0 - 1e-6 <= result["best_ratio"] <= 1.0 + spl.Tolerances().bound_slack
     assert result["ok"]
+
+
+def test_campaign_attains_the_apriori_bound_at_D_equal_2d():
+    # the a-priori bound is sharp: at D = 2d, 1+2 instances with
+    # d <= v < sqrt(2)d, where only that bound applies, come within 1e-6 of it
+    cfg = spl.CampaignConfig(
+        trials=500, seed=0, n0=1, n1=2, gap=(-1.0, 1.0), d=1.0, regime="C",
+        v_fraction=1.2 / SQRT2,
+    )
+    agg = spl.run_campaign(cfg).aggregates
+    assert 1.0 - 1e-6 <= agg["max_ratio13"] <= 1.0 + spl.Tolerances().bound_slack
+    assert agg["violations"]["total"] == 0
 
 
 def test_sharpness_infeasible_params():

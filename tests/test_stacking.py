@@ -354,7 +354,7 @@ def test_parallel_chunks_split_buckets_without_changing_bytes(monkeypatch):
             chunks.extend(batches)
             return super().map(fn, cfgs, batches)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     serial = spl.run_campaign(TINY)
     assert digest(spl.run_campaign(dataclasses.replace(TINY, parallel=2))) == digest(serial)

@@ -9,7 +9,6 @@ representation, and checks every closed-form bound against measurements.
 from . import bounds, disposition, harness, linalg, matio, riccati
 from .bounds import (
     BoundReport,
-    GridSpec,
     KappaValue,
     PhiSup,
     bound_apriori,
@@ -34,7 +33,6 @@ from .harness import (
     CampaignConfig,
     CampaignReport,
     SharpnessConfig,
-    Tolerances,
     analyze,
     run_campaign,
     sharpness_search,
@@ -49,7 +47,6 @@ from .linalg import (
     eigh,
     op_norm,
     polar_decompose,
-    random_unitary,
     subspace_angle,
 )
 from .riccati import (

@@ -42,20 +42,13 @@ class PhiSup:
     branch: str
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Grid parameters for the brute-force supremum oracle."""
-
-    x_max_factor: float = 4.0
-    n_x: int = 2000
-    n_y: int = 2000
-    refine_rounds: int = 4
-    refine_n: int = 201
-
-
 #: Magnitudes accepted for D, d and v.  The bounds are scale-invariant,
 #: but d*D, d*(D-d) and v*v under- or overflow far outside this range.
 SCALE_RANGE = (1e-100, 1e100)
+
+#: Absolute slack of a measurement checked against a bound: measured <= bound
+#: + BOUND_SLACK passes.
+BOUND_SLACK = 1e-9
 
 
 def check_geometry(D: float, d: float) -> None:
@@ -194,14 +187,13 @@ def bound_apriori(v: float, d: float, checked: bool = True) -> float:
     return sin_arctan(v / d)
 
 
-def bound_detailed(D: float, d: float, v: float, checked: bool = True) -> float:
+def bound_detailed(D: float, d: float, v: float) -> float:
     """Gap-length-aware projector-difference bound sin(arctan(kappa)/2).
 
     Strictly below sqrt(2)/2 on its domain; coincides with the a-priori
     bound at D = 2d and is dominated by it for v < d.
     """
-    k = kappa(D, d, v, checked=checked)
-    return sin_half_arctan(k.value)
+    return sin_half_arctan(kappa(D, d, v).value)
 
 
 def phi(x: float, y: float, a: float, v: float) -> float:
@@ -252,19 +244,20 @@ def phi_sup_analytic(a: float, d: float, v: float) -> PhiSup:
     return PhiSup(sup=sup, x=x_star, y=y_star, branch="full")
 
 
-def phi_sup_oracle(a: float, d: float, v: float, grid: GridSpec | None = None) -> PhiSup:
+def phi_sup_oracle(a: float, d: float, v: float) -> PhiSup:
     """Brute-force grid supremum of the kernel with local refinement.
 
     Independent of the closed form: evaluates the kernel on a dense grid
     over the truncated domain (the kernel decays like v/x for large x, so
-    truncation is sound) and zooms around the running argmax.
+    truncation is sound) and zooms around the running argmax: a 2000 x
+    2000 grid over [a+d, 4(a+d) + 10(a+v+d)] x [0, v], then four rounds of
+    201 x 201 points within two cells of it.
     """
     _check_phi_domain(a, d, v)
-    g = grid or GridSpec()
     x_lo = a + d
-    x_hi = x_lo * g.x_max_factor + 10.0 * (a + v + d)
-    xs = np.linspace(x_lo, x_hi, g.n_x)
-    ys = np.linspace(0.0, v, g.n_y)
+    x_hi = x_lo * 4.0 + 10.0 * (a + v + d)
+    xs = np.linspace(x_lo, x_hi, 2000)
+    ys = np.linspace(0.0, v, 2000)
 
     def grid_max(xv, yv):
         den = (xv * xv)[:, None] + (yv * yv)[None, :] - a * a - v * v
@@ -274,11 +267,11 @@ def phi_sup_oracle(a: float, d: float, v: float, grid: GridSpec | None = None) -
 
     best, xv, yv, i, j = grid_max(xs, ys)
     bx, by = float(xv[i]), float(yv[j])
-    for _ in range(g.refine_rounds):
+    for _ in range(4):
         dx = (xv[-1] - xv[0]) / (xv.size - 1)
         dy = (yv[-1] - yv[0]) / (yv.size - 1) if yv.size > 1 else 0.0
-        xv = np.linspace(max(x_lo, bx - 2 * dx), bx + 2 * dx, g.refine_n)
-        yv = np.linspace(max(0.0, by - 2 * dy), min(v, by + 2 * dy), g.refine_n)
+        xv = np.linspace(max(x_lo, bx - 2 * dx), bx + 2 * dx, 201)
+        yv = np.linspace(max(0.0, by - 2 * dy), min(v, by + 2 * dy), 201)
         cand, xv, yv, i, j = grid_max(xv, yv)
         if cand > best:
             best = cand
@@ -312,16 +305,17 @@ class BoundReport:
     ok_apriori: bool | None = None
     ok_detailed: bool | None = None
 
-    def against(self, measured: float, slack: float = 1e-9) -> BoundReport:
-        """This report's bounds checked against a measurement."""
+    def against(self, measured: float) -> BoundReport:
+        """This report's bounds checked against a measurement, up to
+        BOUND_SLACK."""
         b13, b32 = self.bound_apriori, self.bound_detailed
         return BoundReport(**{
             **self.__dict__,
             "measured": measured,
             "ratio_apriori": None if b13 is None else _ratio(measured, b13),
             "ratio_detailed": None if b32 is None else _ratio(measured, b32),
-            "ok_apriori": None if b13 is None else measured <= b13 + slack,
-            "ok_detailed": None if b32 is None else measured <= b32 + slack,
+            "ok_apriori": None if b13 is None else measured <= b13 + BOUND_SLACK,
+            "ok_detailed": None if b32 is None else measured <= b32 + BOUND_SLACK,
         })
 
 
@@ -374,7 +368,6 @@ def make_bound_report(
     v: float,
     gamma_l: float,
     gamma_r: float,
-    slack: float = 1e-9,
 ) -> BoundReport:
     """Evaluate all bounds applicable at (D, d, v) against a measurement."""
-    return applicable_bounds(D, d, v, gamma_l, gamma_r).against(measured, slack)
+    return applicable_bounds(D, d, v, gamma_l, gamma_r).against(measured)

@@ -85,8 +85,13 @@ def _parse_linspace(text: str) -> np.ndarray:
 
 
 def _check_out_dir(out: str | None) -> None:
-    """Refuse an --out whose directory does not exist, before any work."""
-    if out and not os.path.isdir(os.path.dirname(out) or "."):
+    """Refuse an --out that is a directory or whose directory does not
+    exist, before any work."""
+    if not out:
+        return
+    if os.path.isdir(out):
+        raise ConfigError(f"cannot write {out}: it is a directory")
+    if not os.path.isdir(os.path.dirname(out) or "."):
         raise ConfigError(f"cannot write {out}: its directory does not exist")
 
 
@@ -190,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gap-left", type=float, default=None)
     p.add_argument("--gap-right", type=float, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("bounds", help="evaluate all bounds at one (D, d, v) point")
@@ -211,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", default="0.1:0.9", help="separation, fixed or lo:hi")
     p.add_argument("--regime", choices=list(harness.REGIMES), default="mixed")
     p.add_argument("--v-frac", type=float, default=0.9)
-    p.add_argument("--outer-radius", type=float, default=2.0)
+    p.add_argument("--outer-radius", type=float, default=harness.OUTER_RADIUS)
     p.add_argument("--parallel", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_verify)

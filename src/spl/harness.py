@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,7 @@ RECORD_KEYS = (
     "enclosure_ok", "violations", "error",
 )
 
-#: Record keys of the graph residuals, each checked against ``Tolerances.graph``.
+#: Record keys of the graph residuals, each checked against ``GRAPH_TOL``.
 GRAPH_RESIDUALS = (
     "graph_angle_residual", "graph1_residual", "spec0_residual", "spec1_residual",
     "lambda0_herm_residual", "lambda0_spec_residual",
@@ -70,35 +70,24 @@ GRAPH_RESIDUALS = (
 #: whose 380 shapes would rarely share a bucket anyway.
 WINDOW_ENTRIES = 4096
 
+#: Tolerances of the campaign checks, serialised in the report's config.
+#: The scales multiply (|A| + |V|)^2, the natural quadratic scale of the
+#: identity checks; the others are absolute.  The bound slack is
+#: ``bounds.BOUND_SLACK``.
+ENCLOSURE_SLACK = 1e-9
+GRAPH_TOL = 1e-8
+RICCATI_SCALE = 1e-8
+LEMMA_SCALE = 1e-9
+
+#: Spread of the outer eigenvalues beyond the gap ends: the default of a
+#: campaign and the value of the sharpness search.
+OUTER_RADIUS = 2.0
+
 #: Column order of sweep CSV files.
 SWEEP_COLUMNS = (
     "D", "d", "v", "regime12", "regime29", "regime31",
     "kappa", "branch", "bound13", "bound32", "r_V", "encl_lo", "encl_hi",
 )
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Per-check tolerances used by campaigns.
-
-    The residual scales multiply (|A| + |V|)^2, the natural quadratic scale
-    of the identity checks; the remaining entries are absolute.
-    """
-
-    bound_slack: float = 1e-9
-    enclosure_slack: float = 1e-9
-    graph: float = 1e-8
-    riccati_scale: float = 1e-8   # times (|A| + |V|)^2
-    lemma_scale: float = 1e-9     # times (|A| + |V|)^2
-
-    def to_dict(self) -> dict:
-        return {
-            "bound_slack": self.bound_slack,
-            "enclosure_slack": self.enclosure_slack,
-            "graph": self.graph,
-            "riccati_scale": self.riccati_scale,
-            "lemma_scale": self.lemma_scale,
-        }
 
 
 @dataclass(frozen=True)
@@ -122,10 +111,9 @@ class CampaignConfig:
     n1: int | tuple[int, int] = (2, 8)
     gap: tuple[float, float] = (-1.0, 1.0)
     d: float | tuple[float, float] = (0.1, 0.9)
-    outer_radius: float = 2.0
+    outer_radius: float = OUTER_RADIUS
     regime: str = "mixed"
     v_fraction: float = 0.9
-    tolerances: Tolerances = field(default_factory=Tolerances)
     parallel: int = 0
 
     def to_dict(self) -> dict:
@@ -139,7 +127,13 @@ class CampaignConfig:
             "outer_radius": float(self.outer_radius),
             "regime": self.regime,
             "v_fraction": float(self.v_fraction),
-            "tolerances": self.tolerances.to_dict(),
+            "tolerances": {
+                "bound_slack": bounds.BOUND_SLACK,
+                "enclosure_slack": ENCLOSURE_SLACK,
+                "graph": GRAPH_TOL,
+                "riccati_scale": RICCATI_SCALE,
+                "lemma_scale": LEMMA_SCALE,
+            },
         }
 
 
@@ -159,8 +153,8 @@ class CampaignReport:
             "records": self.records,
         }
 
-    def to_json(self, indent: int = 0) -> str:
-        return matio.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return matio.dumps(self.to_dict())
 
     @property
     def exit_code(self) -> int:
@@ -285,11 +279,7 @@ def _build_trials(cfg: CampaignConfig, trials: list) -> InstanceStack:
     )
 
 
-def trial_record_for_instance(
-    inst: PerturbationInstance,
-    tol: Tolerances | None = None,
-    trial: int | None = None,
-) -> dict:
+def trial_record_for_instance(inst: PerturbationInstance, trial: int | None = None) -> dict:
     """Run the full verification pipeline on one instance.
 
     Returns a flat record of every measured quantity, every applicable
@@ -298,7 +288,7 @@ def trial_record_for_instance(
     split regime, non-graph subspaces, eigensolver breakdown) are reported
     in the ``error`` field instead of raising.
     """
-    return _stack_records(InstanceStack.of([inst]), tol or Tolerances(), [trial])[0]
+    return _stack_records(InstanceStack.of([inst]), [trial])[0]
 
 
 def _applicable(inst: PerturbationInstance) -> bounds.BoundReport:
@@ -311,7 +301,7 @@ def _applicable(inst: PerturbationInstance) -> bounds.BoundReport:
 
 
 def _records(insts: list[PerturbationInstance], res: riccati.StackSolution,
-             reports: list[bounds.BoundReport], tol: Tolerances, trials: list) -> list[dict]:
+             reports: list[bounds.BoundReport], trials: list) -> list[dict]:
     """Flat campaign records of a solved stack, in stack order; ``reports``
     holds each instance's :func:`_applicable` bounds."""
     solved = {}
@@ -356,8 +346,8 @@ def _records(insts: list[PerturbationInstance], res: riccati.StackSolution,
                 # omega0, the inner eigenvalues, ascending
                 omega0 = res.eigen.values[i][res.inner[i]].tolist()
                 rec["enclosure_ok"] = bool(omega0) and bool(
-                    omega0[0] >= encl[0] - tol.enclosure_slack
-                    and omega0[-1] <= encl[1] + tol.enclosure_slack
+                    omega0[0] >= encl[0] - ENCLOSURE_SLACK
+                    and omega0[-1] <= encl[1] + ENCLOSURE_SLACK
                 )
             if gap_closed:
                 rec["error"] = "GapClosed"
@@ -371,12 +361,12 @@ def _records(insts: list[PerturbationInstance], res: riccati.StackSolution,
             continue
 
         fields = solved[i]
-        report = applicable.against(fields["measured"], tol.bound_slack)
+        report = applicable.against(fields["measured"])
         scale = inst.scale
         rec.update(
             fields,
-            riccati_limit=tol.riccati_scale * scale,
-            lemma_limit=tol.lemma_scale * scale,
+            riccati_limit=RICCATI_SCALE * scale,
+            lemma_limit=LEMMA_SCALE * scale,
             kappa=report.kappa,
             kappa_branch=report.kappa_branch,
             bound13=report.bound_apriori,
@@ -395,7 +385,7 @@ def _records(insts: list[PerturbationInstance], res: riccati.StackSolution,
             violations.append("enclosure")
         if applicable.regime_detailed and not rec["mu"] < 1.0:
             violations.append("mu")
-        if any(rec[key] > tol.graph for key in GRAPH_RESIDUALS):
+        if any(rec[key] > GRAPH_TOL for key in GRAPH_RESIDUALS):
             violations.append("graph")
         if rec["riccati_residual"] > rec["riccati_limit"]:
             violations.append("riccati")
@@ -405,7 +395,7 @@ def _records(insts: list[PerturbationInstance], res: riccati.StackSolution,
     return out
 
 
-def _stack_records(st: InstanceStack, tol: Tolerances, trials: list) -> list[dict]:
+def _stack_records(st: InstanceStack, trials: list) -> list[dict]:
     """Records of same-shape instances solved as one stack.
 
     A stack that fails as a whole (a LAPACK call or an eigensolve check
@@ -420,9 +410,9 @@ def _stack_records(st: InstanceStack, tol: Tolerances, trials: list) -> list[dic
         return [
             rec
             for inst, trial in zip(st.insts, trials)
-            for rec in _stack_records(InstanceStack.of([inst]), tol, [trial])
+            for rec in _stack_records(InstanceStack.of([inst]), [trial])
         ]
-    return _records(st.insts, res, applicable, tol, trials)
+    return _records(st.insts, res, applicable, trials)
 
 
 def _trial_batch(cfg: CampaignConfig, indices: list[int]) -> list[dict]:
@@ -453,7 +443,7 @@ def _window_records(cfg: CampaignConfig, window: list[int], buckets: dict) -> li
     for bucket in buckets.values():
         trials = [i for i, _ in bucket]
         st = _build_trials(cfg, [trial for _, trial in bucket])
-        by_trial.update(zip(trials, _stack_records(st, cfg.tolerances, trials)))
+        by_trial.update(zip(trials, _stack_records(st, trials)))
     return [by_trial[i] for i in window]
 
 
@@ -571,7 +561,7 @@ def instance_from_file(path: str, gap: tuple[float, float] | None = None) -> Per
     raise ConfigError("input is neither Instance JSON nor Matrix JSON")
 
 
-def analyze(inst: PerturbationInstance, tol: Tolerances | None = None) -> dict:
+def analyze(inst: PerturbationInstance) -> dict:
     """Full single-instance report aggregating every module's output.
 
     Raises the pipeline's structural failure (NotAGraph, RankMismatch,
@@ -630,7 +620,7 @@ def analyze(inst: PerturbationInstance, tol: Tolerances | None = None) -> dict:
             "spec0_residual": graph.spec0_residual,
             "spec1_residual": graph.spec1_residual,
         },
-        "record": _records([inst], res, [applicable], tol or Tolerances(), [None])[0],
+        "record": _records([inst], res, [applicable], [None])[0],
     }
 
 
@@ -695,7 +685,8 @@ def sweep_csv(rows: list[dict]) -> str:
 
 @dataclass(frozen=True)
 class SharpnessConfig:
-    """Configuration of the randomized bound-tightness search."""
+    """Configuration of the randomized bound-tightness search; the outer
+    eigenvalues it places lie within OUTER_RADIUS of the gap ends."""
 
     n0: int
     n1: int
@@ -705,7 +696,6 @@ class SharpnessConfig:
     restarts: int = 4
     iters: int = 200
     seed: int = 0
-    outer_radius: float = 2.0
 
 
 class _Walk:
@@ -720,7 +710,7 @@ class _Walk:
         self.pin = lo if r % 2 == 0 else hi
         s0 = rng.uniform(lo, hi, cfg.n0) if hi > lo else np.full(cfg.n0, lo)
         s0[0] = self.pin
-        offs = rng.uniform(0.0, cfg.outer_radius, cfg.n1 - 2)
+        offs = rng.uniform(0.0, OUTER_RADIUS, cfg.n1 - 2)
         self.sides = rng.integers(0, 2, cfg.n1 - 2)
         bdir = rng.standard_normal((cfg.n0, cfg.n1)) + 1j * rng.standard_normal((cfg.n0, cfg.n1))
         self.point = (s0, offs, bdir * (cfg.v / op_norm(bdir)))
@@ -742,8 +732,7 @@ class _Walk:
             s0[0] = self.pin
         elif group == 1 and cfg.n1 > 2:
             offs = np.clip(
-                offs + rng.standard_normal(cfg.n1 - 2) * step * max(cfg.outer_radius, 1e-3),
-                0.0, cfg.outer_radius,
+                offs + rng.standard_normal(cfg.n1 - 2) * step * OUTER_RADIUS, 0.0, OUTER_RADIUS
             )
         else:
             bdir = b + step * cfg.v * (
@@ -838,6 +827,6 @@ def _sharpness_result(cfg, ratio, measured, bound32, inst) -> dict:
         "restarts": cfg.restarts,
         "iters": cfg.iters,
         "seed": cfg.seed,
-        "ok": bool(ratio <= 1.0 + Tolerances().bound_slack),
+        "ok": bool(ratio <= 1.0 + bounds.BOUND_SLACK),
         "instance": matio.instance_to_dict(inst),
     }

@@ -220,14 +220,6 @@ def polar_decompose(x) -> PolarParts:
     return PolarParts(isometry=isometry, values=values, vectors=adjoint(vh))
 
 
-def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed n-by-n unitary (QR of a complex Ginibre matrix)."""
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = lapack(np.linalg.qr, z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
 # --- BLAS threads ------------------------------------------------------------
 
 #: (set, get) thread-count symbols of OpenBLAS, tried in order: the

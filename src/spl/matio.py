@@ -124,8 +124,12 @@ def matrix_from_dict(doc: dict) -> np.ndarray:
         raise ParseError(f"malformed 'real' rows: {exc}") from exc
     if re.ndim != 2:
         raise ParseError(f"'real' must be a list of equal-length rows, got ndim {re.ndim}")
-    if "n" in doc and int(doc["n"]) != re.shape[0]:
-        raise ParseError(f"'n'={doc['n']} does not match {re.shape[0]} rows")
+    if "n" in doc:
+        n = doc["n"]
+        if type(n) is not int:  # a JSON integer; bool and float are not
+            raise ParseError(f"'n' must be an integer row count, got {n!r}")
+        if n != re.shape[0]:
+            raise ParseError(f"'n'={n} does not match {re.shape[0]} rows")
     a = re.astype(complex)
     if "imag" in doc and doc["imag"] is not None:
         try:

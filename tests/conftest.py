@@ -30,6 +30,14 @@ def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np
     return scale * 0.5 * (z + z.conj().T)
 
 
+def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed n-by-n unitary (QR of a complex Ginibre matrix)."""
+    z = random_complex(rng, n, n)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
 def random_complex(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
 

@@ -269,31 +269,50 @@ def test_usage_exit_codes(capsys, argv, code):
     assert exc.value.code == code
 
 
-@pytest.mark.parametrize(
+WORK_COMMANDS = pytest.mark.parametrize(
     "argv",
     [["verify", "--trials", "3", "--seed", "1"],
      ["sharpness", "--D", "2", "--d", "1", "--v", "0.5", "--n0", "1", "--n1", "2"]],
     ids=["verify", "sharpness"],
 )
-def test_out_in_a_missing_directory_is_refused_before_work(tmp_path, capsys, monkeypatch, argv):
+
+
+def refused_before_work(capsys, monkeypatch, argv) -> dict:
+    """The structured error of a command that must exit 4 before its work."""
     def no_work(cfg):
         raise AssertionError("work started")
 
     monkeypatch.setattr(spl.harness, "run_campaign", no_work)
     monkeypatch.setattr(spl.harness, "sharpness_search", no_work)
-    code = cli.main(argv + ["--out", str(tmp_path / "missing" / "r.json")])
-    assert code == cli.EXIT_CONFIG
-    err = json.loads(capsys.readouterr().err)
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    return json.loads(capsys.readouterr().err)
+
+
+@WORK_COMMANDS
+def test_out_in_a_missing_directory_is_refused_before_work(tmp_path, capsys, monkeypatch, argv):
+    out = str(tmp_path / "missing" / "r.json")
+    err = refused_before_work(capsys, monkeypatch, argv + ["--out", out])
     assert err["error"] == "ConfigError" and "missing" in err["detail"]
 
 
-def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
-    # the directory exists, so only the write after the work fails
+@WORK_COMMANDS
+def test_out_that_is_a_directory_is_refused_before_work(tmp_path, capsys, monkeypatch, argv):
+    err = refused_before_work(capsys, monkeypatch, argv + ["--out", str(tmp_path)])
+    assert err["error"] == "ConfigError" and "is a directory" in err["detail"]
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # the --out passes the check before the work, so only the write after it fails
+    def full_disk(path, *args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+    monkeypatch.setattr(cli, "open", full_disk, raising=False)
+    out = str(tmp_path / "sweep.csv")
     code = cli.main(["sweep", "--D-range", "2:4:3", "--d", "1", "--v-range", "0:0.5:2",
-                     "--out", str(tmp_path)])
+                     "--out", out])
     assert code == cli.EXIT_CONFIG
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ConfigError" and str(tmp_path) in err["detail"]
+    assert err["error"] == "ConfigError" and out in err["detail"]
 
 
 def test_failed_stdout_write_is_a_usage_error(capsys, monkeypatch):
@@ -368,6 +387,15 @@ def test_negative_option_values_parse():
 E1_DOC = {"sigma0": [0.0], "sigma1": [-1.0, 1.0], "gap": [-1.0, 1.0],
           "B": {"n": 1, "real": [[0.5, 0.0]]}}
 MATRIX_DOC = {"n": 3, "real": [[0.2, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]]}
+#: Row counts that are not JSON integers, by the rows they stand for: int()
+#: would take the string, true (for one row) and the float.
+NON_INTEGER_N = {
+    "list": lambda rows: [rows],
+    "null": lambda rows: None,
+    "string": str,
+    "bool": lambda rows: True,
+    "float": lambda rows: rows + 0.5,
+}
 
 
 @pytest.mark.parametrize(
@@ -389,9 +417,13 @@ MATRIX_DOC = {"n": 3, "real": [[0.2, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0
         # find the gap closed (RankMismatch, exit 3)
         ({"sigma0": [0], "sigma1": [-1e-101, 1e-101], "gap": [-1e-101, 1e-101],
           "B": {"n": 1, "real": [[1e-99, 0]]}}, cli.EXIT_CONFIG, "DomainViolation"),
-    ],
+    ]
+    + [({**MATRIX_DOC, "n": n(3)}, cli.EXIT_CONFIG, "ParseError") for n in NON_INTEGER_N.values()]
+    + [({**E1_DOC, "B": {**E1_DOC["B"], "n": n(1)}}, cli.EXIT_CONFIG, "ParseError")
+       for n in NON_INTEGER_N.values()],
     ids=["non-hermitian", "non-square", "nan-matrix", "b-shape", "nan-b", "nan-sigma0",
-         "inf-sigma1", "inf-gap", "tiny-gap"],
+         "inf-sigma1", "inf-gap", "tiny-gap"]
+    + [f"matrix-n-{kind}" for kind in NON_INTEGER_N] + [f"b-n-{kind}" for kind in NON_INTEGER_N],
 )
 def test_analyze_bad_input_exit_codes(tmp_path, capsys, doc, code, error):
     path = tmp_path / "bad.json"

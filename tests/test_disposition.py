@@ -14,7 +14,9 @@ from spl.errors import (
     NotAGap,
 )
 
-from conftest import inner_projector, projector, random_hermitian, split_parts
+from conftest import (
+    inner_projector, projector, random_hermitian, random_unitary, split_parts,
+)
 
 
 # --- validate_disposition -----------------------------------------------------
@@ -79,7 +81,7 @@ def test_split_operators():
 
 def test_validate_dense_conjugated():
     rng = np.random.default_rng(3)
-    w = spl.random_unitary(4, rng)
+    w = random_unitary(4, rng)
     a = w @ np.diag([0.1, -1.0, 1.0, 2.5]) @ w.conj().T
     split = spl.validate_disposition(0.5 * (a + a.conj().T), (-1.0, 1.0))
     npt.assert_allclose(split.sigma0, [0.1], atol=1e-12)
@@ -304,7 +306,7 @@ def test_hide_block_structure_preserves_geometry():
     )
     inst = spl.random_instance(params, 21)
     # conjugate A and V by a seeded random unitary to hide the block structure
-    w = spl.random_unitary(inst.L.shape[0], np.random.default_rng(22))
+    w = random_unitary(inst.L.shape[0], np.random.default_rng(22))
 
     def hide(m):
         h = w @ m @ w.conj().T

@@ -356,7 +356,7 @@ def test_sharpness_search_attains_the_detailed_bound(v, branch):
     assert spl.bounds.kappa(2.0, 0.5, v).branch == branch
     cfg = spl.SharpnessConfig(n0=2, n1=2, D=2.0, d=0.5, v=v, restarts=4, iters=400, seed=0)
     result = spl.sharpness_search(cfg)
-    assert 1.0 - 1e-6 <= result["best_ratio"] <= 1.0 + spl.Tolerances().bound_slack
+    assert 1.0 - 1e-6 <= result["best_ratio"] <= 1.0 + spl.bounds.BOUND_SLACK
     assert result["ok"]
 
 
@@ -368,7 +368,7 @@ def test_campaign_attains_the_apriori_bound_at_D_equal_2d():
         v_fraction=1.2 / SQRT2,
     )
     agg = spl.run_campaign(cfg).aggregates
-    assert 1.0 - 1e-6 <= agg["max_ratio13"] <= 1.0 + spl.Tolerances().bound_slack
+    assert 1.0 - 1e-6 <= agg["max_ratio13"] <= 1.0 + spl.bounds.BOUND_SLACK
     assert agg["violations"]["total"] == 0
 
 

@@ -106,8 +106,8 @@ def test_dumps_matches_recursive_writer_on_campaign_report():
     cfg = spl.CampaignConfig(trials=30, seed=7, n0=(1, 20), n1=(2, 20), d=(0.05, 0.95))
     report = spl.run_campaign(cfg)
     assert report.aggregates["violations"]["total"] == 0
-    for indent in (0, 2):
-        assert report.to_json(indent=indent) == recursive_dumps(report.to_dict(), indent=indent)
+    assert report.to_json() == recursive_dumps(report.to_dict())
+    assert matio.dumps(report.to_dict(), indent=2) == recursive_dumps(report.to_dict(), indent=2)
 
 
 def test_dumps_matches_recursive_writer_on_analyze_reports():

@@ -15,7 +15,7 @@ from spl.errors import (
     RegimeViolation,
 )
 
-from conftest import enclosure_of, inner_projector, projector
+from conftest import enclosure_of, inner_projector, projector, random_unitary
 
 SQRT2 = math.sqrt(2.0)
 
@@ -101,7 +101,7 @@ def test_angular_operator_basis_independence(e1):
         ps = spl.perturbed_split(inst)
         sol = spl.angular_operator(inst, ps)
         # mix the basis by a random unitary: same subspace, same X
-        q = spl.random_unitary(inst.n0, rng)
+        q = random_unitary(inst.n0, rng)
         ps_mixed = dataclasses.replace(ps, basis0=ps.basis0 @ q)
         sol_mixed = spl.angular_operator(inst, ps_mixed)
         assert spl.op_norm(sol.X - sol_mixed.X) <= 1e-9

@@ -187,13 +187,11 @@ def gap_closed_instance():
 def stack_records(insts, trials):
     """Records of ``insts`` solved as one stack."""
     st = riccati.InstanceStack.of(insts)
-    return dumped(harness._stack_records(st, BUCKET.tolerances, trials))
+    return dumped(harness._stack_records(st, trials))
 
 
-def alone(insts, trials, tol=harness.Tolerances()):
-    return dumped(
-        spl.trial_record_for_instance(inst, tol, trial=t) for inst, t in zip(insts, trials)
-    )
+def alone(insts, trials):
+    return dumped(spl.trial_record_for_instance(inst, trial=t) for inst, t in zip(insts, trials))
 
 
 def bucket_with(extra):
@@ -471,7 +469,7 @@ def window_instances(monkeypatch, cfg):
     """(trial, instance) of every instance a campaign's windows build."""
     built = []
 
-    def capture(st, tol, trials):
+    def capture(st, trials):
         # the blocks reach the solver as built, each instance a view of its row
         assert all(np.shares_memory(inst.L, st.L) for inst in st.insts)
         built.extend(zip(trials, st.insts))

@@ -12,6 +12,7 @@ input or usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -79,6 +80,8 @@ def _parse_linspace(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise ConfigError(f"range must be lo:hi:steps, got {text!r}")
     lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"range ends must be finite in {text!r}")
     if steps < 1:
         raise ConfigError(f"steps must be >= 1 in {text!r}")
     return np.linspace(lo, hi, steps)

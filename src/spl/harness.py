@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,13 +63,13 @@ GRAPH_RESIDUALS = (
     "lambda0_herm_residual", "lambda0_spec_residual",
 )
 
-#: Matrix entries (n^2 summed over trials) a campaign process draws before
-#: solving them; the trials of a window that share a block shape are solved
-#: as one stack.  It bounds the instances held at once, so memory does not
-#: grow with the campaign or the block size: a window holds about 200
-#: trials of blocks up to 2 + 4 rows, and about 8 of the acceptance shape,
-#: whose 380 shapes would rarely share a bucket anyway.
-WINDOW_ENTRIES = 4096
+#: Matrix entries ((n0 + n1)^2 summed over trials) drawn and not yet
+#: solved that a campaign process may hold; past it every bucket is
+#: solved as one stack per shape.  It bounds the instances held at once,
+#: so memory does not grow with the campaign or the block size: about
+#: 6000 trials of the acceptance shape, whose 380 shapes then share a
+#: stack of about 16.
+OPEN_ENTRIES = 3 * 2**20
 
 #: Tolerances of the campaign checks, serialised in the report's config.
 #: The scales multiply (|A| + |V|)^2, the natural quadratic scale of the
@@ -418,33 +419,31 @@ def _stack_records(st: InstanceStack, trials: list) -> list[dict]:
 def _trial_batch(cfg: CampaignConfig, indices: list[int]) -> list[dict]:
     """Records of the trials ``indices``, in that order.
 
-    Trials are drawn one at a time in windows of about WINDOW_ENTRIES
-    matrix entries; the trials of a window with the same block shape
-    (n0, n1) are built and solved as one stack.
+    Trials are drawn one at a time, in index order, and each joins the
+    bucket of its block shape (n0, n1).  Every bucket is built and solved
+    as one stack when the open trials exceed OPEN_ENTRIES, and at the end.
     """
-    records: list[dict] = []
-    window: list[int] = []
+    by_trial: dict[int, dict] = {}
     buckets: dict[tuple[int, int], list] = {}
     entries = 0
     for i in indices:
         trial = _trial_draw(cfg, i)
-        n0, n1 = trial[0]["n0"], trial[0]["n1"]
-        window.append(i)
-        buckets.setdefault((n0, n1), []).append((i, trial))
-        entries += (n0 + n1) ** 2
-        if entries >= WINDOW_ENTRIES:
-            records += _window_records(cfg, window, buckets)
-            window, buckets, entries = [], {}, 0
-    return records + _window_records(cfg, window, buckets)
+        shape = trial[0]["n0"], trial[0]["n1"]
+        buckets.setdefault(shape, []).append((i, trial))
+        entries += sum(shape) ** 2
+        if entries > OPEN_ENTRIES:
+            by_trial.update(_bucket_records(cfg, buckets))
+            buckets, entries = {}, 0
+    by_trial.update(_bucket_records(cfg, buckets))
+    return [by_trial[i] for i in indices]
 
 
-def _window_records(cfg: CampaignConfig, window: list[int], buckets: dict) -> list[dict]:
-    by_trial = {}
+def _bucket_records(cfg: CampaignConfig, buckets: dict) -> Iterator[tuple[int, dict]]:
+    """(trial, record) of every trial in ``buckets``, one stack per bucket."""
     for bucket in buckets.values():
         trials = [i for i, _ in bucket]
         st = _build_trials(cfg, [trial for _, trial in bucket])
-        by_trial.update(zip(trials, _stack_records(st, trials)))
-    return [by_trial[i] for i in window]
+        yield from zip(trials, _stack_records(st, trials))
 
 
 def _aggregate(records: list[dict]) -> dict:
@@ -503,10 +502,12 @@ def _pool_workers(parallel: int, trials: int, cpus: int) -> int:
 def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     """Execute a verification campaign.
 
-    Trials are independent; with ``parallel`` >= 2 they are distributed over
-    worker processes (at most one per usable CPU) in deterministic
-    contiguous chunks, and the assembled report is identical to a serial run
-    of the same config and seed.  The calling process and every worker run
+    Trials are independent.  Each process draws its trials in index order
+    and solves those of one block shape together (see :func:`_trial_batch`).
+    With ``parallel`` >= 2 they are distributed over worker processes (at
+    most one per usable CPU) in deterministic contiguous chunks, about four
+    per worker, and the assembled report is identical to a serial run of
+    the same config and seed.  The calling process and every worker run
     BLAS on one thread; the caller's thread count is restored on return.
     """
     validate_config(cfg)
@@ -646,16 +647,21 @@ def sweep_rows(D_values, d: float, v_values) -> list[dict]:
 
     Rows come out in lexicographic (D, v) order.  Out-of-regime fields are
     None; a (D, v) pair violating the basic geometry yields a row with all
-    regime flags false and every bound field None.
+    regime flags false and every bound field None.  A non-finite D, d or v
+    raises ConfigError before any row is computed.
     """
+    D_values, v_values = [float(D) for D in D_values], [float(v) for v in v_values]
+    d = float(d)
+    if not all(map(math.isfinite, [*D_values, d, *v_values])):
+        raise ConfigError("sweep values of D, d and v must be finite")
     rows = []
     for D in D_values:
         for v in v_values:
             try:
-                row = bound_row(float(D), float(d), float(v))
+                row = bound_row(D, d, v)
             except DomainViolation:
                 row = dict.fromkeys(SWEEP_COLUMNS)
-                row.update(D=float(D), d=float(d), v=float(v),
+                row.update(D=D, d=d, v=v,
                            regime12=False, regime29=False, regime31=False)
             rows.append(row)
     return rows

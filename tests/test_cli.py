@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +182,27 @@ def test_sweep_csv_output(tmp_path):
 def test_sweep_bad_range(capsys):
     assert cli.main(["sweep", "--D-range", "2:4", "--d", "1", "--v-range", "0:1:2",
                      "--out", "x.csv"]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "option",
+    ["--d nan", "--d inf", "--v-range 0:nan:3", "--D-range 1:inf:2"],
+)
+def test_sweep_refuses_non_finite_input_before_any_row(tmp_path, capsys, monkeypatch, option):
+    # these computed the whole grid and then failed in the serialiser
+    def no_row(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(spl.harness, "bound_row", no_row)
+    argv = {"--D-range": "2:4:3", "--d": "1", "--v-range": "0:0.5:2"}
+    argv.update([option.split()])
+    out = tmp_path / "sweep.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's linspace warned on an infinite end
+        code = cli.main(["sweep", *(x for pair in argv.items() for x in pair), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not out.exists()
 
 
 def test_sharpness_cli(tmp_path):

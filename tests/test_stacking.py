@@ -1,4 +1,4 @@
-"""The stacked pipeline: numpy's stacked calls, bucket independence, windows.
+"""The stacked pipeline: numpy's stacked calls, bucket independence, grouping.
 
 A campaign solves the trials of one block shape as one stack.  That is
 exact only because numpy computes every matrix of a stacked call as it
@@ -325,7 +325,7 @@ def test_stack_of_one_types_lapack_failures(e1, monkeypatch):
         riccati.solve_stack([e1, e1])
 
 
-# --- campaign windows and parallel chunks --------------------------------------------
+# --- campaign stacks and parallel chunks ---------------------------------------------
 
 #: Blocks of at most 2 + 4 rows: six shapes, so buckets hold many trials.
 TINY = spl.CampaignConfig(trials=240, seed=1618, n0=(1, 2), n1=(2, 4), d=(0.05, 0.95))
@@ -335,12 +335,6 @@ def digest(report):
     """SHA-256 of a campaign report (a failing comparison of the reports
     themselves would spend minutes diffing them)."""
     return hashlib.sha256(report.to_json().encode()).hexdigest()
-
-
-def test_window_boundaries_do_not_change_records(monkeypatch):
-    expected = digest(spl.run_campaign(TINY))
-    monkeypatch.setattr(harness, "WINDOW_ENTRIES", 60)  # a few trials per window
-    assert digest(spl.run_campaign(TINY)) == expected
 
 
 def test_parallel_chunks_split_buckets_without_changing_bytes(monkeypatch):
@@ -386,6 +380,46 @@ def test_reports_match_the_per_trial_pipeline(monkeypatch, name, cfg, parallel):
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     report = spl.run_campaign(dataclasses.replace(cfg, parallel=parallel))
     assert digest(report) == PER_TRIAL_DIGESTS[name]
+
+
+@pytest.mark.parametrize("open_entries", [1, 100, 2000, None])
+def test_grouping_does_not_change_records(monkeypatch, open_entries):
+    # stacks of one, then flushes every few tiny trials or about every
+    # acceptance trial, every few acceptance trials, and the cap as it is
+    # (one stack per shape)
+    if open_entries is not None:
+        monkeypatch.setattr(harness, "OPEN_ENTRIES", open_entries)
+    for name, cfg in [("tiny", TINY), ("acceptance", ACCEPTANCE)]:
+        assert digest(spl.run_campaign(cfg)) == PER_TRIAL_DIGESTS[name], name
+
+
+def campaign_stacks(monkeypatch, cfg) -> list[list[tuple[int, tuple[int, int]]]]:
+    """The stacks a campaign solves, in order: (trial, shape) of each member."""
+    stacks = []
+
+    def capture(st, trials):
+        stacks.append([(i, (inst.n0, inst.n1)) for i, inst in zip(trials, st.insts)])
+        return [None] * len(trials)
+
+    monkeypatch.setattr(harness, "_stack_records", capture)
+    harness._trial_batch(cfg, list(range(cfg.trials)))
+    return stacks
+
+
+@pytest.mark.parametrize("name", ["tiny", "acceptance"])
+def test_stacks_fill(monkeypatch, name):
+    cfg = TINY if name == "tiny" else dataclasses.replace(ACCEPTANCE, trials=2000)
+    stacks = campaign_stacks(monkeypatch, cfg)
+    assert sorted(i for stack in stacks for i, _ in stack) == list(range(cfg.trials))
+    assert all(len({shape for _, shape in stack}) == 1 for stack in stacks)
+    # both stay under the entry cap, so each shape is solved as one stack
+    shapes = [stack[0][1] for stack in stacks]
+    assert len(shapes) == len(set(shapes))
+    if name == "tiny":
+        assert len(stacks) == 6
+    else:
+        # 380 shapes: stacks of several need buckets that outlive a few draws
+        assert cfg.trials / len(stacks) > 1.5
 
 
 def test_analyze_reports_match_the_per_trial_pipeline():
@@ -454,7 +488,7 @@ def test_lockstep_sharpness_results_are_pinned():
 
 # --- the two generation routes -------------------------------------------------------
 
-#: Campaigns whose window-built instances must equal ``trial_instance``'s.
+#: Campaigns whose stack-built instances must equal ``trial_instance``'s.
 ROUTE_CONFIGS = {
     "tiny": dataclasses.replace(TINY, trials=120),
     "acceptance": ACCEPTANCE,
@@ -465,8 +499,8 @@ ROUTE_CONFIGS = {
 }
 
 
-def window_instances(monkeypatch, cfg):
-    """(trial, instance) of every instance a campaign's windows build."""
+def campaign_instances(monkeypatch, cfg):
+    """(trial, instance) of every instance a campaign's stacks build."""
     built = []
 
     def capture(st, trials):
@@ -481,9 +515,9 @@ def window_instances(monkeypatch, cfg):
 
 
 @pytest.mark.parametrize("name", ROUTE_CONFIGS)
-def test_window_instances_equal_trial_instances(monkeypatch, name):
+def test_campaign_instances_equal_trial_instances(monkeypatch, name):
     cfg = ROUTE_CONFIGS[name]
-    built = window_instances(monkeypatch, cfg)
+    built = campaign_instances(monkeypatch, cfg)
     assert [i for i, _ in built] == list(range(cfg.trials))
     stacked = 0
     for i, inst in built:
@@ -499,9 +533,9 @@ def test_window_instances_equal_trial_instances(monkeypatch, name):
             single.v, alone.d, alone.gap_left, alone.gap_right, alone.gap_len, single.trivial
         ), i
         stacked += inst.L.base.shape[0] > 1
-    # built in stacks of several; the acceptance shape's 361 block shapes
-    # rarely share a window's bucket
-    assert stacked > 0 or name == "acceptance"
+    # built in stacks of several; of the acceptance config's 24 trials over
+    # 380 block shapes, two share one
+    assert stacked > 0
     if cfg.v_fraction == 0.0:
         assert all(inst.trivial and not inst.B.any() for _, inst in built)
 

@@ -137,13 +137,18 @@ def eigh(h) -> EigenSystem:
     call, each matrix exactly as on its own.  Raises NonHermitianInput for
     asymmetric input and ConvergenceFailure if the backend does not
     converge or the residuals of any matrix exceed ``EIG_RTOL``.
+
+    The residual and orthogonality matrices are formed in place in the
+    products' outputs, against an identity cached per size; the input is
+    never written.
     """
     a = as_hermitian(h)
     values, vectors = lapack(np.linalg.eigh, a)
-    values = values.astype(float)
     scale = np.maximum(np.abs(values).max(axis=-1), 1e-300)
-    resid_m = a @ vectors - vectors * values[..., None, :]
-    orth_m = adjoint(vectors) @ vectors - np.eye(a.shape[-1])
+    resid_m = a @ vectors
+    resid_m -= vectors * values[..., None, :]
+    orth_m = adjoint(vectors) @ vectors
+    orth_m -= _identity(a.shape[-1])
     # The Frobenius norm bounds the spectral norm, so a pass on it is a pass.
     # The norms of the whole stack bound every matrix's; they pass the stack
     # when they pass against its smallest scale with a factor 2 to spare
@@ -161,6 +166,14 @@ def eigh(h) -> EigenSystem:
         ):
             _check_residuals(r, o, sc)
     return EigenSystem(values=values, vectors=vectors)
+
+
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity, shared by every call and therefore read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def _check_residuals(resid_m: np.ndarray, orth_m: np.ndarray, scale: float) -> None:

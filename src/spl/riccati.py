@@ -197,9 +197,10 @@ def _eigen(L: np.ndarray) -> EigenSystem:
 
 
 def _inner_mask(values, tol, gap_left, gap_right) -> np.ndarray:
-    """Eigenvalues inside the open gap, those within ``tol`` of an end excluded."""
-    near = (np.abs(values - gap_left) <= tol) | (np.abs(values - gap_right) <= tol)
-    return (values > gap_left) & (values < gap_right) & ~near
+    """Eigenvalues inside the open gap, those within ``tol`` (>= 0) of an end
+    excluded.  A difference of two floats is positive exactly when the first
+    is larger, so ``values - gap_left > tol`` alone says both."""
+    return (values - gap_left > tol) & (gap_right - values > tol)
 
 
 def _rank_mismatch(dim: int, n0: int) -> RankMismatch:
@@ -229,9 +230,10 @@ def perturbed_split(inst: PerturbationInstance) -> PerturbedSplit:
     )
 
 
-def _rotation(basis0: np.ndarray, n0: int) -> np.ndarray:
-    """||Y1|| of each stacked basis [Y0; Y1] of n0 columns, clipped to 1."""
-    return np.minimum(op_norms(basis0[:, n0:, :]), 1.0)
+def _rotation(y1: np.ndarray) -> np.ndarray:
+    """||Y1|| of each stacked block Y1, the outer rows of a basis [Y0; Y1]
+    of the perturbed inner subspace, clipped to 1."""
+    return np.minimum(op_norms(y1), 1.0)
 
 
 def measured_rotation(inst: PerturbationInstance, ps: PerturbedSplit) -> float:
@@ -244,19 +246,29 @@ def measured_rotation(inst: PerturbationInstance, ps: PerturbedSplit) -> float:
     """
     if ps.basis0.shape[1] != inst.n0:
         return 1.0
-    return _rotation(ps.basis0[None], inst.n0)[0].item()
+    return _rotation(ps.basis0[None, inst.n0:])[0].item()
 
 
 def _rotations(L: np.ndarray, gap: tuple[float, float], n0: int) -> np.ndarray:
     """:func:`measured_rotation` of each stacked operator L, split by the
     gap as :func:`perturbed_split` splits one: ||Y1|| clipped to 1 where
-    the inner count is n0, else 1.0.  One verified eigensolve for the stack."""
+    the inner count is n0, else 1.0.  One verified eigensolve for the stack.
+
+    When every row has n0 inner eigenvalues, only Y1 is selected: the outer
+    rows of the inner columns.  A stack where a gap closed takes the bases
+    of its other rows from :func:`_bases`.
+    """
     es = _eigen(L)
     inner = _inner_mask(es.values, es.edge_tol[:, None], *gap)
-    rows = np.flatnonzero(inner.sum(axis=1) == n0).tolist()
+    full = inner.sum(axis=1) == n0
+    if full.all():
+        k, n = inner.shape
+        y1 = es.vectors[:, n0:, :].swapaxes(1, 2)[inner].reshape(k, n0, n - n0)
+        return _rotation(y1.swapaxes(1, 2))
+    rows = np.flatnonzero(full).tolist()
     out = np.ones(len(L))
     if rows:
-        out[rows] = _rotation(_bases(es, inner, rows, n0)[2], n0)
+        out[rows] = _rotation(_bases(es, inner, rows, n0)[2][:, n0:])
     return out
 
 
@@ -405,7 +417,7 @@ def _graph(
     A0 + B X."""
     _, a1, _, b_adj = blocks
     n0 = coupled0.shape[-1]
-    measured = _rotation(basis0, n0)
+    measured = _rotation(basis0[:, n0:])
     # sin(arctan mu) as in bounds.sin_arctan
     angle_residual = np.abs(measured - sol.mu / np.sqrt(1.0 + sol.mu * sol.mu))
 

@@ -218,6 +218,18 @@ def test_sharpness_cli(tmp_path):
     assert doc["best_ratio"] >= 0.8557 - 1e-4
 
 
+@pytest.mark.parametrize("v", ["1e-16", "1e-300"])
+def test_sharpness_rounding_noise_at_tiny_v_is_no_violation(tmp_path, v):
+    # at a tiny v the measured rotation is rounding noise, many times bound32
+    # but within BOUND_SLACK of it: no violation, as in a campaign record
+    out = tmp_path / "sharp.json"
+    code = cli.main(["sharpness", "--D", "2", "--d", "0.5", "--v", v, "--n0", "2", "--n1", "3",
+                     "--restarts", "2", "--iters", "20", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    assert doc["best_ratio"] > 1.0
+    assert code == 0 and doc["ok"] is True
+
+
 def test_sharpness_infeasible(capsys):
     code = cli.main(["sharpness", "--D", "2", "--d", "1", "--v", "1.5",
                      "--n0", "1", "--n1", "2"])
@@ -397,6 +409,40 @@ def test_serial_runs_never_load_the_process_pool(tmp_path):
         "[]", "[]", "['concurrent.futures.process', 'multiprocessing']"
     ]
     assert (tmp_path / "parallel.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
+
+
+#: Runs a ``--parallel 2`` campaign in a fresh interpreter, whose parent
+#: process has made no draw, and writes one line per batch to a file per
+#: worker: whether ``numpy.random`` was loaded when the batch started.
+WORKER_IMPORT_SCRIPT = """
+import os
+import sys
+from spl import cli, harness
+out = sys.argv[1]
+trial_batch = harness._trial_batch
+
+def probe(cfg, indices):
+    with open(os.path.join(out, f"worker-{os.getpid()}.txt"), "a") as f:
+        f.write(f"{'numpy.random' in sys.modules}\\n")
+    return trial_batch(cfg, indices)
+
+harness._trial_batch = probe
+harness._usable_cpus = lambda: 2
+assert "numpy.random" not in sys.modules
+assert cli.main(["verify", "--trials", "8", "--seed", "3", "--n0", "1:2", "--n1", "2:3",
+                 "--parallel", "2", "--out", os.path.join(out, "report.json")]) == 0
+"""
+
+
+def test_parallel_workers_inherit_numpy_random(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(spl.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", WORKER_IMPORT_SCRIPT, str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    workers = sorted(tmp_path.glob("worker-*.txt"))
+    assert workers
+    # the first batch of each worker found it loaded, so no worker imported it
+    assert [w.read_text().splitlines()[0] for w in workers] == ["True"] * len(workers)
 
 
 def test_negative_option_values_parse():

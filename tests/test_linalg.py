@@ -100,6 +100,19 @@ def test_eigh_defect_above_limit_in_both_norms_raises(monkeypatch, defect):
         spl.eigh(np.diag(DIAG))
 
 
+def test_eigh_leaves_its_input_and_identity_unwritten():
+    # a complex input reaches the eigensolve as it is, not as a copy
+    h = np.stack([random_hermitian(np.random.default_rng(s), 5) for s in (3, 4)])
+    before = h.copy()
+    es = spl.eigh(h)
+    assert np.array_equal(h, before)
+    assert np.array_equal(spl.eigh(h[1]).vectors, es.vectors[1])
+    eye = spl.linalg._identity(5)
+    assert not eye.flags.writeable and np.array_equal(eye, np.eye(5))
+    with pytest.raises(ValueError):
+        eye[0, 0] = 2.0
+
+
 def test_eigh_rejects_nonhermitian():
     with pytest.raises(NonHermitianInput):
         spl.eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -38,7 +38,7 @@ from .errors import (
     EigenFailure,
     InfeasibleParams,
 )
-from .linalg import one_blas_thread, op_norm, op_norms, set_blas_threads
+from .linalg import one_blas_thread, op_norm, set_blas_threads
 
 REGIMES = ("A", "B", "C", "mixed")
 
@@ -521,10 +521,6 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
             # imported here: a serial run never loads the process-pool machinery
             from concurrent.futures import ProcessPoolExecutor
 
-            # numpy loads numpy.random on the first draw; loaded here, the
-            # forked workers inherit it instead of each importing it
-            import numpy.random
-
             chunk = max(1, math.ceil(cfg.trials / (workers * 4)))
             batches = [indices[i:i + chunk] for i in range(0, cfg.trials, chunk)]
             records: list[dict] = []
@@ -734,18 +730,17 @@ class _Walk:
         gl, gr = self.gap
         return np.concatenate(([gl, gr], np.where(self.sides == 0, gl - offs, gr + offs)))
 
-    def propose(self) -> tuple[tuple, bool]:
-        """The next move drawn from this restart's generator: its point, and
-        whether it moves b.  The point of a b move holds the coupling
-        direction before its rescale to norm v, see :func:`_rescaled`."""
+    def propose(self) -> tuple | None:
+        """The next move's point, drawn from this restart's generator; None
+        when the coupling direction drawn has norm 0 (no move is made)."""
         cfg, rng, step, lo, hi = self.cfg, self.rng, self.step, self.lo, self.hi
         s0, offs, outer, b = self.point
         group = int(rng.integers(0, 3))
         if group == 0 and hi > lo:
-            s0 = _clip(s0 + rng.standard_normal(cfg.n0) * step * (hi - lo), lo, hi)
+            s0 = np.clip(s0 + rng.standard_normal(cfg.n0) * step * (hi - lo), lo, hi)
             s0[0] = self.pin
         elif group == 1 and cfg.n1 > 2:
-            offs = _clip(
+            offs = np.clip(
                 offs + rng.standard_normal(cfg.n1 - 2) * step * OUTER_RADIUS, 0.0, OUTER_RADIUS
             )
             outer = self.outer(offs)
@@ -753,8 +748,11 @@ class _Walk:
             bdir = b + step * cfg.v * (
                 rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape)
             )
-            return (s0, offs, outer, bdir), True
-        return (s0, offs, outer, b), False
+            nrm = op_norm(bdir)
+            if nrm == 0.0:
+                return None
+            b = bdir * (cfg.v / nrm)
+        return s0, offs, outer, b
 
     def settle(self, point: tuple, measured: float) -> None:
         """Keep the move to ``point`` if it improves, else shrink the step."""
@@ -762,33 +760,6 @@ class _Walk:
             self.point, self.measured = point, measured
         else:
             self.step = max(self.step * 0.95, 1e-4)
-
-
-def _clip(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """np.clip(x, lo, hi) for lo <= hi, without its dispatch, which costs
-    more than the clipping on arrays of a few entries."""
-    return np.minimum(np.maximum(x, lo), hi)
-
-
-def _rescaled(drawn: list[tuple[_Walk, tuple, bool]], v: float) -> list[tuple[_Walk, tuple]]:
-    """The moves (walk, point) of the proposals (walk, point, b move) of one
-    iteration, each b move's coupling direction rescaled to norm v.
-
-    The directions share one stacked SVD, which gives each the norm it has
-    alone.  A direction of norm 0 drops its move: that walk makes none in
-    this iteration and is not settled.
-    """
-    dirs = [p[3] for _, p, b_move in drawn if b_move]
-    norms = iter(op_norms(np.array(dirs)).tolist() if dirs else ())
-    moves = []
-    for w, p, b_move in drawn:
-        if b_move:
-            nrm = next(norms)
-            if nrm == 0.0:
-                continue
-            p = (*p[:3], p[3] * (v / nrm))
-        moves.append((w, p))
-    return moves
 
 
 def _step(moves: list[tuple[_Walk, tuple]]) -> None:
@@ -821,8 +792,8 @@ def sharpness_search(cfg: SharpnessConfig) -> dict:
     sphere.  Accept-if-improved coordinate perturbations with a decaying
     step; deterministic for a fixed seed.  The returned ratio can approach
     but never exceed 1, up to rounding: ``ok`` checks the measured value
-    against the bound up to ``bounds.BOUND_SLACK``, so at a tiny v, where
-    the measured value is rounding noise, a ratio far above 1 is still ok.
+    against the bound up to the absolute ``bounds.BOUND_SLACK``, as a
+    campaign record does, so rounding noise at a tiny v is no violation.
 
     The restarts run in lockstep: each draws from its own generator, and
     the candidates of one iteration of all of them are evaluated as one
@@ -850,7 +821,7 @@ def sharpness_search(cfg: SharpnessConfig) -> dict:
     walks = [_Walk(cfg, r, gap) for r in range(cfg.restarts)]
     _step([(w, w.point) for w in walks])
     for _ in range(cfg.iters):
-        _step(_rescaled([(w, *w.propose()) for w in walks], cfg.v))
+        _step([(w, p) for w in walks for p in (w.propose(),) if p is not None])
     # max keeps the first of equal maxima, as the sequential loop's strict > did
     best = max(walks, key=lambda w: w.measured)
     s0, _, outer, b = best.point

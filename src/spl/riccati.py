@@ -254,21 +254,16 @@ def _rotations(L: np.ndarray, gap: tuple[float, float], n0: int) -> np.ndarray:
     gap as :func:`perturbed_split` splits one: ||Y1|| clipped to 1 where
     the inner count is n0, else 1.0.  One verified eigensolve for the stack.
 
-    When every row has n0 inner eigenvalues, only Y1 is selected: the outer
-    rows of the inner columns.  A stack where a gap closed takes the bases
-    of its other rows from :func:`_bases`.
+    Of each row with n0 inner eigenvalues only Y1 is selected: the outer
+    rows of the inner columns.
     """
     es = _eigen(L)
     inner = _inner_mask(es.values, es.edge_tol[:, None], *gap)
     full = inner.sum(axis=1) == n0
-    if full.all():
-        k, n = inner.shape
-        y1 = es.vectors[:, n0:, :].swapaxes(1, 2)[inner].reshape(k, n0, n - n0)
-        return _rotation(y1.swapaxes(1, 2))
-    rows = np.flatnonzero(full).tolist()
     out = np.ones(len(L))
-    if rows:
-        out[rows] = _rotation(_bases(es, inner, rows, n0)[2][:, n0:])
+    n = inner.shape[1]
+    y1 = es.vectors[full, n0:, :].swapaxes(1, 2)[inner[full]].reshape(-1, n0, n - n0)
+    out[full] = _rotation(y1.swapaxes(1, 2))
     return out
 
 

@@ -411,40 +411,6 @@ def test_serial_runs_never_load_the_process_pool(tmp_path):
     assert (tmp_path / "parallel.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
 
 
-#: Runs a ``--parallel 2`` campaign in a fresh interpreter, whose parent
-#: process has made no draw, and writes one line per batch to a file per
-#: worker: whether ``numpy.random`` was loaded when the batch started.
-WORKER_IMPORT_SCRIPT = """
-import os
-import sys
-from spl import cli, harness
-out = sys.argv[1]
-trial_batch = harness._trial_batch
-
-def probe(cfg, indices):
-    with open(os.path.join(out, f"worker-{os.getpid()}.txt"), "a") as f:
-        f.write(f"{'numpy.random' in sys.modules}\\n")
-    return trial_batch(cfg, indices)
-
-harness._trial_batch = probe
-harness._usable_cpus = lambda: 2
-assert "numpy.random" not in sys.modules
-assert cli.main(["verify", "--trials", "8", "--seed", "3", "--n0", "1:2", "--n1", "2:3",
-                 "--parallel", "2", "--out", os.path.join(out, "report.json")]) == 0
-"""
-
-
-def test_parallel_workers_inherit_numpy_random(tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(Path(spl.__file__).parents[1]))
-    run = subprocess.run([sys.executable, "-c", WORKER_IMPORT_SCRIPT, str(tmp_path)],
-                         env=env, capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    workers = sorted(tmp_path.glob("worker-*.txt"))
-    assert workers
-    # the first batch of each worker found it loaded, so no worker imported it
-    assert [w.read_text().splitlines()[0] for w in workers] == ["True"] * len(workers)
-
-
 def test_negative_option_values_parse():
     args = cli.build_parser().parse_args(
         ["verify", "--trials", "3", "--seed", "1", "--gap-left", "-1e-3", "--out", "r.json"]

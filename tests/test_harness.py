@@ -360,26 +360,6 @@ def test_sharpness_search_attains_the_detailed_bound(v, branch):
     assert result["ok"]
 
 
-def test_stacked_rescale_drops_a_zero_direction_and_matches_each_walk_alone():
-    harness = spl.harness
-    cfg = spl.SharpnessConfig(n0=2, n1=4, D=2.0, d=0.5, v=0.6, restarts=5)
-    walks = [harness._Walk(cfg, r, (-1.0, 1.0)) for r in range(cfg.restarts)]
-    rng = np.random.default_rng(12)
-    dirs = [rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)) for _ in range(4)]
-    dirs[1] = np.zeros((2, 4), dtype=complex)
-    drawn = [(w, (*w.point[:3], bdir), True) for w, bdir in zip(walks, dirs)]
-    drawn.append((walks[4], walks[4].point, False))  # not a b move: passed as drawn
-    moves = harness._rescaled(drawn, cfg.v)
-    assert [w for w, _ in moves] == [walks[0], walks[2], walks[3], walks[4]]
-    for (_, point), bdir in zip(moves, [dirs[0], dirs[2], dirs[3]]):
-        assert point[3].tobytes() == (bdir * (cfg.v / spl.op_norm(bdir))).tobytes()
-    assert moves[3][1] is walks[4].point
-    # the walk whose direction had norm 0 made no move and is not settled
-    harness._step(moves)
-    assert (walks[1].measured, walks[1].step) == (-1.0, 0.3)
-    assert all(w.measured >= 0.0 for w in walks if w is not walks[1])
-
-
 def test_campaign_attains_the_apriori_bound_at_D_equal_2d():
     # the a-priori bound is sharp: at D = 2d, 1+2 instances with
     # d <= v < sqrt(2)d, where only that bound applies, come within 1e-6 of it

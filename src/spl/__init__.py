@@ -56,7 +56,6 @@ from .riccati import (
     RiccatiSolution,
     angular_operator,
     lemma22_check,
-    measured_rotation,
     perturbed_split,
     riccati_residual,
     verify_graph_props,

@@ -61,18 +61,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _parse_int_or_range(text: str):
+def _parse_range(text: str, kind):
+    """A ``kind`` value, or a (lo, hi) tuple of them for ``lo:hi``."""
     if ":" in text:
         lo, hi = text.split(":", 1)
-        return (int(lo), int(hi))
-    return int(text)
-
-
-def _parse_float_or_range(text: str):
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return (float(lo), float(hi))
-    return float(text)
+        return (kind(lo), kind(hi))
+    return kind(text)
 
 
 def _parse_linspace(text: str) -> np.ndarray:
@@ -149,10 +143,10 @@ def _cmd_verify(args) -> int:
     cfg = harness.CampaignConfig(
         trials=args.trials,
         seed=args.seed,
-        n0=_parse_int_or_range(args.n0),
-        n1=_parse_int_or_range(args.n1),
+        n0=_parse_range(args.n0, int),
+        n1=_parse_range(args.n1, int),
         gap=(args.gap_left, args.gap_right),
-        d=_parse_float_or_range(args.d),
+        d=_parse_range(args.d, float),
         outer_radius=args.outer_radius,
         regime=args.regime,
         v_fraction=args.v_frac,

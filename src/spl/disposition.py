@@ -172,16 +172,21 @@ def split_from_eigensystem(es: EigenSystem, gap: tuple[float, float]) -> Spectra
     gl, gr = float(gap[0]), float(gap[1])
     vals = es.values
     tol = es.edge_tol
-    at_left = np.abs(vals - gl) <= tol
-    at_right = np.abs(vals - gr) <= tol
-    if not bool(at_left.any()):
+    if not bool((np.abs(vals - gl) <= tol).any()):
         raise GapEndpointMissing(f"left endpoint {gl} is not a spectral point (tol {tol:.3e})")
-    if not bool(at_right.any()):
+    if not bool((np.abs(vals - gr) <= tol).any()):
         raise GapEndpointMissing(f"right endpoint {gr} is not a spectral point (tol {tol:.3e})")
-    inner = (vals > gl) & (vals < gr) & ~at_left & ~at_right
+    inner = _inner_mask(vals, tol, gl, gr)
     if not bool(inner.any()):
         raise EmptyInnerComponent(f"no eigenvalue strictly inside ({gl}, {gr})")
     return _split(vals[inner], vals[~inner], (gl, gr))
+
+
+def _inner_mask(values, tol, gap_left, gap_right) -> np.ndarray:
+    """Eigenvalues inside the open gap, those within ``tol`` (>= 0) of an end
+    excluded.  A difference of two floats is positive exactly when the first
+    is larger, so ``values - gap_left > tol`` alone says both."""
+    return (values - gap_left > tol) & (gap_right - values > tol)
 
 
 def _split(sigma0, sigma1, gap) -> SpectralSplit:

@@ -54,10 +54,6 @@ class RankMismatch(SplError):
 class NotAGraph(SplError):
     """Perturbed subspace is not a graph over the unperturbed one."""
 
-    def __init__(self, message: str, cond: float = float("inf")):
-        super().__init__(message)
-        self.cond = cond
-
 
 # --- bound formulas ----------------------------------------------------------
 

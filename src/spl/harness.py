@@ -172,16 +172,11 @@ def _range_doc(x):
     return x
 
 
-def _as_int_range(x) -> tuple[int, int]:
+def _as_range(x, kind) -> tuple:
+    """(lo, hi) of a range tuple or of one value, as ``kind`` values."""
     if isinstance(x, tuple):
-        return int(x[0]), int(x[1])
-    return int(x), int(x)
-
-
-def _as_float_range(x) -> tuple[float, float]:
-    if isinstance(x, tuple):
-        return float(x[0]), float(x[1])
-    return float(x), float(x)
+        return kind(x[0]), kind(x[1])
+    return kind(x), kind(x)
 
 
 def validate_config(cfg: CampaignConfig) -> None:
@@ -203,13 +198,13 @@ def validate_config(cfg: CampaignConfig) -> None:
     scale_lo, scale_hi = bounds.SCALE_RANGE
     if width > scale_hi:
         raise ConfigError(f"gap ({gl}, {gr}) is longer than {scale_hi:g}")
-    n0_lo, n0_hi = _as_int_range(cfg.n0)
-    n1_lo, n1_hi = _as_int_range(cfg.n1)
+    n0_lo, n0_hi = _as_range(cfg.n0, int)
+    n1_lo, n1_hi = _as_range(cfg.n1, int)
     if n0_lo < 1 or n0_hi < n0_lo:
         raise ConfigError(f"bad inner dimension range {cfg.n0}")
     if n1_lo < 2 or n1_hi < n1_lo:
         raise ConfigError(f"bad outer dimension range {cfg.n1} (need n1 >= 2)")
-    d_lo, d_hi = _as_float_range(cfg.d)
+    d_lo, d_hi = _as_range(cfg.d, float)
     if not 0.0 < d_lo <= d_hi <= width / 2.0:
         raise ConfigError(f"separation range {cfg.d} must lie in (0, {width / 2.0}]")
     if d_lo < scale_lo:
@@ -256,9 +251,9 @@ def _trial_draw(cfg: CampaignConfig, index: int) -> tuple[dict, tuple]:
     rng = np.random.default_rng(ss)
     gl, gr = float(cfg.gap[0]), float(cfg.gap[1])
     width = gr - gl
-    n0_lo, n0_hi = _as_int_range(cfg.n0)
-    n1_lo, n1_hi = _as_int_range(cfg.n1)
-    d_lo, d_hi = _as_float_range(cfg.d)
+    n0_lo, n0_hi = _as_range(cfg.n0, int)
+    n1_lo, n1_hi = _as_range(cfg.n1, int)
+    d_lo, d_hi = _as_range(cfg.d, float)
     n0 = int(rng.integers(n0_lo, n0_hi + 1))
     n1 = int(rng.integers(n1_lo, n1_hi + 1))
     d = float(rng.uniform(d_lo, d_hi)) if d_hi > d_lo else d_lo
@@ -313,9 +308,10 @@ def _records(insts: list[PerturbationInstance], res: riccati.StackSolution,
             "mu": sol.mu,
             "cond_Y0": sol.cond_Y0,
             "riccati_residual": sol.riccati_residual,
-            "lemma26_max": idents.res26,
-            "lemma27_max": idents.res27,
-            "lemma_term_imag_max": idents.term_imag,
+            # the identities' maxima over eigenpairs, a NaN among them kept
+            "lemma26_max": idents.res26.max(axis=1),
+            "lemma27_max": idents.res27.max(axis=1),
+            "lemma_term_imag_max": idents.term_imag.max(axis=1),
             "graph_angle_residual": graph.angle_residual,
             "graph1_residual": graph.graph1_residual,
             "spec0_residual": graph.spec0_residual,
@@ -325,9 +321,6 @@ def _records(insts: list[PerturbationInstance], res: riccati.StackSolution,
         }
         rows = zip(*(column.tolist() for column in columns.values()))
         solved = {i: dict(zip(columns, row)) for i, row in zip(res.solved, rows)}
-        for fields in solved.values():  # the identities' maxima over eigenpairs
-            for key in ("lemma26_max", "lemma27_max", "lemma_term_imag_max"):
-                fields[key] = max(fields[key])
     out = []
     for i, (inst, applicable, trial) in enumerate(zip(insts, reports, trials)):
         rec = dict.fromkeys(RECORD_KEYS)
@@ -386,11 +379,13 @@ def _records(insts: list[PerturbationInstance], res: riccati.StackSolution,
             violations.append("enclosure")
         if applicable.regime_detailed and not rec["mu"] < 1.0:
             violations.append("mu")
-        if any(rec[key] > GRAPH_TOL for key in GRAPH_RESIDUALS):
+        # written as "not x <= limit", so that a NaN residual fails
+        if not all(rec[key] <= GRAPH_TOL for key in GRAPH_RESIDUALS):
             violations.append("graph")
-        if rec["riccati_residual"] > rec["riccati_limit"]:
+        if not rec["riccati_residual"] <= rec["riccati_limit"]:
             violations.append("riccati")
-        if rec["lemma26_max"] > rec["lemma_limit"] or rec["lemma27_max"] > rec["lemma_limit"]:
+        if not (rec["lemma26_max"] <= rec["lemma_limit"]
+                and rec["lemma27_max"] <= rec["lemma_limit"]):
             violations.append("lemma")
         rec["violations"] = violations
     return out
@@ -461,8 +456,6 @@ def _aggregate(records: list[dict]) -> dict:
         vals = [r[key] for r in records if r[key] is not None and (flag is None or r[flag])]
         return max(vals) if vals else None
 
-    mu31 = [r["mu"] for r in records if r["mu"] is not None and r["regime31"]]
-    meas31 = [r["measured"] for r in records if r["measured"] is not None and r["regime31"]]
     return {
         "trials": len(records),
         "failures": sum(1 for r in records if r["error"] is not None),
@@ -478,8 +471,8 @@ def _aggregate(records: list[dict]) -> dict:
         "max_spec1_residual": vmax("spec1_residual"),
         "max_lambda0_herm_residual": vmax("lambda0_herm_residual"),
         "max_cond_Y0": vmax("cond_Y0"),
-        "max_mu_regime31": max(mu31) if mu31 else None,
-        "max_measured_regime31": max(meas31) if meas31 else None,
+        "max_mu_regime31": vmax("mu", "regime31"),
+        "max_measured_regime31": vmax("measured", "regime31"),
     }
 
 

@@ -15,8 +15,9 @@ not depend on the rest of its stack.  The per-instance stage functions
 are stacks of one.  The one SVD of X (:func:`polar_decompose`) gives
 ||X||, the polar parts, the eigenpairs of |X| and (I + |X|^2)^(+-1/2).
 The measured rotation ||E0 - E0'|| is ||Y1||, the norm of the outer rows
-of the orthonormal perturbed inner basis (:func:`measured_rotation`); it
-is computed without X.
+of the orthonormal perturbed inner basis (:func:`_rotation`, read by
+:func:`_graph` in the pipeline and by :func:`_rotations` in the sharpness
+search); it is computed without X.
 
 Inner products are conjugate-linear in the first argument (numpy.vdot).
 """
@@ -30,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .disposition import InstanceStack, PerturbationInstance
+from .disposition import InstanceStack, PerturbationInstance, _inner_mask
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -125,8 +126,8 @@ class Identities:
 class GraphReport:
     """Graph-representation checks for a solved instance.
 
-    measured is ||E_A(sigma0) - E_L(omega0)||, taken as ||Y1|| by
-    :func:`measured_rotation` without X; angle_residual its deviation
+    measured is ||E_A(sigma0) - E_L(omega0)||, taken as ||Y1|| (see
+    :func:`_rotation`) without X; angle_residual its deviation
     from sin(arctan ||X||); graph1_residual the defect of the outer subspace
     being the graph of -X*; spec0/spec1_residual the mismatch between the
     spectra of A0 + B X / A1 - B* X* and omega0 / omega1; the lambda0_*
@@ -196,13 +197,6 @@ def _eigen(L: np.ndarray) -> EigenSystem:
         raise EigenFailure(f"eigensolve of the perturbed operator failed: {exc}") from exc
 
 
-def _inner_mask(values, tol, gap_left, gap_right) -> np.ndarray:
-    """Eigenvalues inside the open gap, those within ``tol`` (>= 0) of an end
-    excluded.  A difference of two floats is positive exactly when the first
-    is larger, so ``values - gap_left > tol`` alone says both."""
-    return (values - gap_left > tol) & (gap_right - values > tol)
-
-
 def _rank_mismatch(dim: int, n0: int) -> RankMismatch:
     return RankMismatch(
         f"gap closed: perturbed inner subspace has dimension {dim}, expected {n0}"
@@ -231,28 +225,22 @@ def perturbed_split(inst: PerturbationInstance) -> PerturbedSplit:
 
 
 def _rotation(y1: np.ndarray) -> np.ndarray:
-    """||Y1|| of each stacked block Y1, the outer rows of a basis [Y0; Y1]
-    of the perturbed inner subspace, clipped to 1."""
-    return np.minimum(op_norms(y1), 1.0)
-
-
-def measured_rotation(inst: PerturbationInstance, ps: PerturbedSplit) -> float:
-    """||E_A(sigma0) - E_L(omega0)||, clipped to [0, 1], computed without X.
+    """||E_A(sigma0) - E_L(omega0)|| of each stacked block Y1, the outer
+    rows of an orthonormal basis [Y0; Y1] of the perturbed inner subspace,
+    clipped to 1.
 
     The instance lives in the split basis, E0 = diag(I, 0).  For subspaces
     of equal dimension the norm is the sine of the largest principal angle,
-    which is ||Y1||, the norm of the outer rows of an orthonormal basis
-    [Y0; Y1] of the perturbed inner subspace; for unequal dimensions it is 1.
+    which is ||Y1||.
     """
-    if ps.basis0.shape[1] != inst.n0:
-        return 1.0
-    return _rotation(ps.basis0[None, inst.n0:])[0].item()
+    return np.minimum(op_norms(y1), 1.0)
 
 
 def _rotations(L: np.ndarray, gap: tuple[float, float], n0: int) -> np.ndarray:
-    """:func:`measured_rotation` of each stacked operator L, split by the
-    gap as :func:`perturbed_split` splits one: ||Y1|| clipped to 1 where
-    the inner count is n0, else 1.0.  One verified eigensolve for the stack.
+    """The measured rotation of each stacked operator L, split by the gap
+    as :func:`perturbed_split` splits one: ||Y1|| clipped to 1 where the
+    inner count is n0, else 1.0, the norm for subspaces of unequal
+    dimension.  One verified eigensolve for the stack.
 
     Of each row with n0 inner eigenvalues only Y1 is selected: the outer
     rows of the inner columns.
@@ -282,8 +270,7 @@ def _is_graph(cond: float) -> bool:
 
 def _not_a_graph(cond: float) -> NotAGraph:
     return NotAGraph(
-        f"inner block of the perturbed basis is numerically singular (cond {cond:.3e})",
-        cond=cond,
+        f"inner block of the perturbed basis is numerically singular (cond {cond:.3e})"
     )
 
 

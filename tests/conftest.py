@@ -64,6 +64,14 @@ def enclosure_of(inst) -> tuple[float, float]:
     return spl.enclosure(split.gap_left, split.gap_right, split.d, inst.v)
 
 
+def rotation_of(inst) -> float:
+    """The measured rotation ||E_A(sigma0) - E_L(omega0)|| of one instance,
+    as the sharpness search takes it: ||Y1|| on a stack of one."""
+    split = inst.split
+    gap = (split.gap_left, split.gap_right)
+    return spl.riccati._rotations(inst.L[None], gap, inst.n0)[0].item()
+
+
 def projector(cols: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the span of orthonormal columns."""
     return cols @ cols.conj().T

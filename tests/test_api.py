@@ -14,7 +14,7 @@ PUBLIC_NAMES = [
     "PerturbationInstance", "PerturbedSplit", "PhiSup", "PolarParts", "RiccatiSolution",
     "SharpnessConfig", "SpectralSplit", "analyze", "angular_operator",
     "assemble_instance", "bound_apriori", "bound_detailed", "eigh", "enclosure", "kappa",
-    "lemma22_check", "make_bound_report", "measured_rotation", "op_norm", "perturbed_split",
+    "lemma22_check", "make_bound_report", "op_norm", "perturbed_split",
     "phi", "phi_sup_analytic", "phi_sup_oracle", "polar_decompose", "r_v", "random_instance",
     "riccati_residual", "run_campaign", "sharpness_search",
     "subspace_angle", "sweep_csv", "sweep_rows", "trial_instance", "trial_record_for_instance",

@@ -86,6 +86,17 @@ def test_analyze_structural_error_exit_code(tmp_path, capsys):
     assert err["error"] == "RankMismatch"
 
 
+def test_analyze_matrix_with_nan_residuals_is_structural(tmp_path, capsys):
+    # the 2x2 block has the eigenvalues 0 and 2e308, which overflows to inf
+    m = np.array([[1e308, 1e308, 0.0], [1e308, 1e308, 0.0], [0.0, 0.0, 0.2]])
+    path = tmp_path / "mat.json"
+    path.write_text(matio.dumps(matio.matrix_to_dict(m)))
+    with np.errstate(all="ignore"):
+        code = cli.main(["analyze", "--in", str(path), "--gap-left", "-1", "--gap-right", "1"])
+    assert code == cli.EXIT_STRUCTURAL
+    assert json.loads(capsys.readouterr().err)["error"] == "ConvergenceFailure"
+
+
 def test_analyze_parse_error(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{not json")

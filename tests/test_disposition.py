@@ -15,7 +15,7 @@ from spl.errors import (
 )
 
 from conftest import (
-    inner_projector, projector, random_hermitian, random_unitary, split_parts,
+    inner_projector, projector, random_hermitian, random_unitary, rotation_of, split_parts,
 )
 
 
@@ -328,5 +328,5 @@ def test_hide_block_structure_preserves_geometry():
     assert spl.op_norm(j @ v_dense + v_dense @ j) <= 1e-9 * inst.v
     # measured rotation is unitarily invariant: dense path equals block path
     measured_dense = spl.subspace_angle(e0_dense, projector(inner_cols(a_dense + v_dense)))
-    measured_block = spl.measured_rotation(inst, spl.perturbed_split(inst))
+    measured_block = rotation_of(inst)
     npt.assert_allclose(measured_dense, measured_block, atol=1e-9)

@@ -77,6 +77,34 @@ def test_trial_record_e1_numbers(e1):
     assert rec["regime12"] and rec["regime29"] and rec["regime31"]
 
 
+def nan_at(array, col):
+    """A copy of a stacked (k, n) array with column ``col`` set to NaN."""
+    out = array.copy()
+    out[:, col] = np.nan
+    return out
+
+
+#: A stage of riccati wrapped to put a NaN into one residual, and the
+#: violation it must raise.
+NAN_STAGES = {
+    "graph": ("_graph", lambda g: dataclasses.replace(g, spec1_residual=g.spec1_residual * np.nan)),
+    "riccati": ("_residual", lambda r: r * np.nan),
+    # a NaN behind a finite first eigenpair must survive the max over eigenpairs
+    "lemma": ("_identities", lambda i: dataclasses.replace(i, res27=nan_at(i.res27, 1))),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(NAN_STAGES))
+def test_nan_residual_is_a_violation(monkeypatch, tag):
+    name, poison = NAN_STAGES[tag]
+    original = getattr(spl.riccati, name)
+    monkeypatch.setattr(spl.riccati, name, lambda *a: poison(original(*a)))
+    inst = spl.assemble_instance([-0.2, 0.3], [-1.0, 1.0, 2.0], (-1.0, 1.0), 0.1 * np.eye(2, 3))
+    rec = spl.trial_record_for_instance(inst)
+    assert rec["error"] is None
+    assert rec["violations"] == [tag]
+
+
 def test_trial_record_structural_failure():
     inst = spl.assemble_instance([0.0], [-1.0, 1.0], (-1.0, 1.0), [[5.0, 0.0]])
     rec = spl.trial_record_for_instance(inst)

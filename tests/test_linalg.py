@@ -45,15 +45,15 @@ def test_eigh_random_invariants():
 
 
 def spy_op_norm(monkeypatch):
-    """Record every op_norm call that eigh makes; returns the list of calls."""
+    """Record every op_norms call that eigh makes; returns the list of calls."""
     calls = []
-    original = spl.linalg.op_norm
+    original = spl.linalg.op_norms
 
     def spy(m):
         calls.append(m)
         return original(m)
 
-    monkeypatch.setattr(spl.linalg, "op_norm", spy)
+    monkeypatch.setattr(spl.linalg, "op_norms", spy)
     return calls
 
 
@@ -98,6 +98,38 @@ def test_eigh_defect_above_limit_in_both_norms_raises(monkeypatch, defect):
     monkeypatch.setattr(np.linalg, "eigh", fake_eigh(defect, 1.5 * spl.linalg.EIG_RTOL))
     with pytest.raises(ConvergenceFailure, match="residuals too large"):
         spl.eigh(np.diag(DIAG))
+
+
+def fake_stack_eigh(sizes):
+    """np.linalg.eigh stand-in for a stack of diag(DIAG), matrix k with its
+    eigenvalues shifted by sizes[k]: a residual defect of spectral norm
+    sizes[k] and Frobenius norm twice that."""
+    def eigh(a):
+        values = DIAG + np.asarray(sizes)[:, None]
+        return values, np.broadcast_to(np.eye(DIAG.size, dtype=complex), a.shape).copy()
+
+    return eigh
+
+
+def test_eigh_stack_frobenius_miss_within_spectral_limit_passes(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigh", fake_stack_eigh([0.8 * spl.linalg.EIG_RTOL] * 3))
+    calls = spy_op_norm(monkeypatch)
+    es = spl.eigh(np.stack([np.diag(DIAG)] * 3))
+    assert es.values.shape == (3, DIAG.size)
+    assert [c.shape for c in calls] == [(3, DIAG.size, DIAG.size)] * 2
+
+
+def test_eigh_stack_raises_with_the_failing_matrix_norms(monkeypatch):
+    rtol = spl.linalg.EIG_RTOL
+    monkeypatch.setattr(np.linalg, "eigh", fake_stack_eigh([0.8 * rtol, 1.5 * rtol, 0.8 * rtol]))
+    with pytest.raises(ConvergenceFailure, match="residuals too large: 1.500e-10, 0.000e"):
+        spl.eigh(np.stack([np.diag(DIAG)] * 3))
+
+
+def test_eigh_nan_residual_fails():
+    # an eigenvalue overflows to inf, its residual column is NaN
+    with np.errstate(all="ignore"), pytest.raises(ConvergenceFailure):
+        spl.eigh(np.array([[1e308, 1e308], [1e308, 1e308]]))
 
 
 def test_eigh_leaves_its_input_and_identity_unwritten():

@@ -15,7 +15,7 @@ from spl.errors import (
     RegimeViolation,
 )
 
-from conftest import enclosure_of, inner_projector, projector, random_unitary
+from conftest import enclosure_of, inner_projector, projector, random_unitary, rotation_of
 
 SQRT2 = math.sqrt(2.0)
 
@@ -434,14 +434,15 @@ def test_measured_rotation_matches_projector_route():
     for inst in insts:
         ps = spl.perturbed_split(inst)
         ref = spl.subspace_angle(inner_projector(inst), projector(ps.basis0))
-        assert abs(spl.measured_rotation(inst, ps) - ref) <= 1e-14
+        assert abs(rotation_of(inst) - ref) <= 1e-14
+        assert abs(spl.riccati.solve_stack([inst]).graph.measured[0] - ref) <= 1e-14
 
 
 def test_measured_rotation_gap_closed_is_one():
     inst = spl.assemble_instance([0.0], [-1.0, 1.0], (-1.0, 1.0), [[5.0, 0.0]])
     ps = spl.perturbed_split(inst)
     assert ps.basis0.shape[1] == 0
-    assert spl.measured_rotation(inst, ps) == 1.0
+    assert rotation_of(inst) == 1.0
     assert spl.subspace_angle(inner_projector(inst), projector(ps.basis0)) == 1.0
 
 

@@ -18,6 +18,8 @@ import spl
 from spl import harness, matio, riccati
 from spl.linalg import adjoint
 
+from conftest import rotation_of
+
 #: (n0, n1) block shapes: tiny and acceptance-sized, n0 > n1 included.
 SHAPES = [(1, 2), (2, 4), (3, 3), (1, 20), (20, 20), (13, 7), (8, 3), (5, 2)]
 
@@ -467,13 +469,13 @@ LOCKSTEP_CONFIGS = [
 
 
 def test_stacked_rotations_match_the_per_instance_route():
-    # one row's gap closes: its rotation is 1.0, as measured_rotation says
+    # one row's gap closes: its rotation is 1.0, as on its own
     closed = spl.assemble_instance(
         [-0.5, 0.5], [-1.0, 1.0, 1.5], (-1.0, 1.0), 3.0 * np.eye(2, 3)
     )
     insts = shape_instances(2, 3, 808)
     insts.insert(2, closed)
-    singles = [riccati.measured_rotation(i, riccati.perturbed_split(i)) for i in insts]
+    singles = [rotation_of(i) for i in insts]
     assert singles[2] == 1.0 and riccati.perturbed_split(closed).gap_closed
     stacked = riccati._rotations(np.stack([i.L for i in insts]), (-1.0, 1.0), 2)
     assert stacked.tolist() == singles

@@ -49,16 +49,6 @@ from .linalg import (
     polar_decompose,
     subspace_angle,
 )
-from .riccati import (
-    GraphReport,
-    IdentityReport,
-    PerturbedSplit,
-    RiccatiSolution,
-    angular_operator,
-    lemma22_check,
-    perturbed_split,
-    riccati_residual,
-    verify_graph_props,
-)
+from .riccati import GraphReport, RiccatiSolution, riccati_residual
 
 __version__ = "0.1.0"

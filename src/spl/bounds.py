@@ -98,22 +98,20 @@ def sin_half_arctan(k: float) -> float:
     return k / math.sqrt(2.0 * s * (s + 1.0))
 
 
-def r_v(v: float, d: float, D: float, checked: bool = True) -> float:
+def r_v(v: float, d: float, D: float) -> float:
     """Gap-erosion radius: how far perturbed inner eigenvalues can approach
     the gap ends.
 
     Algebraically equal to v * tan(arctan(2 v / (D - d)) / 2), computed in
     the cancellation-free form 2 v^2 / (sqrt((D-d)^2 + 4 v^2) + (D - d)).
-    Strictly below d whenever v < sqrt(d*D); ``checked`` enforces that
-    regime.
+    Strictly below d whenever v < sqrt(d*D), the regime it requires.
     """
     check_geometry(D, d)
     check_norm(v)
-    if checked:
-        limit = regime_limits(D, d)[1]
-        if v >= limit:
-            raise RegimeViolation(f"need v < sqrt(d*D) = {limit}, got v={v}")
-    return _r_v(v, d, D, checked)
+    limit = regime_limits(D, d)[1]
+    if v >= limit:
+        raise RegimeViolation(f"need v < sqrt(d*D) = {limit}, got v={v}")
+    return _r_v(v, d, D, True)
 
 
 def _r_v(v: float, d: float, D: float, checked: bool) -> float:
@@ -124,15 +122,13 @@ def _r_v(v: float, d: float, D: float, checked: bool) -> float:
     return value
 
 
-def enclosure(
-    gamma_l: float, gamma_r: float, d: float, v: float, checked: bool = True
-) -> tuple[float, float]:
+def enclosure(gamma_l: float, gamma_r: float, d: float, v: float) -> tuple[float, float]:
     """Interval confining the perturbed inner eigenvalues.
 
     Returns (gamma_l + d - r, gamma_r - d + r) with r the gap-erosion
     radius.  For v = 0 this is the admissible hull of the inner component.
     """
-    return _erode(gamma_l, gamma_r, d, r_v(v, d, gamma_r - gamma_l, checked=checked))
+    return _erode(gamma_l, gamma_r, d, r_v(v, d, gamma_r - gamma_l))
 
 
 def _erode(gamma_l: float, gamma_r: float, d: float, r: float) -> tuple[float, float]:
@@ -144,21 +140,20 @@ def kappa_branch_point(D: float, d: float) -> float:
     return 0.5 * math.sqrt(d * (D - 2.0 * d))
 
 
-def kappa(D: float, d: float, v: float, checked: bool = True) -> KappaValue:
+def kappa(D: float, d: float, v: float) -> KappaValue:
     """Piecewise coefficient whose half-arctangent sine bounds the projector
     difference for gap length D, separation d and perturbation norm v.
 
     Linear branch 2v/d below the branch point, a rational-plus-radical
     expression above; the two agree at the branch point.  The domain is
-    D > 0, 0 < d <= D/2, 0 <= v < sqrt(d*(D-d)); ``checked=False`` lifts the
-    v restriction and evaluates wherever the denominator stays positive.
+    D > 0, 0 < d <= D/2, 0 <= v < sqrt(d*(D-d)); :func:`_kappa` evaluates
+    wherever the denominator stays positive.
     """
     check_geometry(D, d)
     check_norm(v)
-    if checked:
-        limit = regime_limits(D, d)[2]
-        if v >= limit:
-            raise DomainViolation(f"need v < sqrt(d*(D-d)) = {limit}, got v={v}")
+    limit = regime_limits(D, d)[2]
+    if v >= limit:
+        raise DomainViolation(f"need v < sqrt(d*(D-d)) = {limit}, got v={v}")
     return _kappa(D, d, v)
 
 
@@ -174,7 +169,7 @@ def _kappa(D: float, d: float, v: float) -> KappaValue:
     return KappaValue(value=num / den, branch="full")
 
 
-def bound_apriori(v: float, d: float, checked: bool = True) -> float:
+def bound_apriori(v: float, d: float) -> float:
     """A-priori projector-difference bound sin(arctan(v/d)).
 
     Depends on the separation only; valid while v < sqrt(2)*d.
@@ -182,7 +177,7 @@ def bound_apriori(v: float, d: float, checked: bool = True) -> float:
     if not 0.0 < d < math.inf:
         raise DomainViolation(f"separation must be positive and finite, got d={d}")
     check_norm(v)
-    if checked and v >= math.sqrt(2.0) * d:
+    if v >= math.sqrt(2.0) * d:
         raise RegimeViolation(f"need v < sqrt(2)*d = {math.sqrt(2.0) * d}, got v={v}")
     return sin_arctan(v / d)
 

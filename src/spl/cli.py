@@ -120,21 +120,19 @@ def _cmd_bounds(args) -> int:
     D, d, v = args.D, args.d, args.v
     row = harness.bound_row(D, d, v)
     if args.unchecked:
-        # out of regime, evaluate the formulas wherever they are defined
+        # out of regime, evaluate the formulas on the validated (D, d, v) where defined
         if row["bound13"] is None:
-            row["bound13"] = bounds.bound_apriori(v, d, checked=False)
+            row["bound13"] = bounds.sin_arctan(v / d)
         if row["kappa"] is None:
             try:
-                kv = bounds.kappa(D, d, v, checked=False)
+                kv = bounds._kappa(D, d, v)
                 row.update(kappa=kv.value, branch=kv.branch,
                            bound32=bounds.sin_half_arctan(kv.value))
             except SingularDenominator:
                 pass
         if row["r_V"] is None:
-            row["r_V"] = bounds.r_v(v, d, D, checked=False)
-            row["encl_lo"], row["encl_hi"] = bounds.enclosure(
-                -D / 2.0, D / 2.0, d, v, checked=False
-            )
+            row["r_V"] = bounds._r_v(v, d, D, False)
+            row["encl_lo"], row["encl_hi"] = bounds._erode(-D / 2.0, D / 2.0, d, row["r_V"])
     _emit(matio.dumps(row, indent=2), None)
     return EXIT_OK
 

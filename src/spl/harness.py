@@ -299,8 +299,12 @@ def _applicable(inst: PerturbationInstance) -> bounds.BoundReport:
 def _records(insts: list[PerturbationInstance], res: riccati.StackSolution,
              reports: list[bounds.BoundReport], trials: list) -> list[dict]:
     """Flat campaign records of a solved stack, in stack order; ``reports``
-    holds each instance's :func:`_applicable` bounds."""
-    solved = {}
+    holds each instance's :func:`_applicable` bounds.
+
+    A NaN or an infinity of a solved record, which JSON cannot hold as a
+    number, is written as the string "nan", "inf" or "-inf".
+    """
+    solved, nonfinite = {}, set()
     if res.solution is not None:
         sol, graph, idents = res.solution, res.graph, res.identities
         columns = {
@@ -319,8 +323,11 @@ def _records(insts: list[PerturbationInstance], res: riccati.StackSolution,
             "lambda0_herm_residual": graph.lambda0_herm_residual,
             "lambda0_spec_residual": graph.lambda0_spec_residual,
         }
-        rows = zip(*(column.tolist() for column in columns.values()))
-        solved = {i: dict(zip(columns, row)) for i, row in zip(res.solved, rows)}
+        table = np.array(list(columns.values()))
+        solved = {i: dict(zip(columns, row)) for i, row in zip(res.solved, table.T.tolist())}
+        finite = np.isfinite(table)
+        if not finite.all():
+            nonfinite = {res.solved[j] for j in np.flatnonzero(~finite.all(axis=0)).tolist()}
     out = []
     for i, (inst, applicable, trial) in enumerate(zip(insts, reports, trials)):
         rec = dict.fromkeys(RECORD_KEYS)
@@ -388,6 +395,10 @@ def _records(insts: list[PerturbationInstance], res: riccati.StackSolution,
                 and rec["lemma27_max"] <= rec["lemma_limit"]):
             violations.append("lemma")
         rec["violations"] = violations
+        if i in nonfinite:
+            for key, value in rec.items():
+                if isinstance(value, float) and not math.isfinite(value):
+                    rec[key] = str(value)
     return out
 
 
@@ -453,8 +464,13 @@ def _aggregate(records: list[dict]) -> dict:
     counts["total"] = sum(counts.values())
 
     def vmax(key, flag=None):
+        """The largest value, or the string of a non-finite one (see
+        :func:`_records`); a NaN outranks every value."""
         vals = [r[key] for r in records if r[key] is not None and (flag is None or r[flag])]
-        return max(vals) if vals else None
+        if not vals:
+            return None
+        top = np.max(np.array(vals, dtype=float)).item()
+        return top if math.isfinite(top) else str(top)
 
     return {
         "trials": len(records),
@@ -568,6 +584,7 @@ def analyze(inst: PerturbationInstance) -> dict:
     if res.failures[0] is not None:
         raise res.failures[0]
     sol, graph = riccati._row(res.solution, 0), riccati._row(res.graph, 0)
+    idents = res.identities
     values, inner = res.eigen.values[0], res.inner[0]
     enclosure = applicable.enclosure
     split = inst.split
@@ -598,14 +615,10 @@ def analyze(inst: PerturbationInstance) -> dict:
             "X": matio.matrix_to_dict(sol.X),
         },
         "identities": [
-            {
-                "lambda": r.lam,
-                "res26": r.res26,
-                "res27": r.res27,
-                "term_imag": r.term_imag,
-                "top": r.top,
-            }
-            for r in res.identities.reports(0)
+            dict(zip(("lambda", "res26", "res27", "term_imag", "top"), pair))
+            for pair in zip(*(column[0].tolist() for column in (
+                idents.lam, idents.res26, idents.res27, idents.term_imag, idents.top
+            )))
         ],
         "graph": {
             "measured": graph.measured,
@@ -826,7 +839,7 @@ def _sharpness_result(cfg: SharpnessConfig, measured: float, inst: PerturbationI
     # rotation passes up to BOUND_SLACK above the bound, whatever their
     # ratio; abs reads a v of -0.0 as the norm 0, whose bound is +0.0
     gap = inst.split.gap_left, inst.split.gap_right
-    report = bounds.applicable_bounds(cfg.D, cfg.d, abs(cfg.v), *gap).against(measured)
+    report = bounds.make_bound_report(measured, cfg.D, cfg.d, abs(cfg.v), *gap)
     return {
         "best_ratio": report.ratio_detailed,
         "measured": measured,

@@ -11,13 +11,16 @@ residual  X A0 - A1 X + X B X - B*.
 (n0, n1) and runs each stage once for all of them, every decomposition as
 one stacked numpy.linalg call over a leading batch axis; numpy computes
 each matrix of a stack exactly as on its own, so an instance's numbers do
-not depend on the rest of its stack.  The per-instance stage functions
-are stacks of one.  The one SVD of X (:func:`polar_decompose`) gives
-||X||, the polar parts, the eigenpairs of |X| and (I + |X|^2)^(+-1/2).
-The measured rotation ||E0 - E0'|| is ||Y1||, the norm of the outer rows
-of the orthonormal perturbed inner basis (:func:`_rotation`, read by
-:func:`_graph` in the pipeline and by :func:`_rotations` in the sharpness
-search); it is computed without X.
+not depend on the rest of its stack.  Its stages are
+:func:`perturbed_split`, :func:`angular_operator`,
+:func:`verify_graph_props` and :func:`lemma22_check`, each called once
+per stack; an instance is row i of their results.  The one SVD of X
+(:func:`polar_decompose`) gives ||X||, the polar parts, the eigenpairs of
+|X| and (I + |X|^2)^(+-1/2).  The measured rotation ||E0 - E0'|| is
+||Y1||, the norm of the outer rows of the orthonormal perturbed inner
+basis (:func:`_rotation`, read by :func:`verify_graph_props` in the
+pipeline and by :func:`_rotations` in the sharpness search); it is
+computed without X.
 
 Inner products are conjugate-linear in the first argument (numpy.vdot).
 """
@@ -54,23 +57,6 @@ GRAPH_COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True, eq=False)
-class PerturbedSplit:
-    """Spectrum and spectral subspaces of L = A + V split by the gap.
-
-    omega0/omega1 are the eigenvalues inside/outside the open gap (edge
-    grazers count as outside) and basis0/basis1 orthonormal bases of both
-    parts.  gap_closed flags an inner eigenvalue count different from the
-    unperturbed one, i.e. spectrum leaked across the gap ends.
-    """
-
-    omega0: np.ndarray
-    omega1: np.ndarray
-    basis0: np.ndarray
-    basis1: np.ndarray
-    gap_closed: bool
-
-
-@dataclass(frozen=True, eq=False)
 class RiccatiSolution:
     """Angular operator of the perturbed inner subspace with diagnostics.
 
@@ -90,36 +76,22 @@ class RiccatiSolution:
     cond_Y0: float
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Eigenpair identity residuals for one eigenvalue of |X|.
-
-    lam is the |X| eigenvalue, res26/res27 the absolute residuals of the two
-    eigenvector identities, term_imag the imaginary part left in the mixed
-    inner-product term (should vanish on Hermitian data), and top marks the
-    eigenvalue(s) equal to ||X||.
-    """
-
-    lam: float
-    res26: float
-    res27: float
-    term_imag: float
-    top: bool
-
-
 @dataclass(frozen=True, eq=False)
 class Identities:
-    """The :class:`IdentityReport` fields of a stack, as (k, n0) arrays."""
+    """Eigenpair identity residuals of a stack, as (k, n0) arrays.
+
+    Column j of a row belongs to the j-th eigenvalue lam of |X|, in
+    descending order; res26/res27 are the absolute residuals of the two
+    eigenvector identities (see :func:`lemma22_check`), term_imag the
+    imaginary part left in the mixed inner-product term (it vanishes on
+    Hermitian data), and top marks the eigenvalue(s) equal to ||X||.
+    """
 
     lam: np.ndarray
     res26: np.ndarray
     res27: np.ndarray
     term_imag: np.ndarray
     top: np.ndarray
-
-    def reports(self, row: int) -> list[IdentityReport]:
-        columns = (getattr(self, f.name)[row].tolist() for f in dataclasses.fields(self))
-        return [IdentityReport(*fields) for fields in zip(*columns)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,15 +153,6 @@ def _row(stacked, row: int):
     return type(stacked)(**fields)
 
 
-def _one(single):
-    """A stack of one of a per-instance result dataclass."""
-    return type(single)(**{
-        f.name: _one(v) if dataclasses.is_dataclass(v) else np.asarray(v)[None]
-        for f in dataclasses.fields(single)
-        for v in (getattr(single, f.name),)
-    })
-
-
 def _eigen(L: np.ndarray) -> EigenSystem:
     try:
         return eigh(L)
@@ -203,24 +166,28 @@ def _rank_mismatch(dim: int, n0: int) -> RankMismatch:
     )
 
 
-def perturbed_split(inst: PerturbationInstance) -> PerturbedSplit:
-    """Split the spectrum of L = A + V by the instance's gap.
+def perturbed_split(es: EigenSystem, inner: np.ndarray, rows: list[int], n0: int):
+    """(omega0, omega1, basis0, basis1) of the stacked eigensystems ``rows``
+    of L = A + V, split by the gap: the eigenvalues inside and outside it
+    and orthonormal bases of both spectral subspaces.
 
-    Eigenvalues within the edge tolerance of a gap end are assigned to the
-    outer part (an unmoved outer eigenvalue may legitimately sit exactly on
-    an endpoint).  The split is flagged gap_closed when the inner eigenvalue
-    count differs from the unperturbed block dimension.
+    ``inner`` masks the eigenvalues inside the open gap; those within the
+    edge tolerance of a gap end count as outside (an unmoved outer
+    eigenvalue may sit exactly on an end).  Every row of ``rows`` holds n0
+    inner eigenvalues: a different count means the gap closed.  The bases
+    have the memory layout of ``vectors[:, inner]`` on one matrix, so the
+    products that read them run the same BLAS kernels.
     """
-    es = _eigen(inst.L)
-    split = inst.split
-    inner = _inner_mask(es.values, es.edge_tol, split.gap_left, split.gap_right)
-    cols0 = es.vectors[:, inner]
-    return PerturbedSplit(
-        omega0=es.values[inner],
-        omega1=es.values[~inner],
-        basis0=cols0,
-        basis1=es.vectors[:, ~inner],
-        gap_closed=cols0.shape[1] != inst.n0,
+    values, vectors = es.values, es.vectors
+    if len(rows) < len(values):
+        values, vectors, inner = values[rows], vectors[rows], inner[rows]
+    k, n = values.shape
+    cols = vectors.swapaxes(1, 2)
+    return (
+        values[inner].reshape(k, n0),
+        values[~inner].reshape(k, n - n0),
+        cols[inner].reshape(k, n0, n).swapaxes(1, 2),
+        cols[~inner].reshape(k, n - n0, n).swapaxes(1, 2),
     )
 
 
@@ -238,9 +205,9 @@ def _rotation(y1: np.ndarray) -> np.ndarray:
 
 def _rotations(L: np.ndarray, gap: tuple[float, float], n0: int) -> np.ndarray:
     """The measured rotation of each stacked operator L, split by the gap
-    as :func:`perturbed_split` splits one: ||Y1|| clipped to 1 where the
-    inner count is n0, else 1.0, the norm for subspaces of unequal
-    dimension.  One verified eigensolve for the stack.
+    as in :func:`solve_stack`: ||Y1|| clipped to 1 where the inner count
+    is n0, else 1.0, the norm for subspaces of unequal dimension.  One
+    verified eigensolve for the stack.
 
     Of each row with n0 inner eigenvalues only Y1 is selected: the outer
     rows of the inner columns.
@@ -268,12 +235,6 @@ def _is_graph(cond: float) -> bool:
     return math.isfinite(cond) and not cond > GRAPH_COND_LIMIT
 
 
-def _not_a_graph(cond: float) -> NotAGraph:
-    return NotAGraph(
-        f"inner block of the perturbed basis is numerically singular (cond {cond:.3e})"
-    )
-
-
 def _blocks(st: InstanceStack) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(A0, A1, B, B*) of a stack, copied out of L once for the stages that
     compute with them: sums and products run slower on strided views."""
@@ -281,13 +242,17 @@ def _blocks(st: InstanceStack) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     return st.A0.copy(), st.A1.copy(), b, adjoint(b)
 
 
-def _coupled0(blocks: tuple, x: np.ndarray) -> np.ndarray:
-    """A0 + B X, similar to Lambda0 and with spectrum omega0."""
-    return blocks[0] + blocks[2] @ x
+def angular_operator(blocks: tuple, basis0: np.ndarray, cond: list[float]) -> tuple:
+    """Angular operators of the stacked perturbed inner subspaces by graph
+    inversion: (the :class:`RiccatiSolution`, A0 + B X).
 
-
-def _angular(blocks: tuple, basis0: np.ndarray, cond: list[float]) -> tuple:
-    """Stacked graph inversion X = Y1 Y0^{-1}: everything built from X, and A0 + B X."""
+    Any orthonormal basis Y of the perturbed inner subspace, partitioned
+    into inner/outer block rows [Y0; Y1], yields X = Y1 Y0^{-1}; the result
+    is independent of the basis choice.  ``blocks`` are (A0, A1, B, B*)
+    from :func:`_blocks`, and ``cond`` the conditioning of each Y0, which
+    the caller has found graph-like (see :func:`_is_graph`).  A0 + B X is
+    similar to Lambda0 and has the spectrum omega0.
+    """
     n0 = blocks[0].shape[-1]
     y0 = basis0[:, :n0, :]
     y1 = basis0[:, n0:, :]
@@ -295,7 +260,7 @@ def _angular(blocks: tuple, basis0: np.ndarray, cond: list[float]) -> tuple:
     polar = polar_decompose(x)
     half = polar.apply(lambda s: np.sqrt(1.0 + s * s))
     half_inv = polar.apply(lambda s: 1.0 / np.sqrt(1.0 + s * s))
-    coupled0 = _coupled0(blocks, x)
+    coupled0 = blocks[0] + blocks[2] @ x
     sol = RiccatiSolution(
         X=x,
         polar=polar,
@@ -305,25 +270,6 @@ def _angular(blocks: tuple, basis0: np.ndarray, cond: list[float]) -> tuple:
         cond_Y0=np.array(cond),
     )
     return sol, coupled0
-
-
-def angular_operator(inst: PerturbationInstance, ps: PerturbedSplit) -> RiccatiSolution:
-    """Angular operator of the perturbed inner subspace by graph inversion.
-
-    Any orthonormal basis Y of the perturbed inner subspace, partitioned
-    into inner/outer block rows [Y0; Y1], yields X = Y1 Y0^{-1}; the result
-    is independent of the basis choice.  Raises RankMismatch when the subspace dimension differs
-    from the inner block size (the gap closed) and NotAGraph when Y0 is
-    numerically singular (conditioning above GRAPH_COND_LIMIT).
-    """
-    n0 = inst.n0
-    if ps.basis0.shape[1] != n0:
-        raise _rank_mismatch(ps.basis0.shape[1], n0)
-    basis0 = ps.basis0[None]
-    cond = _conditioning(basis0, n0)
-    if not _is_graph(cond[0]):
-        raise _not_a_graph(cond[0])
-    return _row(_angular(_blocks(InstanceStack.of([inst])), basis0, cond)[0], 0)
 
 
 def riccati_residual(x, a0, a1, b):
@@ -351,8 +297,22 @@ def _scalar(a):
     return float(a) if a.ndim == 0 else a
 
 
-def _identities(st: InstanceStack, sol: RiccatiSolution) -> Identities:
-    """Stacked eigenpair identity residuals, see :func:`lemma22_check`."""
+def lemma22_check(st: InstanceStack, sol: RiccatiSolution) -> Identities:
+    """Eigenpair identity residuals for the absolute value of each stacked X.
+
+    For every eigenpair (lam, u) of |X| with w = U u:
+
+      res26 = | lam (||A1 w||^2 + ||B w||^2 - ||A0 u||^2 - ||B* u||^2)
+               + (1 - lam^2) (<A0 u, B w> + <B* u, A1 w>) |
+      res27 = | <A0 u, B w> + <B* u, A1 w>
+               + lam (||A1 w||^2 + ||B w||^2 - ||Lambda0 u||^2) |
+
+    The mixed term uses Lambda0 (not A0) in res27; both identities hold
+    exactly for an exact solution, and the mixed inner-product term is real
+    on Hermitian data.  Each row holds one eigenpair per inner dimension,
+    the kernel of X included, by descending eigenvalue, with the top
+    (norm-attaining) eigenpairs flagged.
+    """
     n0 = st.n0
     lams, u = sol.polar.values, sol.polar.vectors
     # column k belongs to eigenpair k: in the split basis the column blocks
@@ -368,35 +328,23 @@ def _identities(st: InstanceStack, sol: RiccatiSolution) -> Identities:
     return Identities(lam=lams, res26=res26, res27=res27, term_imag=np.abs(term.imag), top=top)
 
 
-def lemma22_check(sol: RiccatiSolution, inst: PerturbationInstance) -> list[IdentityReport]:
-    """Per-eigenpair identity residuals for the absolute value of X.
-
-    For every eigenpair (lam, u) of |X| with w = U u:
-
-      res26 = | lam (||A1 w||^2 + ||B w||^2 - ||A0 u||^2 - ||B* u||^2)
-               + (1 - lam^2) (<A0 u, B w> + <B* u, A1 w>) |
-      res27 = | <A0 u, B w> + <B* u, A1 w>
-               + lam (||A1 w||^2 + ||B w||^2 - ||Lambda0 u||^2) |
-
-    The mixed term uses Lambda0 (not A0) in res27; both identities hold
-    exactly for an exact solution, and the mixed inner-product term is real
-    on Hermitian data.  Reports come out sorted by descending eigenvalue
-    with the top (norm-attaining) eigenpairs flagged; there is one per
-    inner dimension, the kernel of X included.
-    """
-    return _identities(InstanceStack.of([inst]), _one(sol)).reports(0)
-
-
 def _col_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """<a_k, b_k> for every column k of every stacked matrix (conjugate-linear in a)."""
     return np.einsum("...ij,...ij->...j", a.conj(), b)
 
 
-def _graph(
+def verify_graph_props(
     blocks: tuple, sol: RiccatiSolution, coupled0, basis0, basis1, omega0, omega1
 ) -> GraphReport:
-    """Stacked graph checks, see :func:`verify_graph_props`; ``coupled0`` is
-    A0 + B X."""
+    """Residuals of the graph representation of both stacked perturbed
+    subspaces; ``coupled0`` is A0 + B X from :func:`angular_operator`.
+
+    Checks that the measured rotation equals sin(arctan ||X||),
+    that the outer perturbed subspace is the graph of -X* (inner rows of an
+    orthonormal basis equal -X* times the outer rows), that the spectra
+    of A0 + B X and A1 - B* X* reproduce omega0 and omega1, and that
+    Lambda0 is Hermitian with spectrum omega0.
+    """
     _, a1, _, b_adj = blocks
     n0 = coupled0.shape[-1]
     measured = _rotation(basis0[:, n0:])
@@ -422,25 +370,6 @@ def _graph(
     )
 
 
-def verify_graph_props(
-    sol: RiccatiSolution, inst: PerturbationInstance, ps: PerturbedSplit
-) -> GraphReport:
-    """Residuals of the graph representation of both perturbed subspaces.
-
-    Checks that the measured rotation equals sin(arctan ||X||),
-    that the outer perturbed subspace is the graph of -X* (inner rows of an
-    orthonormal basis equal -X* times the outer rows), that the spectra
-    of A0 + B X and A1 - B* X* reproduce omega0 and omega1, and that
-    Lambda0 is Hermitian with spectrum omega0.
-    """
-    blocks, one = _blocks(InstanceStack.of([inst])), _one(sol)
-    stacked = _graph(
-        blocks, one, _coupled0(blocks, one.X),
-        ps.basis0[None], ps.basis1[None], ps.omega0[None], ps.omega1[None],
-    )
-    return _row(stacked, 0)
-
-
 def spectrum_mismatch(eigs: np.ndarray, target: np.ndarray):
     """Worst deviation between a computed spectrum and a real target list.
 
@@ -464,26 +393,6 @@ def lambda0_diagnostics(sol: RiccatiSolution):
     herm = op_norms(l0 - adjoint(l0))
     spectrum = lapack(np.linalg.eigvalsh, 0.5 * (l0 + adjoint(l0)))
     return _scalar(herm), spectrum
-
-
-def _bases(es: EigenSystem, inner: np.ndarray, rows: list[int], n0: int):
-    """(omega0, omega1, basis0, basis1) of the stacked eigensystems ``rows``,
-    whose inner masks all hold n0 eigenvalues.
-
-    The bases have the memory layout of ``vectors[:, inner]`` on one matrix,
-    so the products that read them run the same BLAS kernels.
-    """
-    values, vectors = es.values, es.vectors
-    if len(rows) < len(values):
-        values, vectors, inner = values[rows], vectors[rows], inner[rows]
-    k, n = values.shape
-    cols = vectors.swapaxes(1, 2)
-    return (
-        values[inner].reshape(k, n0),
-        values[~inner].reshape(k, n - n0),
-        cols[inner].reshape(k, n0, n).swapaxes(1, 2),
-        cols[~inner].reshape(k, n - n0, n).swapaxes(1, 2),
-    )
 
 
 def solve_stack(insts: InstanceStack | Sequence[PerturbationInstance]) -> StackSolution:
@@ -535,23 +444,25 @@ def _solve_split(
     n0 = st.n0
     if not rows:
         return (rows,)
-    omega0, omega1, basis0, basis1 = _bases(es, inner, rows, n0)
+    omega0, omega1, basis0, basis1 = perturbed_split(es, inner, rows, n0)
     cond = _conditioning(basis0, n0)
     graph = [_is_graph(c) for c in cond]
     if not all(graph):
         for i, c, ok in zip(rows, cond, graph):
             if not ok:
-                failures[i] = _not_a_graph(c)
+                failures[i] = NotAGraph(
+                    f"inner block of the perturbed basis is numerically singular (cond {c:.3e})"
+                )
         rows = [i for i, ok in zip(rows, graph) if ok]
         cond = [c for c, ok in zip(cond, graph) if ok]
         if not rows:
             return (rows,)
         # selected afresh rather than indexed, to keep the bases' layout
-        omega0, omega1, basis0, basis1 = _bases(es, inner, rows, n0)
+        omega0, omega1, basis0, basis1 = perturbed_split(es, inner, rows, n0)
     if len(rows) < len(failures):
         st = st.take(rows)
     blocks = _blocks(st)
-    sol, coupled0 = _angular(blocks, basis0, cond)
-    checks = _graph(blocks, sol, coupled0, basis0, basis1, omega0, omega1)
-    return rows, sol, checks, _identities(st, sol)
+    sol, coupled0 = angular_operator(blocks, basis0, cond)
+    checks = verify_graph_props(blocks, sol, coupled0, basis0, basis1, omega0, omega1)
+    return rows, sol, checks, lemma22_check(st, sol)
 

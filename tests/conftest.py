@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,27 @@ def rotation_of(inst) -> float:
     split = inst.split
     gap = (split.gap_left, split.gap_right)
     return spl.riccati._rotations(inst.L[None], gap, inst.n0)[0].item()
+
+
+def solve_one(inst):
+    """Row-0 views of ``riccati.solve_stack([inst])``: (split, solution,
+    graph, identities).
+
+    ``split`` holds omega0, omega1, basis0 and basis1 of L split by the
+    gap, also when the gap closed; the other three are None unless the
+    instance was solved.  ``identities`` holds one column entry per
+    eigenpair of |X|, by descending eigenvalue.
+    """
+    res = spl.riccati.solve_stack([inst])
+    values, vectors, inner = res.eigen.values[0], res.eigen.vectors[0], res.inner[0]
+    split = SimpleNamespace(
+        omega0=values[inner], omega1=values[~inner],
+        basis0=vectors[:, inner], basis1=vectors[:, ~inner],
+    )
+    if not res.solved:
+        return split, None, None, None
+    row = spl.riccati._row
+    return split, row(res.solution, 0), row(res.graph, 0), row(res.identities, 0)
 
 
 def projector(cols: np.ndarray) -> np.ndarray:

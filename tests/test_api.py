@@ -10,15 +10,15 @@ from spl import cli
 
 PUBLIC_NAMES = [
     "BoundReport", "CampaignConfig", "CampaignReport", "EigenSystem",
-    "GraphReport", "IdentityReport", "InstanceParams", "KappaValue",
-    "PerturbationInstance", "PerturbedSplit", "PhiSup", "PolarParts", "RiccatiSolution",
-    "SharpnessConfig", "SpectralSplit", "analyze", "angular_operator",
+    "GraphReport", "InstanceParams", "KappaValue",
+    "PerturbationInstance", "PhiSup", "PolarParts", "RiccatiSolution",
+    "SharpnessConfig", "SpectralSplit", "analyze",
     "assemble_instance", "bound_apriori", "bound_detailed", "eigh", "enclosure", "kappa",
-    "lemma22_check", "make_bound_report", "op_norm", "perturbed_split",
+    "make_bound_report", "op_norm",
     "phi", "phi_sup_analytic", "phi_sup_oracle", "polar_decompose", "r_v", "random_instance",
     "riccati_residual", "run_campaign", "sharpness_search",
     "subspace_angle", "sweep_csv", "sweep_rows", "trial_instance", "trial_record_for_instance",
-    "validate_disposition", "verify_graph_props",
+    "validate_disposition",
 ]
 
 CAMPAIGN_FIELDS = [

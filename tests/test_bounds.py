@@ -59,7 +59,7 @@ def test_r_v_regime_violation():
     with pytest.raises(RegimeViolation):
         spl.r_v(SQRT2, 1.0, 2.0)
     # unchecked evaluation is still defined
-    assert spl.r_v(SQRT2, 1.0, 2.0, checked=False) >= 1.0
+    assert spl.bounds._r_v(SQRT2, 1.0, 2.0, False) >= 1.0
 
 
 # --- enclosure ---------------------------------------------------------------------
@@ -128,7 +128,7 @@ def test_kappa_domain_errors():
     with pytest.raises(DomainViolation, match="sqrt"):
         spl.kappa(2.0, 1.0, 1.0)
     with pytest.raises(SingularDenominator):
-        spl.kappa(2.0, 1.0, 1.0, checked=False)
+        spl.bounds._kappa(2.0, 1.0, 1.0)
 
 
 def test_kappa_monotone_in_v():
@@ -343,9 +343,9 @@ def test_bound_inputs_validation():
     "evaluate",
     [
         lambda v: spl.bounds.applicable_bounds(2.0, 1.0, v, -1.0, 1.0),
-        lambda v: spl.r_v(v, 1.0, 2.0, checked=False),
-        lambda v: spl.kappa(2.0, 1.0, v, checked=False),
-        lambda v: spl.bound_apriori(v, 1.0, checked=False),
+        lambda v: spl.r_v(v, 1.0, 2.0),
+        lambda v: spl.kappa(2.0, 1.0, v),
+        lambda v: spl.bound_apriori(v, 1.0),
     ],
     ids=["applicable_bounds", "r_v", "kappa", "bound_apriori"],
 )
@@ -359,7 +359,7 @@ def test_perturbation_norm_must_be_finite_and_nonnegative(evaluate, v):
 def test_apriori_separation_must_be_positive_and_finite(d):
     # an infinite d gave the bound 0
     with pytest.raises(DomainViolation, match="d="):
-        spl.bound_apriori(0.5, d, checked=False)
+        spl.bound_apriori(0.5, d)
 
 
 def test_applicable_bounds_validates_the_geometry_once(monkeypatch):

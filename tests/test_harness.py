@@ -9,7 +9,7 @@ import numpy.testing as npt
 import pytest
 
 import spl
-from spl import matio
+from spl import cli, matio
 from spl.errors import ConfigError, InfeasibleParams, RankMismatch
 
 SQRT2 = math.sqrt(2.0)
@@ -87,10 +87,10 @@ def nan_at(array, col):
 #: A stage of riccati wrapped to put a NaN into one residual, and the
 #: violation it must raise.
 NAN_STAGES = {
-    "graph": ("_graph", lambda g: dataclasses.replace(g, spec1_residual=g.spec1_residual * np.nan)),
+    "graph": ("verify_graph_props", lambda g: dataclasses.replace(g, spec1_residual=g.spec1_residual * np.nan)),
     "riccati": ("_residual", lambda r: r * np.nan),
     # a NaN behind a finite first eigenpair must survive the max over eigenpairs
-    "lemma": ("_identities", lambda i: dataclasses.replace(i, res27=nan_at(i.res27, 1))),
+    "lemma": ("lemma22_check", lambda i: dataclasses.replace(i, res27=nan_at(i.res27, 1))),
 }
 
 
@@ -103,6 +103,32 @@ def test_nan_residual_is_a_violation(monkeypatch, tag):
     rec = spl.trial_record_for_instance(inst)
     assert rec["error"] is None
     assert rec["violations"] == [tag]
+
+
+#: The aggregate maximum of the record key that each NAN_STAGES entry poisons.
+NAN_MAXIMA = {
+    "graph": "max_spec1_residual", "riccati": "max_riccati_residual", "lemma": "max_lemma27",
+}
+
+
+def no_bare_constant(token):
+    raise AssertionError(f"bare {token} in the report")
+
+
+@pytest.mark.parametrize("tag", sorted(NAN_STAGES))
+def test_nan_campaign_writes_its_report(monkeypatch, tmp_path, tag):
+    # a NaN made format_float raise: the campaign exited 4 with no report
+    name, poison = NAN_STAGES[tag]
+    original = getattr(spl.riccati, name)
+    monkeypatch.setattr(spl.riccati, name, lambda *a: poison(original(*a)))
+    out = tmp_path / "report.json"
+    argv = ["verify", "--trials", "6", "--seed", "3", "--n0", "2:3", "--out", str(out)]
+    assert cli.main(argv) == 2
+    report = json.loads(out.read_text(encoding="utf-8"), parse_constant=no_bare_constant)
+    agg = report["aggregates"]
+    assert agg["violations"][tag] == agg["trials"] == 6
+    assert agg[NAN_MAXIMA[tag]] == "nan"
+    assert all("nan" in rec.values() for rec in report["records"])
 
 
 def test_trial_record_structural_failure():

@@ -18,7 +18,7 @@ import spl
 from spl import harness, matio, riccati
 from spl.linalg import adjoint
 
-from conftest import rotation_of
+from conftest import rotation_of, solve_one
 
 #: (n0, n1) block shapes: tiny and acceptance-sized, n0 > n1 included.
 SHAPES = [(1, 2), (2, 4), (3, 3), (1, 20), (20, 20), (13, 7), (8, 3), (5, 2)]
@@ -53,7 +53,7 @@ def pipeline_arrays(n0, n1, seed):
     # the first n0 eigenvectors stand in for the inner basis: only layouts matter here
     inner = np.zeros(es.values.shape, dtype=bool)
     inner[:, :n0] = True
-    _, _, basis0, basis1 = riccati._bases(es, inner, np.arange(STACK), n0)
+    _, _, basis0, basis1 = riccati.perturbed_split(es, inner, np.arange(STACK), n0)
     y0, y1 = basis0[:, :n0, :], basis0[:, n0:, :]
     x = np.linalg.solve(y0.swapaxes(1, 2), y1.swapaxes(1, 2)).swapaxes(1, 2)
     rng = np.random.default_rng(seed)
@@ -268,7 +268,7 @@ def raise_for(monkeypatch, routine, marker):
 def test_not_a_graph_instance_leaves_its_bucket_unchanged(monkeypatch):
     insts, trials, _, _ = bucket_with(None)
     target = insts[4]
-    ps = spl.perturbed_split(target)
+    ps, _, _, _ = solve_one(target)
     y0 = np.ascontiguousarray(ps.basis0[: target.n0, :])
     original = np.linalg.svd
 
@@ -303,7 +303,7 @@ def test_failed_stacked_lapack_call_reruns_bucket_per_trial(monkeypatch, routine
     if routine == "eigh":
         marker = target.L
     else:  # the transposed inner block Y0 that the graph inversion solves with
-        marker = np.ascontiguousarray(spl.perturbed_split(target).basis0[: target.n0, :].T)
+        marker = np.ascontiguousarray(solve_one(target)[0].basis0[: target.n0, :].T)
     seen = raise_for(monkeypatch, routine, marker)
     records = stack_records(insts, trials)
     assert seen[0] == len(insts)  # the stack was tried as one call first
@@ -476,7 +476,7 @@ def test_stacked_rotations_match_the_per_instance_route():
     insts = shape_instances(2, 3, 808)
     insts.insert(2, closed)
     singles = [rotation_of(i) for i in insts]
-    assert singles[2] == 1.0 and riccati.perturbed_split(closed).gap_closed
+    assert singles[2] == 1.0 and riccati.solve_stack([closed]).dims[0] != closed.n0
     stacked = riccati._rotations(np.stack([i.L for i in insts]), (-1.0, 1.0), 2)
     assert stacked.tolist() == singles
 

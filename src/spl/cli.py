@@ -5,8 +5,8 @@ of every bound), verify (randomized campaign), sweep (bound landscape to
 CSV), sharpness (bound-tightness search).
 
 Exit codes: 0 clean, 2 in-regime bound violation, 3 structural failure
-(non-graph subspace, eigensolver breakdown, gap closure), 4 configuration,
-input or usage error.
+(``errors.StructuralFailure``: non-graph subspace, eigensolver breakdown,
+gap closure), 4 any other configuration, input or usage error.
 """
 
 from __future__ import annotations
@@ -20,20 +20,7 @@ import sys
 import numpy as np
 
 from . import bounds, harness, matio
-from .errors import (
-    ConfigError,
-    ConvergenceFailure,
-    DimensionMismatch,
-    DispositionViolation,
-    DomainViolation,
-    EigenFailure,
-    InfeasibleParams,
-    NonHermitianInput,
-    NotAGraph,
-    ParseError,
-    RankMismatch,
-    SingularDenominator,
-)
+from .errors import ConfigError, SingularDenominator, SplError, StructuralFailure
 
 EXIT_OK = 0
 EXIT_BOUND_VIOLATION = 2
@@ -242,14 +229,12 @@ def main(argv=None) -> int:
     try:
         _check_out_dir(getattr(args, "out", None))
         return args.func(args)
-    except (ConfigError, ParseError, InfeasibleParams, DispositionViolation,
-            DomainViolation, SingularDenominator, NonHermitianInput, DimensionMismatch,
-            ValueError) as exc:
-        _print_error(exc)
-        return EXIT_CONFIG
-    except (NotAGraph, RankMismatch, EigenFailure, ConvergenceFailure) as exc:
+    except StructuralFailure as exc:
         _print_error(exc)
         return EXIT_STRUCTURAL
+    except (SplError, ValueError) as exc:
+        _print_error(exc)
+        return EXIT_CONFIG
 
 
 def _print_error(exc: Exception) -> None:

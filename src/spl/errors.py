@@ -5,13 +5,19 @@ class SplError(Exception):
     """Base class for all package-specific errors."""
 
 
+class StructuralFailure(SplError):
+    """The perturbed inner subspace cannot be certified: an eigensolver or
+    SVD broke down, the gap closed, or the subspace is not a graph.  The
+    CLI exits 3 on these and 4 on every other error."""
+
+
 # --- dense linear algebra ---------------------------------------------------
 
 class NonHermitianInput(SplError):
     """Matrix fails the Hermitian symmetry tolerance."""
 
 
-class ConvergenceFailure(SplError):
+class ConvergenceFailure(StructuralFailure):
     """Backend eigensolver or SVD failed to converge."""
 
 
@@ -43,15 +49,15 @@ class InfeasibleParams(SplError):
 
 # --- perturbed splits and angular operators ---------------------------------
 
-class EigenFailure(SplError):
+class EigenFailure(StructuralFailure):
     """Eigensolve of the perturbed operator failed."""
 
 
-class RankMismatch(SplError):
+class RankMismatch(StructuralFailure):
     """Perturbed inner subspace has the wrong dimension."""
 
 
-class NotAGraph(SplError):
+class NotAGraph(StructuralFailure):
     """Perturbed subspace is not a graph over the unperturbed one."""
 
 

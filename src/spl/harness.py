@@ -31,13 +31,7 @@ from .disposition import (
     assemble_instance,
     validate_disposition,
 )
-from .errors import (
-    ConfigError,
-    ConvergenceFailure,
-    DomainViolation,
-    EigenFailure,
-    InfeasibleParams,
-)
+from .errors import ConfigError, DomainViolation, InfeasibleParams, StructuralFailure
 from .linalg import one_blas_thread, op_norm, set_blas_threads
 
 REGIMES = ("A", "B", "C", "mixed")
@@ -296,13 +290,24 @@ def _applicable(inst: PerturbationInstance) -> bounds.BoundReport:
     )
 
 
+def _json_floats(obj):
+    """``obj`` with each NaN or infinity, which JSON cannot hold as a number,
+    written as the string "nan", "inf" or "-inf"; dicts and lists are
+    copied, recursively."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else str(obj)
+    if isinstance(obj, dict):
+        return {key: _json_floats(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_json_floats(value) for value in obj]
+    return obj
+
+
 def _records(insts: list[PerturbationInstance], res: riccati.StackSolution,
              reports: list[bounds.BoundReport], trials: list) -> list[dict]:
     """Flat campaign records of a solved stack, in stack order; ``reports``
-    holds each instance's :func:`_applicable` bounds.
-
-    A NaN or an infinity of a solved record, which JSON cannot hold as a
-    number, is written as the string "nan", "inf" or "-inf".
+    holds each instance's :func:`_applicable` bounds.  A record with a
+    non-finite value goes through :func:`_json_floats`.
     """
     solved, nonfinite = {}, set()
     if res.solution is not None:
@@ -396,9 +401,7 @@ def _records(insts: list[PerturbationInstance], res: riccati.StackSolution,
             violations.append("lemma")
         rec["violations"] = violations
         if i in nonfinite:
-            for key, value in rec.items():
-                if isinstance(value, float) and not math.isfinite(value):
-                    rec[key] = str(value)
+            out[-1] = _json_floats(rec)
     return out
 
 
@@ -412,13 +415,9 @@ def _stack_records(st: InstanceStack, trials: list) -> list[dict]:
     applicable = [_applicable(inst) for inst in st.insts]
     try:
         res = riccati.solve_stack(st)
-    except (EigenFailure, ConvergenceFailure):
+    except StructuralFailure:
         # a stack of one records these in its solution; only larger ones raise
-        return [
-            rec
-            for inst, trial in zip(st.insts, trials)
-            for rec in _stack_records(InstanceStack.of([inst]), [trial])
-        ]
+        return [trial_record_for_instance(inst, trial) for inst, trial in zip(st.insts, trials)]
     return _records(st.insts, res, applicable, trials)
 
 
@@ -464,13 +463,12 @@ def _aggregate(records: list[dict]) -> dict:
     counts["total"] = sum(counts.values())
 
     def vmax(key, flag=None):
-        """The largest value, or the string of a non-finite one (see
-        :func:`_records`); a NaN outranks every value."""
+        """The largest value, written by :func:`_json_floats`; a NaN
+        outranks every value."""
         vals = [r[key] for r in records if r[key] is not None and (flag is None or r[flag])]
         if not vals:
             return None
-        top = np.max(np.array(vals, dtype=float)).item()
-        return top if math.isfinite(top) else str(top)
+        return _json_floats(np.max(np.array(vals, dtype=float)).item())
 
     return {
         "trials": len(records),
@@ -574,10 +572,10 @@ def instance_from_file(path: str, gap: tuple[float, float] | None = None) -> Per
 def analyze(inst: PerturbationInstance) -> dict:
     """Full single-instance report aggregating every module's output.
 
-    Raises the pipeline's structural failure (NotAGraph, RankMismatch,
-    EigenFailure, ConvergenceFailure) so callers can map them to structured
-    errors; campaign-style flat fields are nested under "record", a second
-    view of the same pipeline result.
+    Raises the pipeline's structural failure (a StructuralFailure) so
+    callers can map it to a structured error; campaign-style flat fields
+    are nested under "record", a second view of the same pipeline result.
+    The report goes through :func:`_json_floats`, as a campaign record does.
     """
     applicable = _applicable(inst)
     res = riccati.solve_stack([inst])
@@ -588,7 +586,7 @@ def analyze(inst: PerturbationInstance) -> dict:
     values, inner = res.eigen.values[0], res.inner[0]
     enclosure = applicable.enclosure
     split = inst.split
-    return {
+    return _json_floats({
         "instance": {
             "n0": inst.n0,
             "n1": inst.n1,
@@ -628,7 +626,7 @@ def analyze(inst: PerturbationInstance) -> dict:
             "spec1_residual": graph.spec1_residual,
         },
         "record": _records([inst], res, [applicable], [None])[0],
-    }
+    })
 
 
 # --- bound sweeps --------------------------------------------------------------

@@ -407,8 +407,8 @@ def solve_stack(insts: InstanceStack | Sequence[PerturbationInstance]) -> StackS
     inner block (NotAGraph) drop the instance from the later stages.  A
     LAPACK failure or a failed eigensolve check stops the whole stack: a
     stack of one records it as its instance's failure, a larger stack
-    raises it (EigenFailure or ConvergenceFailure), and solving its
-    instances one at a time types each instance's own failure.
+    raises it (a StructuralFailure), and solving its instances one at a
+    time types each instance's own failure.
     """
     st = insts if isinstance(insts, InstanceStack) else InstanceStack.of(insts)
     insts = st.insts

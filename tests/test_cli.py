@@ -14,6 +14,7 @@ import pytest
 
 import spl
 from spl import cli, matio
+from spl.errors import SplError
 
 
 def write_e1(tmp_path, name="e1.json"):
@@ -312,6 +313,27 @@ def test_usage_exit_codes(capsys, argv, code):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == code
+
+
+def error_classes(cls=SplError):
+    """``cls`` and all of its subclasses, recursively."""
+    return [cls, *(sub for child in cls.__subclasses__() for sub in error_classes(child))]
+
+
+#: The errors that exit 3; every other SplError, and a ValueError, exits 4.
+STRUCTURAL = {"StructuralFailure", "ConvergenceFailure", "EigenFailure", "NotAGraph", "RankMismatch"}
+
+
+@pytest.mark.parametrize("error", [*error_classes(), ValueError], ids=lambda cls: cls.__name__)
+def test_every_error_class_has_its_exit_code(monkeypatch, capsys, error):
+    # a new error class can never escape main as a traceback
+    def fail(*args):
+        raise error("injected")
+
+    monkeypatch.setattr(spl.harness, "bound_row", fail)
+    code = cli.main(["bounds", "--D", "2", "--d", "0.5", "--v", "0.1"])
+    assert code == (cli.EXIT_STRUCTURAL if error.__name__ in STRUCTURAL else cli.EXIT_CONFIG)
+    assert json.loads(capsys.readouterr().err) == {"error": error.__name__, "detail": "injected"}
 
 
 WORK_COMMANDS = pytest.mark.parametrize(

@@ -94,11 +94,16 @@ NAN_STAGES = {
 }
 
 
-@pytest.mark.parametrize("tag", sorted(NAN_STAGES))
-def test_nan_residual_is_a_violation(monkeypatch, tag):
+def poison_stage(monkeypatch, tag):
+    """Wrap the riccati stage of NAN_STAGES[tag] to return its poisoned result."""
     name, poison = NAN_STAGES[tag]
     original = getattr(spl.riccati, name)
     monkeypatch.setattr(spl.riccati, name, lambda *a: poison(original(*a)))
+
+
+@pytest.mark.parametrize("tag", sorted(NAN_STAGES))
+def test_nan_residual_is_a_violation(monkeypatch, tag):
+    poison_stage(monkeypatch, tag)
     inst = spl.assemble_instance([-0.2, 0.3], [-1.0, 1.0, 2.0], (-1.0, 1.0), 0.1 * np.eye(2, 3))
     rec = spl.trial_record_for_instance(inst)
     assert rec["error"] is None
@@ -118,9 +123,7 @@ def no_bare_constant(token):
 @pytest.mark.parametrize("tag", sorted(NAN_STAGES))
 def test_nan_campaign_writes_its_report(monkeypatch, tmp_path, tag):
     # a NaN made format_float raise: the campaign exited 4 with no report
-    name, poison = NAN_STAGES[tag]
-    original = getattr(spl.riccati, name)
-    monkeypatch.setattr(spl.riccati, name, lambda *a: poison(original(*a)))
+    poison_stage(monkeypatch, tag)
     out = tmp_path / "report.json"
     argv = ["verify", "--trials", "6", "--seed", "3", "--n0", "2:3", "--out", str(out)]
     assert cli.main(argv) == 2
@@ -129,6 +132,34 @@ def test_nan_campaign_writes_its_report(monkeypatch, tmp_path, tag):
     assert agg["violations"][tag] == agg["trials"] == 6
     assert agg[NAN_MAXIMA[tag]] == "nan"
     assert all("nan" in rec.values() for rec in report["records"])
+
+
+#: Where each NAN_STAGES poison shows in an analyze report: the path to its
+#: value in the report's own sections, and its key in the nested record.
+NAN_ANALYZE = {
+    "graph": (("graph", "spec1_residual"), "spec1_residual"),
+    "riccati": (("angular", "riccati_residual"), "riccati_residual"),
+    "lemma": (("identities", 1, "res27"), "lemma27_max"),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(NAN_STAGES))
+def test_nan_analyze_writes_its_report(monkeypatch, tmp_path, tag):
+    # the sections held the raw NaN, which made format_float raise: analyze
+    # exited 4 with no report
+    poison_stage(monkeypatch, tag)
+    inst = spl.assemble_instance([-0.2, 0.3], [-1.0, 1.0, 2.0], (-1.0, 1.0), 0.1 * np.eye(2, 3))
+    path, out = tmp_path / "inst.json", tmp_path / "report.json"
+    path.write_text(matio.dumps(matio.instance_to_dict(inst)), encoding="utf-8")
+    assert cli.main(["analyze", "--in", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"), parse_constant=no_bare_constant)
+    keys, record_key = NAN_ANALYZE[tag]
+    value = report
+    for key in keys:
+        value = value[key]
+    assert value == "nan"
+    assert report["record"][record_key] == "nan"
+    assert report["record"]["violations"] == [tag]
 
 
 def test_trial_record_structural_failure():

@@ -1,5 +1,6 @@
 """The solver layers import nothing from the layers above them: the
-closed-form bounds, the campaign harness and the file formats."""
+closed-form bounds, the campaign harness and the file formats.  The CLI
+imports no error class that it only maps to an exit code."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,16 @@ def test_import_scan_sees_relative_imports():
 @pytest.mark.parametrize("module", ["riccati", "linalg", "disposition"])
 def test_solver_imports_no_bounds_harness_or_matio(module):
     assert not spl_imports(module) & {"bounds", "harness", "matio"}
+
+
+def test_cli_names_no_error_class_it_only_maps():
+    # cli maps StructuralFailure to exit 3 and every other error to 4, so it
+    # imports only the errors it raises or catches by name
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    names = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("errors", "spl.errors")
+        for alias in node.names
+    }
+    assert names == {"ConfigError", "SingularDenominator", "SplError", "StructuralFailure"}

@@ -4,8 +4,8 @@ Per-trial randomness is derived from the master seed and the trial index
 through ``numpy.random.SeedSequence(master, spawn_key=(index,))``: a pure
 integer mixing scheme, collision-free over the trial range and platform
 independent, so every record is reproducible from (master seed, index) and
-the campaign output does not depend on how trials are distributed across
-workers.  Wall-clock time is intentionally kept out of the serialised
+the campaign output does not depend on how trials are split over
+processes.  Wall-clock time is intentionally kept out of the serialised
 reports so that reruns compare byte-identical.
 """
 
@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .disposition import (
     validate_disposition,
 )
 from .errors import ConfigError, DomainViolation, InfeasibleParams, StructuralFailure
-from .linalg import one_blas_thread, op_norm, set_blas_threads
+from .linalg import one_blas_thread, op_norm
 
 REGIMES = ("A", "B", "C", "mixed")
 
@@ -96,7 +98,7 @@ class CampaignConfig:
     per trial.  v equals ``v_fraction`` times the target regime's upper
     limit (0 forces unperturbed instances); the recorded regime flags always
     derive from the realised v.  ``parallel`` is an execution detail and
-    never enters serialised output; the worker count is capped at the
+    never enters serialised output; the process count is capped at the
     usable CPUs.
     """
 
@@ -498,12 +500,77 @@ def _usable_cpus() -> int:
 
 
 def _pool_workers(parallel: int, trials: int, cpus: int) -> int:
-    """Worker processes for a campaign; fewer than 2 means run serially.
+    """Processes for a campaign; fewer than 2 means run serially.
 
-    A pool starts all of its workers at once, so a request beyond the
-    usable CPUs would only fork idle copies of the caller.
+    All of them start at once, so a request beyond the usable CPUs would
+    only fork idle copies of the caller.  Without ``os.fork`` (Windows) a
+    campaign runs serially.
     """
-    return min(parallel, trials, cpus)
+    return min(parallel, trials, cpus) if hasattr(os, "fork") else 1
+
+
+def _forked_batches(cfg: CampaignConfig, shares: list[list[int]]) -> list[dict]:
+    """Records of the trials of ``shares``, in share order.
+
+    The caller runs the first share itself.  One forked child runs each
+    other share and pickles ``(True, records)`` or ``(False, exception)``
+    into its own pipe; the caller reads the pipes in share order and
+    re-raises a child's exception.  Every child is reaped before return,
+    and one whose pipe was not read, because the campaign failed, is killed
+    first.  A single share forks nothing.
+    """
+    children = []  # (pid, read end of its pipe) of each child not yet reaped
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child_batch(cfg, share, w)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        records = _trial_batch(cfg, shares[0])
+        while children:
+            pid, pipe = children[0]
+            data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pipe.close()
+            del children[0]
+            if status != 0:  # a child that sent its records exits with 0
+                raise RuntimeError(
+                    f"campaign child {pid} exited with status {status} "
+                    "without sending its records"
+                )
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            records.extend(value)
+        return records
+    finally:
+        if children:
+            import signal  # loaded only when a campaign fails
+
+            for pid, pipe in children:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _child_batch(cfg: CampaignConfig, share: list[int], fd: int) -> NoReturn:
+    """Body of a forked child: write the pickled outcome of ``share`` to
+    ``fd`` and leave through ``os._exit``, so the stdio buffers and atexit
+    handlers inherited from the caller never run twice."""
+    code = 1
+    try:
+        try:
+            outcome = (True, _trial_batch(cfg, share))
+        except Exception as exc:
+            outcome = (False, exc)
+        data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)  # whole, or nothing written
+        with open(fd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignReport:
@@ -511,33 +578,21 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
 
     Trials are independent.  Each process draws its trials in index order
     and solves those of one block shape together (see :func:`_trial_batch`).
-    With ``parallel`` >= 2 they are distributed over worker processes (at
-    most one per usable CPU) in deterministic contiguous chunks, about four
-    per worker, and the assembled report is identical to a serial run of
-    the same config and seed.  The calling process and every worker run
-    BLAS on one thread; the caller's thread count is restored on return.
+    With ``parallel`` >= 2 the trials are split into one contiguous share
+    per process (at most one process per usable CPU): the caller runs the
+    first share and one forked child runs each other one (see
+    :func:`_forked_batches`).  The assembled report is identical to a
+    serial run of the same config and seed.  The caller runs BLAS on one
+    thread, and forked children inherit the pin; the caller's thread count
+    is restored on return.
     """
     validate_config(cfg)
     t0 = time.perf_counter()
     indices = list(range(cfg.trials))
-    workers = _pool_workers(cfg.parallel, cfg.trials, _usable_cpus())
-    # pinned before the pool starts, so forked workers inherit one thread;
-    # the initializer pins workers that do not fork from this process
+    workers = max(1, _pool_workers(cfg.parallel, cfg.trials, _usable_cpus()))
+    size = math.ceil(cfg.trials / workers)
     with one_blas_thread():
-        if workers >= 2:
-            # imported here: a serial run never loads the process-pool machinery
-            from concurrent.futures import ProcessPoolExecutor
-
-            chunk = max(1, math.ceil(cfg.trials / (workers * 4)))
-            batches = [indices[i:i + chunk] for i in range(0, cfg.trials, chunk)]
-            records: list[dict] = []
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=set_blas_threads, initargs=(1,)
-            ) as pool:
-                for batch in pool.map(_trial_batch, [cfg] * len(batches), batches):
-                    records.extend(batch)
-        else:
-            records = _trial_batch(cfg, indices)
+        records = _forked_batches(cfg, [indices[i:i + size] for i in range(0, cfg.trials, size)])
     runtime = time.perf_counter() - t0
     return CampaignReport(
         config=cfg,

@@ -402,10 +402,10 @@ def test_failed_stdout_write_is_a_usage_error(capsys, monkeypatch):
 )
 def test_negative_seed_is_refused_before_work(tmp_path, capsys, monkeypatch, argv, error):
     # SeedSequence refused it only at the first draw, in a forked worker
-    def no_pool(**kwargs):
-        raise AssertionError("a pool was started")
+    def no_fork():
+        raise AssertionError("a campaign child was forked")
 
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setattr(spl.harness, "_usable_cpus", lambda: 2)
     assert cli.main(argv + ["--out", str(tmp_path / "r.json")]) == cli.EXIT_CONFIG
     err = json.loads(capsys.readouterr().err)
@@ -413,23 +413,30 @@ def test_negative_seed_is_refused_before_work(tmp_path, capsys, monkeypatch, arg
 
 
 #: Run in a fresh interpreter: ``import spl`` loads neither the command line
-#: nor argparse, serial ``verify`` and ``sharpness`` load no process pool, and
-#: a ``--parallel 2`` campaign loads it and writes the serial bytes.
+#: nor argparse, serial ``verify`` and ``sharpness`` fork no child, and no
+#: route loads a process pool; a ``--parallel 2`` campaign forks one child
+#: and writes the serial bytes.
 STARTUP_SCRIPT = """
-import sys
+import os, sys
 import spl
 print(sorted(m for m in ("spl.cli", "argparse") if m in sys.modules))
 from spl import cli, harness
 POOL = ("multiprocessing", "concurrent.futures.process")
+forks = []
+fork = os.fork
+def counted():
+    forks.append(1)
+    return fork()
+os.fork = counted
 out = sys.argv[1]
 verify = ["verify", "--trials", "6", "--seed", "3", "--n0", "1:3", "--n1", "2:3"]
 assert cli.main(verify + ["--out", out + "/serial.json"]) == 0
 assert cli.main(["sharpness", "--D", "2", "--d", "1", "--v", "0.5", "--n0", "1", "--n1", "2",
                  "--iters", "5", "--out", out + "/sharp.json"]) == 0
-print(sorted(m for m in POOL if m in sys.modules))
+print(sorted(m for m in POOL if m in sys.modules), len(forks))
 harness._usable_cpus = lambda: 2
 assert cli.main(verify + ["--parallel", "2", "--out", out + "/parallel.json"]) == 0
-print(sorted(m for m in POOL if m in sys.modules))
+print(sorted(m for m in POOL if m in sys.modules), len(forks))
 """
 
 
@@ -438,9 +445,7 @@ def test_serial_runs_never_load_the_process_pool(tmp_path):
     run = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, str(tmp_path)],
                          env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines() == [
-        "[]", "[]", "['concurrent.futures.process', 'multiprocessing']"
-    ]
+    assert run.stdout.splitlines() == ["[]", "[] 0", "[] 1"]
     assert (tmp_path / "parallel.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
 
 

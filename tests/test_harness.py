@@ -1,8 +1,10 @@
 import dataclasses
 import json
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -211,24 +213,140 @@ def test_pool_workers_capped_at_usable_cpus():
     assert spl.harness._usable_cpus() >= 1
 
 
-@pytest.mark.parametrize("method", ["fork", "forkserver"])
-def test_pool_workers_run_one_blas_thread(two_blas_threads, monkeypatch, method):
-    if method not in multiprocessing.get_all_start_methods():
-        pytest.skip(f"start method {method} unavailable")
-    seen = []
+def test_forked_children_run_one_blas_thread(two_blas_threads, monkeypatch):
+    trial_batch, fork = spl.harness._trial_batch, os.fork
+    forks = []
 
-    class ProbedPool(ProcessPoolExecutor):
-        def __init__(self, **kwargs):
-            super().__init__(mp_context=multiprocessing.get_context(method), **kwargs)
-            seen.append(self.submit(spl.linalg.blas_threads).result())
+    def probed(cfg, indices):
+        # raised in the child, this reaches the caller with its type
+        if spl.linalg.blas_threads() != 1:
+            raise AssertionError(f"share at {indices[0]}: {spl.linalg.blas_threads()} BLAS threads")
+        return trial_batch(cfg, indices)
+
+    def counted():
+        pid = fork()
+        forks.append(pid)
+        return pid
 
     cfg = tiny_config(trials=8)
     serial = spl.run_campaign(cfg).to_json()
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", ProbedPool)
+    monkeypatch.setattr(spl.harness, "_trial_batch", probed)
+    monkeypatch.setattr(os, "fork", counted)
     monkeypatch.setattr(spl.harness, "_usable_cpus", lambda: 2)
     assert spl.run_campaign(dataclasses.replace(cfg, parallel=2)).to_json() == serial
-    assert seen == [1]
+    assert len(forks) == 1 and forks[0] > 0
     assert spl.linalg.blas_threads() == 2
+
+
+def test_fewer_shares_than_processes(monkeypatch):
+    seen = []
+    forked_batches = spl.harness._forked_batches
+
+    def recording(cfg, shares):
+        seen.append(shares)
+        return forked_batches(cfg, shares)
+
+    monkeypatch.setattr(spl.harness, "_forked_batches", recording)
+    monkeypatch.setattr(spl.harness, "_usable_cpus", lambda: 4)
+    cfg = tiny_config(trials=5)
+    serial = spl.run_campaign(cfg).to_json()
+    assert spl.run_campaign(dataclasses.replace(cfg, parallel=4)).to_json() == serial
+    assert seen == [[list(range(5))], [[0, 1], [2, 3], [4]]]
+
+
+def test_no_fork_means_a_serial_campaign(monkeypatch):
+    cfg = tiny_config(trials=10)
+    serial = spl.run_campaign(cfg).to_json()
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(spl.harness, "_usable_cpus", lambda: 2)
+    assert spl.harness._pool_workers(2, 100, 2) == 1
+    assert spl.run_campaign(dataclasses.replace(cfg, parallel=2)).to_json() == serial
+
+
+#: Run in a fresh interpreter, each case's body after it: a campaign of 8
+#: tiny trials over two processes, with ``harness._trial_batch`` replaced by
+#: the case.  ``reaped()`` checks that no child process is left behind.
+FAILURE_SCRIPT = """
+import os, re, sys, time
+import spl
+from spl import cli, harness
+from spl.errors import ConfigError
+
+def reaped():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    raise AssertionError("a campaign child is left behind")
+
+harness._usable_cpus = lambda: 2
+trial_batch = harness._trial_batch
+cfg = spl.CampaignConfig(trials=8, seed=3, n0=(1, 3), n1=(2, 3), parallel=2)
+"""
+
+FAILURE_CASES = {
+    "child-error": ("""
+def batch(cfg, indices):
+    if indices[0] != 0:
+        raise ConfigError(f"share at {indices[0]} refused")
+    return trial_batch(cfg, indices)
+
+harness._trial_batch = batch
+try:
+    spl.run_campaign(cfg)
+except ConfigError as exc:
+    print(type(exc).__name__, exc)
+reaped()
+print(cli.main(["verify", "--trials", "8", "--seed", "3", "--parallel", "2",
+                "--out", sys.argv[1] + "/r.json"]))
+reaped()
+""", ["ConfigError share at 4 refused", "4"]),
+    # the caller's error kills the child instead of waiting for its share
+    "caller-error": ("""
+def batch(cfg, indices):
+    if indices[0] == 0:
+        raise ValueError("the caller's share failed")
+    time.sleep(120)
+    return trial_batch(cfg, indices)
+
+harness._trial_batch = batch
+try:
+    spl.run_campaign(cfg)
+except ValueError as exc:
+    print(exc)
+reaped()
+""", ["the caller's share failed"]),
+    "child-exit": ("""
+def batch(cfg, indices):
+    if indices[0] != 0:
+        os._exit(9)
+    return trial_batch(cfg, indices)
+
+harness._trial_batch = batch
+try:
+    spl.run_campaign(cfg)
+except RuntimeError as exc:
+    print(re.sub(r"child \\d+ ", "child <pid> ", str(exc)))
+reaped()
+""", ["campaign child <pid> exited with status 9 without sending its records"]),
+    # stdout is a pipe, so the line is still in the caller's buffer at the fork
+    "unflushed-stdout": ("""
+print("before the campaign")
+spl.run_campaign(cfg)
+reaped()
+""", ["before the campaign"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURE_CASES))
+def test_campaign_children_on_failure(tmp_path, case):
+    body, expected = FAILURE_CASES[case]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # buffer stdout
+    env["PYTHONPATH"] = str(Path(spl.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-c", FAILURE_SCRIPT + body, str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == expected
 
 
 def test_campaign_bytes_independent_of_caller_blas_threads(two_blas_threads, monkeypatch):

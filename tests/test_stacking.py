@@ -9,7 +9,6 @@ breaks it fails here instead of shifting report bytes.
 
 import dataclasses
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -327,7 +326,7 @@ def test_stack_of_one_types_lapack_failures(e1, monkeypatch):
         riccati.solve_stack([e1, e1])
 
 
-# --- campaign stacks and parallel chunks ---------------------------------------------
+# --- campaign stacks and parallel shares ---------------------------------------------
 
 #: Blocks of at most 2 + 4 rows: six shapes, so buckets hold many trials.
 TINY = spl.CampaignConfig(trials=240, seed=1618, n0=(1, 2), n1=(2, 4), d=(0.05, 0.95))
@@ -339,27 +338,35 @@ def digest(report):
     return hashlib.sha256(report.to_json().encode()).hexdigest()
 
 
-def test_parallel_chunks_split_buckets_without_changing_bytes(monkeypatch):
-    chunks = []
+def test_one_share_per_process_stacks_as_a_serial_run(monkeypatch):
+    shares, stacks = [], []
+    forked_batches, stack_records = harness._forked_batches, harness._stack_records
 
-    class RecordingPool(ProcessPoolExecutor):
-        def map(self, fn, *iterables):
-            cfgs, batches = (list(it) for it in iterables)
-            chunks.extend(batches)
-            return super().map(fn, cfgs, batches)
+    def recording(cfg, parts):
+        shares.extend(parts)
+        return forked_batches(cfg, parts)
 
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    def counted(st, trials):
+        # appended in the process that solves the stack: the caller sees its own
+        stacks.append(list(trials))
+        return stack_records(st, trials)
+
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     serial = spl.run_campaign(TINY)
+    monkeypatch.setattr(harness, "_forked_batches", recording)
+    monkeypatch.setattr(harness, "_stack_records", counted)
     assert digest(spl.run_campaign(dataclasses.replace(TINY, parallel=2))) == digest(serial)
-    # contiguous chunks, and every shape's bucket is split over several of them
-    assert len(chunks) > 1 and [i for chunk in chunks for i in chunk] == list(range(TINY.trials))
-    where = {}
-    for c, chunk in enumerate(chunks):
-        for i in chunk:
-            rec = serial.records[i]
-            where.setdefault((rec["n0"], rec["n1"]), set()).add(c)
-    assert len(where) == 6 and all(len(cs) > 1 for cs in where.values())
+    # one contiguous share per process, and the caller ran the first
+    assert shares == [list(range(120)), list(range(120, TINY.trials))]
+    assert sorted(i for stack in stacks for i in stack) == shares[0]
+    # six stacks, one per shape, as a serial run of the share solves them
+    shape = {i: (rec["n0"], rec["n1"]) for i, rec in enumerate(serial.records)}
+    assert len(stacks) == 6 and len({shape[stack[0]] for stack in stacks}) == 6
+    assert all(len({shape[i] for i in stack}) == 1 for stack in stacks)
+    caller_stacks = stacks[:]
+    stacks.clear()
+    harness._trial_batch(TINY, shares[0])
+    assert stacks == caller_stacks
 
 
 #: SHA-256 of reports computed by the per-trial pipeline that solved every

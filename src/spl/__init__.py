@@ -22,7 +22,6 @@ from .bounds import (
     r_v,
 )
 from .disposition import (
-    InstanceParams,
     PerturbationInstance,
     SpectralSplit,
     assemble_instance,

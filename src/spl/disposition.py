@@ -14,7 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import linalg
 from .errors import (
     DimensionMismatch,
     DispositionViolation,
@@ -24,6 +23,9 @@ from .errors import (
     NotAGap,
 )
 from .linalg import EigenSystem, adjoint, eigh, op_norms
+
+#: Open-interval endpoint ambiguity radius, relative to the spectral norm.
+EDGE_RTOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,20 +139,6 @@ class InstanceStack(_Blocks):
         return InstanceStack([self.insts[i] for i in rows], self.L[rows])
 
 
-@dataclass(frozen=True)
-class InstanceParams:
-    """Parameters for the seeded random instance generator."""
-
-    n0: int
-    n1: int
-    gap_left: float
-    gap_right: float
-    d: float
-    outer_radius: float
-    v: float
-    pin_side: str = "left"
-
-
 def validate_disposition(a, gap: tuple[float, float]) -> SpectralSplit:
     """Check the gap-confined disposition of a Hermitian matrix.
 
@@ -171,22 +159,24 @@ def split_from_eigensystem(es: EigenSystem, gap: tuple[float, float]) -> Spectra
     """Build a SpectralSplit from an existing eigendecomposition."""
     gl, gr = float(gap[0]), float(gap[1])
     vals = es.values
-    tol = es.edge_tol
+    tol = EDGE_RTOL * float(np.abs(vals).max())
     if not bool((np.abs(vals - gl) <= tol).any()):
         raise GapEndpointMissing(f"left endpoint {gl} is not a spectral point (tol {tol:.3e})")
     if not bool((np.abs(vals - gr) <= tol).any()):
         raise GapEndpointMissing(f"right endpoint {gr} is not a spectral point (tol {tol:.3e})")
-    inner = _inner_mask(vals, tol, gl, gr)
+    inner = _inner_mask(vals, (gl, gr))
     if not bool(inner.any()):
         raise EmptyInnerComponent(f"no eigenvalue strictly inside ({gl}, {gr})")
     return _split(vals[inner], vals[~inner], (gl, gr))
 
 
-def _inner_mask(values, tol, gap_left, gap_right) -> np.ndarray:
-    """Eigenvalues inside the open gap, those within ``tol`` (>= 0) of an end
-    excluded.  A difference of two floats is positive exactly when the first
+def _inner_mask(values, gap) -> np.ndarray:
+    """Eigenvalues inside the open gap, those within the edge tolerance of an
+    end excluded: ``EDGE_RTOL`` times the spectral norm, of each spectrum of
+    a stack.  A difference of two floats is positive exactly when the first
     is larger, so ``values - gap_left > tol`` alone says both."""
-    return (values - gap_left > tol) & (gap_right - values > tol)
+    tol = EDGE_RTOL * np.abs(values).max(axis=-1, keepdims=True)
+    return (values - gap[0] > tol) & (gap[1] - values > tol)
 
 
 def _split(sigma0, sigma1, gap) -> SpectralSplit:
@@ -222,7 +212,7 @@ def check_partition(
                 abs(gl), abs(gr))
     if not np.isfinite(scale):
         raise DispositionViolation("eigenvalues and gap endpoints must be finite")
-    tol = linalg.EDGE_RTOL * scale
+    tol = EDGE_RTOL * scale
     if not bool((np.abs(s1 - gl) <= tol).any()):
         raise GapEndpointMissing(f"left endpoint {gl} missing from the outer component")
     if not bool((np.abs(s1 - gr) <= tol).any()):
@@ -316,14 +306,17 @@ def _check_separation(d: float, outer) -> None:
     of a gap end.  The perturbed split would count that value as outer,
     closing the gap.
     """
-    tol = linalg.EDGE_RTOL * max(map(abs, outer))
+    tol = EDGE_RTOL * max(map(abs, outer))
     if not d > tol:
         raise DispositionViolation(
             f"separation {d} lies within the edge tolerance {tol:.3e} of the gap ends"
         )
 
 
-def random_instance(params: InstanceParams, seed: int) -> PerturbationInstance:
+def random_instance(
+    *, n0: int, n1: int, gap_left: float, gap_right: float, d: float,
+    outer_radius: float, v: float, pin_side: str = "left", seed: int,
+) -> PerturbationInstance:
     """Seeded random instance with exact separation and perturbation norm.
 
     The outer component holds both gap endpoints exactly plus n1 - 2 values
@@ -333,29 +326,46 @@ def random_instance(params: InstanceParams, seed: int) -> PerturbationInstance:
     d exactly.  The coupling block is a complex Gaussian matrix rescaled to
     norm v.  Bit-identical output for identical integer seeds.
     """
-    p = params
-    gl, gr = float(p.gap_left), float(p.gap_right)
+    gl, gr = float(gap_left), float(gap_right)
     width = gr - gl
     if not gl < gr:
         raise InfeasibleParams(f"gap ({gl}, {gr}) is empty")
     if not math.isfinite(width):
         raise InfeasibleParams(f"gap ({gl}, {gr}) is not finite")
-    if not 0.0 < p.d <= width / 2.0:
-        raise InfeasibleParams(f"need 0 < d <= {width / 2.0}, got d={p.d}")
-    if p.v < 0.0:
-        raise InfeasibleParams(f"negative perturbation norm {p.v}")
-    if p.n0 < 1:
+    if not 0.0 < d <= width / 2.0:
+        raise InfeasibleParams(f"need 0 < d <= {width / 2.0}, got d={d}")
+    if v < 0.0:
+        raise InfeasibleParams(f"negative perturbation norm {v}")
+    if n0 < 1:
         raise InfeasibleParams("inner component needs at least one eigenvalue")
-    if p.n1 < 2:
+    if n1 < 2:
         raise InfeasibleParams("outer component must occupy both gap endpoints")
-    if not 0.0 <= p.outer_radius < math.inf:
-        raise InfeasibleParams(f"outer_radius must be finite and >= 0, got {p.outer_radius}")
-    if p.pin_side not in ("left", "right"):
-        raise InfeasibleParams(f"pin_side must be 'left' or 'right', got {p.pin_side!r}")
+    if not 0.0 <= outer_radius < math.inf:
+        raise InfeasibleParams(f"outer_radius must be finite and >= 0, got {outer_radius}")
+    if pin_side not in ("left", "right"):
+        raise InfeasibleParams(f"pin_side must be 'left' or 'right', got {pin_side!r}")
 
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    draw = _draw(rng, p.n0, p.n1, (gl, gr), p.d, p.outer_radius, p.pin_side)
-    return _build([draw], (gl, gr), [p.v]).insts[0]
+    draw = _draw(rng, n0, n1, (gl, gr), d, outer_radius, pin_side)
+    return _build([draw], (gl, gr), [v]).insts[0]
+
+
+def _hull(gap, d: float) -> tuple[float, float]:
+    """(lo, hi) of the inner hull [gap_left + d, gap_right - d] of a
+    generated partition, hi clamped to at least lo: at d = width / 2 the
+    rounded ends may cross."""
+    lo = gap[0] + d
+    return lo, max(lo, gap[1] - d)
+
+
+def _outer(gap, sides, offsets) -> list:
+    """The outer values of a generated partition: the gap ends, then each
+    offset placed outside the gap on its side (0 for the left end)."""
+    gl, gr = gap
+    outer = [gl, gr]
+    for side, off in zip(sides, offsets):
+        outer.append(gl - off if side == 0 else gr + off)
+    return outer
 
 
 def _draw(rng, n0: int, n1: int, gap, d: float, outer_radius: float, pin_side: str) -> tuple:
@@ -363,15 +373,13 @@ def _draw(rng, n0: int, n1: int, gap, d: float, outer_radius: float, pin_side: s
     generator's order: (inner, outer, btilde), the inner values with one
     pinned at distance d, the outer values and the unscaled coupling block.
     """
-    gl, gr = gap
     extras = n1 - 2
     sides = rng.integers(0, 2, size=extras)
     offsets = rng.uniform(0.0, outer_radius, size=extras) if extras else np.empty(0)
-    outer = [gl, gr]
-    for side, off in zip(sides, offsets):
-        outer.append(gl - off if side == 0 else gr + off)
-    inner = rng.uniform(gl + d, gr - d, size=n0)
-    inner[0] = gl + d if pin_side == "left" else gr - d
+    outer = _outer(gap, sides, offsets)
+    lo, hi = _hull(gap, d)
+    inner = rng.uniform(lo, hi, size=n0)
+    inner[0] = lo if pin_side == "left" else hi
     _check_separation(d, outer)
     btilde = rng.standard_normal((n0, n1)) + 1j * rng.standard_normal((n0, n1))
     return inner, outer, btilde

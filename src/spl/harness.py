@@ -12,6 +12,7 @@ reports so that reruns compare byte-identical.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import pickle
 import time
@@ -29,7 +30,9 @@ from .disposition import (
     _build,
     _check_separation,
     _draw,
+    _hull,
     _operators,
+    _outer,
     assemble_instance,
     validate_disposition,
 )
@@ -175,7 +178,17 @@ def _as_range(x, kind) -> tuple:
     return kind(x), kind(x)
 
 
+def _is_int(x) -> bool:
+    """An integer that is not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def validate_config(cfg: CampaignConfig) -> None:
+    for name in ("trials", "seed", "parallel", "n0", "n1"):
+        value = getattr(cfg, name)
+        ranged = name in ("n0", "n1") and isinstance(value, tuple) and len(value) == 2
+        if not all(map(_is_int, value if ranged else (value,))):
+            raise ConfigError(f"{name} must hold integers, got {value!r}")
     if cfg.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {cfg.trials}")
     if cfg.seed < 0:
@@ -636,7 +649,7 @@ def analyze(inst: PerturbationInstance) -> dict:
     res = riccati.solve_stack([inst])
     if res.failures[0] is not None:
         raise res.failures[0]
-    sol, graph = riccati._row(res.solution, 0), riccati._row(res.graph, 0)
+    record = _records([inst], res, [applicable], [None])[0]
     idents = res.identities
     values, inner = res.eigen.values[0], res.inner[0]
     enclosure = applicable.enclosure
@@ -650,22 +663,22 @@ def analyze(inst: PerturbationInstance) -> dict:
             "d": split.d,
             "v": inst.v,
             "trivial": inst.trivial,
-            "sigma0": [float(x) for x in split.sigma0],
-            "sigma1": [float(x) for x in split.sigma1],
+            "sigma0": split.sigma0.tolist(),
+            "sigma1": split.sigma1.tolist(),
         },
         "perturbed": {
-            "omega0": [float(x) for x in values[inner]],
-            "omega1": [float(x) for x in values[~inner]],
+            "omega0": values[inner].tolist(),
+            "omega1": values[~inner].tolist(),
             "gap_closed": False,  # a closed gap raised RankMismatch above
             "enclosure": list(enclosure) if enclosure is not None else None,
         },
         "angular": {
-            "mu": sol.mu,
-            "cond_Y0": sol.cond_Y0,
-            "riccati_residual": sol.riccati_residual,
-            "lambda0_spectrum": [float(x) for x in graph.lambda0_spectrum],
-            "lambda0_herm_residual": graph.lambda0_herm_residual,
-            "X": matio.matrix_to_dict(sol.X),
+            "mu": record["mu"],
+            "cond_Y0": record["cond_Y0"],
+            "riccati_residual": record["riccati_residual"],
+            "lambda0_spectrum": res.graph.lambda0_spectrum[0].tolist(),
+            "lambda0_herm_residual": record["lambda0_herm_residual"],
+            "X": matio.matrix_to_dict(res.solution.X[0]),
         },
         "identities": [
             dict(zip(("lambda", "res26", "res27", "term_imag", "top"), pair))
@@ -674,13 +687,13 @@ def analyze(inst: PerturbationInstance) -> dict:
             )))
         ],
         "graph": {
-            "measured": graph.measured,
-            "angle_residual": graph.angle_residual,
-            "graph1_residual": graph.graph1_residual,
-            "spec0_residual": graph.spec0_residual,
-            "spec1_residual": graph.spec1_residual,
+            "measured": record["measured"],
+            "angle_residual": record["graph_angle_residual"],
+            "graph1_residual": record["graph1_residual"],
+            "spec0_residual": record["spec0_residual"],
+            "spec1_residual": record["spec1_residual"],
         },
-        "record": _records([inst], res, [applicable], [None])[0],
+        "record": record,
     })
 
 
@@ -771,7 +784,7 @@ class _Walk:
     restart's best, reached first."""
 
     def __init__(self, cfg: SharpnessConfig, r: int, gap: tuple[float, float]):
-        lo, hi = gap[0] + cfg.d, gap[1] - cfg.d
+        lo, hi = _hull(gap, cfg.d)
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(r,)))
         self.rng, self.cfg, self.gap, self.lo, self.hi = rng, cfg, gap, lo, hi
         self.pin = lo if r % 2 == 0 else hi
@@ -780,14 +793,9 @@ class _Walk:
         offs = rng.uniform(0.0, OUTER_RADIUS, cfg.n1 - 2)
         self.sides = rng.integers(0, 2, cfg.n1 - 2)
         bdir = rng.standard_normal((cfg.n0, cfg.n1)) + 1j * rng.standard_normal((cfg.n0, cfg.n1))
-        self.point = (s0, offs, self.outer(offs), bdir * (cfg.v / op_norm(bdir)))
+        self.point = (s0, offs, _outer(gap, self.sides, offs), bdir * (cfg.v / op_norm(bdir)))
         self.measured = -1.0
         self.step = 0.3
-
-    def outer(self, offs: np.ndarray) -> np.ndarray:
-        """The gap ends, then each offset placed outside the gap on its side."""
-        gl, gr = self.gap
-        return np.concatenate(([gl, gr], np.where(self.sides == 0, gl - offs, gr + offs)))
 
     def propose(self) -> tuple | None:
         """The next move's point, drawn from this restart's generator; None
@@ -802,7 +810,7 @@ class _Walk:
             offs = np.clip(
                 offs + rng.standard_normal(cfg.n1 - 2) * step * OUTER_RADIUS, 0.0, OUTER_RADIUS
             )
-            outer = self.outer(offs)
+            outer = _outer(self.gap, self.sides, offs)
         else:
             bdir = b + step * cfg.v * (
                 rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape)
@@ -860,6 +868,8 @@ def sharpness_search(cfg: SharpnessConfig) -> dict:
     running the restarts one after another, the first best of the lowest
     restart reported.
     """
+    if not all(_is_int(getattr(cfg, name)) for name in ("n0", "n1", "restarts", "iters", "seed")):
+        raise InfeasibleParams("n0, n1, restarts, iters and seed must be integers")
     if cfg.n0 < 1 or cfg.n1 < 2:
         raise InfeasibleParams(f"need n0 >= 1 and n1 >= 2, got {cfg.n0}, {cfg.n1}")
     if cfg.restarts < 1 or cfg.iters < 0:
@@ -871,7 +881,8 @@ def sharpness_search(cfg: SharpnessConfig) -> dict:
     if cfg.v == 0.0:
         outer = [gap[0], gap[1]] + [gap[1]] * (cfg.n1 - 2)
         _check_separation(cfg.d, outer)
-        inst = _assemble_one([gap[0] + cfg.d] * cfg.n0, outer, gap, np.zeros((cfg.n0, cfg.n1)))
+        inner = [_hull(gap, cfg.d)[0]] * cfg.n0
+        inst = _assemble_one(inner, outer, gap, np.zeros((cfg.n0, cfg.n1)))
         return _sharpness_result(cfg, 0.0, inst)
     detailed = bounds.regime_limits(cfg.D, cfg.d)[2]
     if not 0.0 < cfg.v < detailed:

@@ -20,8 +20,6 @@ from .errors import ConvergenceFailure, DimensionMismatch, NonHermitianInput
 HERMITICITY_RTOL = 1e-12
 #: Eigendecomposition residual / orthonormality tolerance, relative to the norm.
 EIG_RTOL = 1e-10
-#: Open-interval endpoint ambiguity radius, relative to the spectral norm.
-EDGE_RTOL = 1e-9
 _EPS = np.finfo(float).eps
 
 
@@ -93,15 +91,6 @@ class EigenSystem:
 
     values: np.ndarray
     vectors: np.ndarray
-
-    @property
-    def norm(self):
-        """Spectral norm of the decomposed matrix (one per matrix of a stack)."""
-        return np.abs(self.values).max(axis=-1)
-
-    @property
-    def edge_tol(self) -> float:
-        return EDGE_RTOL * self.norm
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,7 +27,6 @@ Inner products are conjugate-linear in the first argument (numpy.vdot).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -139,20 +138,6 @@ class StackSolution:
     identities: Identities | None = None
 
 
-def _row(stacked, row: int):
-    """Row ``row`` of a stacked result dataclass, with Python scalars."""
-    fields = {}
-    for f in dataclasses.fields(stacked):
-        value = getattr(stacked, f.name)
-        if dataclasses.is_dataclass(value):
-            fields[f.name] = _row(value, row)
-        elif value.ndim == 1:
-            fields[f.name] = value[row].item()
-        else:
-            fields[f.name] = value[row]
-    return type(stacked)(**fields)
-
-
 def _eigen(L: np.ndarray) -> EigenSystem:
     try:
         return eigh(L)
@@ -213,7 +198,7 @@ def _rotations(L: np.ndarray, gap: tuple[float, float], n0: int) -> np.ndarray:
     rows of the inner columns.
     """
     es = _eigen(L)
-    inner = _inner_mask(es.values, es.edge_tol[:, None], *gap)
+    inner = _inner_mask(es.values, gap)
     full = inner.sum(axis=1) == n0
     out = np.ones(len(L))
     n = inner.shape[1]
@@ -423,7 +408,7 @@ def solve_stack(insts: InstanceStack | Sequence[PerturbationInstance]) -> StackS
         if k > 1:
             raise
         return StackSolution(None, None, None, [exc], [])
-    inner = _inner_mask(es.values, es.edge_tol[:, None], *gap)
+    inner = _inner_mask(es.values, gap)
     dims = inner.sum(axis=1).tolist()
     failures = [None if dim == n0 else _rank_mismatch(dim, n0) for dim in dims]
     rows = [i for i, failure in enumerate(failures) if failure is None]

@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -74,6 +75,20 @@ def rotation_of(inst) -> float:
     return spl.riccati._rotations(inst.L[None], gap, inst.n0)[0].item()
 
 
+def row_of(stacked, row: int):
+    """Row ``row`` of a stacked result dataclass, with Python scalars."""
+    fields = {}
+    for f in dataclasses.fields(stacked):
+        value = getattr(stacked, f.name)
+        if dataclasses.is_dataclass(value):
+            fields[f.name] = row_of(value, row)
+        elif value.ndim == 1:
+            fields[f.name] = value[row].item()
+        else:
+            fields[f.name] = value[row]
+    return type(stacked)(**fields)
+
+
 def solve_one(inst):
     """Row-0 views of ``riccati.solve_stack([inst])``: (split, solution,
     graph, identities).
@@ -91,8 +106,7 @@ def solve_one(inst):
     )
     if not res.solved:
         return split, None, None, None
-    row = spl.riccati._row
-    return split, row(res.solution, 0), row(res.graph, 0), row(res.identities, 0)
+    return split, row_of(res.solution, 0), row_of(res.graph, 0), row_of(res.identities, 0)
 
 
 def projector(cols: np.ndarray) -> np.ndarray:

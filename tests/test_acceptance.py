@@ -178,12 +178,12 @@ def test_criterion_6_shift_invariance_100():
     for k in range(100):
         d = float(rng.uniform(0.05, 0.95))
         v = float(rng.uniform(0.05, 0.95)) * math.sqrt(d * (width - d))
-        params = spl.InstanceParams(
+        inst = spl.random_instance(
             n0=int(rng.integers(1, 7)), n1=int(rng.integers(2, 7)),
             gap_left=gap[0], gap_right=gap[1], d=d, outer_radius=1.5, v=v,
             pin_side="left" if rng.integers(0, 2) == 0 else "right",
+            seed=int(rng.integers(0, 2**31)),
         )
-        inst = spl.random_instance(params, int(rng.integers(0, 2**31)))
         shifted = spl.assemble_instance(
             np.diag(inst.A0).real - c, np.diag(inst.A1).real - c,
             (gap[0] - c, gap[1] - c), inst.B,
@@ -222,12 +222,12 @@ def test_criterion_8_gap_survives_to_regime_edge():
         frac = 0.999 * (i + 1) / 1000.0
         d = float(rng.uniform(0.05, 0.95))
         v = frac * math.sqrt(d * 2.0)
-        params = spl.InstanceParams(
+        inst = spl.random_instance(
             n0=int(rng.integers(1, 7)), n1=int(rng.integers(2, 7)),
             gap_left=-1.0, gap_right=1.0, d=d, outer_radius=2.0, v=v,
             pin_side="left" if rng.integers(0, 2) == 0 else "right",
+            seed=int(rng.integers(0, 2**31)),
         )
-        inst = spl.random_instance(params, int(rng.integers(0, 2**31)))
         ps, _, _, _ = solve_one(inst)
         sep = float(np.min(np.abs(ps.omega0[:, None] - ps.omega1[None, :])))
         worst_sep = min(worst_sep, sep)

@@ -10,7 +10,7 @@ from spl import cli
 
 PUBLIC_NAMES = [
     "BoundReport", "CampaignConfig", "CampaignReport", "EigenSystem",
-    "GraphReport", "InstanceParams", "KappaValue",
+    "GraphReport", "KappaValue",
     "PerturbationInstance", "PhiSup", "PolarParts", "RiccatiSolution",
     "SharpnessConfig", "SpectralSplit", "analyze",
     "assemble_instance", "bound_apriori", "bound_detailed", "eigh", "enclosure", "kappa",

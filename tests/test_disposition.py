@@ -202,30 +202,26 @@ def test_instance_anticommutes_with_involution(e1):
 
 
 def test_random_instance_exact_parameters():
-    params = spl.InstanceParams(
-        n0=2, n1=4, gap_left=-1.0, gap_right=1.0, d=0.4, outer_radius=2.0, v=0.6
+    inst = spl.random_instance(
+        n0=2, n1=4, gap_left=-1.0, gap_right=1.0, d=0.4, outer_radius=2.0, v=0.6, seed=7
     )
-    inst = spl.random_instance(params, 7)
     assert abs(inst.split.d - 0.4) <= 1e-12
     assert abs(inst.v - 0.6) <= 1e-12
     assert (inst.n0, inst.n1) == (2, 4)
 
 
 def test_random_instance_deterministic():
-    params = spl.InstanceParams(
-        n0=3, n1=5, gap_left=-1.0, gap_right=1.0, d=0.3, outer_radius=1.5, v=0.4
-    )
-    a = spl.random_instance(params, 99)
-    b = spl.random_instance(params, 99)
+    params = dict(n0=3, n1=5, gap_left=-1.0, gap_right=1.0, d=0.3, outer_radius=1.5, v=0.4)
+    a = spl.random_instance(**params, seed=99)
+    b = spl.random_instance(**params, seed=99)
     assert np.array_equal(a.L, b.L)
     assert np.array_equal(a.B, b.B)
 
 
 def test_random_instance_zero_perturbation():
-    params = spl.InstanceParams(
-        n0=2, n1=3, gap_left=-1.0, gap_right=1.0, d=0.5, outer_radius=1.0, v=0.0
+    inst = spl.random_instance(
+        n0=2, n1=3, gap_left=-1.0, gap_right=1.0, d=0.5, outer_radius=1.0, v=0.0, seed=5
     )
-    inst = spl.random_instance(params, 5)
     assert inst.trivial
     v = split_parts(inst)[1]
     npt.assert_allclose(v, np.zeros_like(v), atol=0)
@@ -233,11 +229,10 @@ def test_random_instance_zero_perturbation():
 
 @pytest.mark.parametrize("side,expected", [("left", -0.6), ("right", 0.6)])
 def test_random_instance_pin_side(side, expected):
-    params = spl.InstanceParams(
+    inst = spl.random_instance(
         n0=3, n1=2, gap_left=-1.0, gap_right=1.0, d=0.4, outer_radius=0.0, v=0.1,
-        pin_side=side,
+        pin_side=side, seed=13,
     )
-    inst = spl.random_instance(params, 13)
     assert np.any(np.abs(np.diag(inst.A0).real - expected) <= 1e-12)
 
 
@@ -260,7 +255,7 @@ def test_random_instance_infeasible(kw):
     base = dict(n0=1, n1=2, gap_left=-1.0, gap_right=1.0, d=0.5, outer_radius=1.0, v=0.2)
     base.update(kw)
     with pytest.raises(InfeasibleParams):
-        spl.random_instance(spl.InstanceParams(**base), 0)
+        spl.random_instance(**base, seed=0)
 
 
 @pytest.mark.parametrize("pin_side", ["left", "right"])
@@ -269,12 +264,12 @@ def test_random_instance_refuses_separation_within_edge_tolerance(pin_side):
                 pin_side=pin_side)
     # the outer values are drawn before the inner ones, so d does not move them;
     # the drawn one lies past 2.9, so the partition's scale is not the gap end's
-    sigma1 = spl.random_instance(spl.InstanceParams(d=0.5, **base), 1).split.sigma1
+    sigma1 = spl.random_instance(d=0.5, **base, seed=1).split.sigma1
     scale = float(np.abs(sigma1).max())
     assert scale > 2.9
     with pytest.raises(DispositionViolation, match="edge tolerance"):
-        spl.random_instance(spl.InstanceParams(d=0.9 * spl.linalg.EDGE_RTOL * scale, **base), 1)
-    spl.random_instance(spl.InstanceParams(d=1.1 * spl.linalg.EDGE_RTOL * scale, **base), 1)
+        spl.random_instance(d=0.9 * spl.disposition.EDGE_RTOL * scale, **base, seed=1)
+    spl.random_instance(d=1.1 * spl.disposition.EDGE_RTOL * scale, **base, seed=1)
 
 
 def test_random_instance_distance_and_norm_sweep():
@@ -282,7 +277,7 @@ def test_random_instance_distance_and_norm_sweep():
     for _ in range(25):
         d = float(rng.uniform(0.05, 1.0))
         v = float(rng.uniform(0.0, 1.0))
-        params = spl.InstanceParams(
+        inst = spl.random_instance(
             n0=int(rng.integers(1, 6)),
             n1=int(rng.integers(2, 7)),
             gap_left=-1.0,
@@ -291,8 +286,8 @@ def test_random_instance_distance_and_norm_sweep():
             outer_radius=2.0,
             v=v,
             pin_side="left" if rng.integers(0, 2) == 0 else "right",
+            seed=int(rng.integers(0, 2**31)),
         )
-        inst = spl.random_instance(params, int(rng.integers(0, 2**31)))
         assert abs(inst.split.d - d) <= 1e-12
         assert abs(inst.v - v) <= 1e-12
 
@@ -301,10 +296,9 @@ def test_random_instance_distance_and_norm_sweep():
 
 
 def test_hide_block_structure_preserves_geometry():
-    params = spl.InstanceParams(
-        n0=2, n1=3, gap_left=-1.0, gap_right=1.0, d=0.4, outer_radius=1.0, v=0.5
+    inst = spl.random_instance(
+        n0=2, n1=3, gap_left=-1.0, gap_right=1.0, d=0.4, outer_radius=1.0, v=0.5, seed=21
     )
-    inst = spl.random_instance(params, 21)
     # conjugate A and V by a seeded random unitary to hide the block structure
     w = random_unitary(inst.L.shape[0], np.random.default_rng(22))
 

@@ -56,6 +56,23 @@ def test_validate_config_rejects(kw):
         spl.harness.validate_config(tiny_config(**kw))
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"n0": (1.7, 2.2)},
+        {"n0": True},
+        {"n1": 2.5},
+        {"parallel": 1.5},
+        {"trials": 2.5},
+        {"trials": True},
+        {"seed": 1.5},
+    ],
+)
+def test_campaign_refuses_non_integer_fields(kw):
+    with pytest.raises(ConfigError, match="integers"):
+        spl.run_campaign(tiny_config(**{"trials": 2, **kw}))
+
+
 def test_regime_c_feasible_config():
     spl.harness.validate_config(tiny_config(regime="C", d=(0.7, 0.9)))
 
@@ -375,6 +392,28 @@ def test_campaign_without_blas_thread_control(monkeypatch):
     assert spl.run_campaign(dataclasses.replace(cfg, parallel=2)).to_json() == expected
 
 
+def test_generators_build_at_half_the_gap_width():
+    # at d = width / 2 the rounded hull ends gl + d and gr - d can cross
+    # (for about one in six of these gaps, whose ends have three decimals as
+    # typed on a command line); the hull is then the single point gl + d
+    rng = np.random.default_rng(2020)
+    for k in range(300):
+        gl = round(float(rng.uniform(-2.0, 2.0)), 3)
+        gr = round(gl + float(rng.uniform(0.1, 4.0)), 3)
+        half = (gr - gl) / 2.0
+        for d in (half, math.nextafter(half, 0.0)):
+            cfg = spl.CampaignConfig(trials=4, seed=k, n0=2, n1=2, gap=(gl, gr), d=d)
+            assert len(spl.run_campaign(cfg).records) == 4
+            inst = spl.random_instance(
+                n0=3, n1=3, gap_left=gl, gap_right=gr, d=d, outer_radius=1.0, v=0.5 * d,
+                pin_side=("left", "right")[k % 2], seed=k,
+            )
+            lo = gl + d
+            hi = max(lo, gr - d)
+            for sigma0 in (spl.trial_instance(cfg, 0)[0].split.sigma0, inst.split.sigma0):
+                assert ((sigma0 >= lo) & (sigma0 <= hi)).all()
+
+
 @pytest.mark.parametrize("regime", ["A", "B", "C"])
 def test_campaign_regimes_clean(regime):
     d = (0.7, 0.9) if regime == "C" else (0.1, 0.9)
@@ -581,6 +620,17 @@ def test_sharpness_infeasible_params():
     with pytest.raises(InfeasibleParams):
         # v at the regime edge is rejected
         spl.sharpness_search(spl.SharpnessConfig(n0=1, n1=2, D=2.0, d=1.0, v=1.0))
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [{"n0": 1.5}, {"n0": True}, {"n1": 2.5}, {"restarts": 1.5}, {"restarts": True},
+     {"iters": 2.5}, {"seed": 0.5}],
+)
+def test_sharpness_refuses_non_integer_fields(kw):
+    base = dict(n0=1, n1=2, D=2.0, d=0.5, v=0.3, restarts=2, iters=3)
+    with pytest.raises(InfeasibleParams, match="integers"):
+        spl.sharpness_search(spl.SharpnessConfig(**{**base, **kw}))
 
 
 # --- serialisation ------------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """The solver layers import nothing from the layers above them: the
 closed-form bounds, the campaign harness and the file formats.  The CLI
-imports no error class that it only maps to an exit code."""
+imports no error class that it only maps to an exit code.  ``linalg``
+states no rule of a gap split."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
+
+from spl import linalg
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "spl"
 
@@ -32,6 +36,14 @@ def test_import_scan_sees_relative_imports():
 @pytest.mark.parametrize("module", ["riccati", "linalg", "disposition"])
 def test_solver_imports_no_bounds_harness_or_matio(module):
     assert not spl_imports(module) & {"bounds", "harness", "matio"}
+
+
+def test_linalg_states_no_gap_rule():
+    # the edge tolerance of a gap split is disposition's; an eigensystem is
+    # its values and vectors
+    assert not hasattr(linalg, "EDGE_RTOL")
+    assert [f.name for f in dataclasses.fields(linalg.EigenSystem)] == ["values", "vectors"]
+    assert [name for name in dir(linalg.EigenSystem) if not name.startswith("_")] == []
 
 
 def test_cli_names_no_error_class_it_only_maps():

@@ -9,6 +9,7 @@ and strictly off-diagonal with respect to that splitting.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -317,14 +318,15 @@ def random_instance(
     *, n0: int, n1: int, gap_left: float, gap_right: float, d: float,
     outer_radius: float, v: float, pin_side: str = "left", seed: int,
 ) -> PerturbationInstance:
-    """Seeded random instance with exact separation and perturbation norm.
+    """Seeded random instance with separation d and perturbation norm v.
 
     The outer component holds both gap endpoints exactly plus n1 - 2 values
     drawn outside the gap within ``outer_radius``; the inner component is
-    drawn from the admissible hull with one value pinned at distance exactly
-    ``d`` from the boundary chosen by ``pin_side``, so the separation equals
-    d exactly.  The coupling block is a complex Gaussian matrix rescaled to
-    norm v.  Bit-identical output for identical integer seeds.
+    drawn from the admissible hull with one value pinned at distance d from
+    the boundary chosen by ``pin_side``.  The separation is d up to the
+    rounding of the pinned value, so it can miss d by an ulp.  The coupling
+    block is a complex Gaussian matrix rescaled to norm v.  Bit-identical
+    output for identical integer seeds.
     """
     gl, gr = float(gap_left), float(gap_right)
     width = gr - gl
@@ -336,6 +338,8 @@ def random_instance(
         raise InfeasibleParams(f"need 0 < d <= {width / 2.0}, got d={d}")
     if v < 0.0:
         raise InfeasibleParams(f"negative perturbation norm {v}")
+    if not (_is_int(n0) and _is_int(n1)):
+        raise InfeasibleParams(f"n0 and n1 must be integers, got {n0!r} and {n1!r}")
     if n0 < 1:
         raise InfeasibleParams("inner component needs at least one eigenvalue")
     if n1 < 2:
@@ -348,6 +352,11 @@ def random_instance(
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     draw = _draw(rng, n0, n1, (gl, gr), d, outer_radius, pin_side)
     return _build([draw], (gl, gr), [v]).insts[0]
+
+
+def _is_int(x) -> bool:
+    """An integer that is not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _hull(gap, d: float) -> tuple[float, float]:

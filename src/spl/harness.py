@@ -12,7 +12,6 @@ reports so that reruns compare byte-identical.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import pickle
 import time
@@ -31,6 +30,7 @@ from .disposition import (
     _check_separation,
     _draw,
     _hull,
+    _is_int,
     _operators,
     _outer,
     assemble_instance,
@@ -50,7 +50,7 @@ RECORD_KEYS = (
     "trial", "n0", "n1", "D", "d", "v", "regime12", "regime29", "regime31",
     "gap_closed", "measured", "mu", "cond_Y0", "riccati_residual", "riccati_limit",
     "lemma26_max", "lemma27_max", "lemma_limit", "lemma_term_imag_max",
-    "graph_angle_residual", "graph1_residual", "spec0_residual", "spec1_residual",
+    "graph_angle_residual", "graph1_residual", "spec1_residual",
     "lambda0_herm_residual", "lambda0_spec_residual", "kappa", "kappa_branch",
     "bound13", "bound32", "ratio13", "ratio32", "r_V", "encl_lo", "encl_hi",
     "enclosure_ok", "violations", "error",
@@ -58,7 +58,7 @@ RECORD_KEYS = (
 
 #: Record keys of the graph residuals, each checked against ``GRAPH_TOL``.
 GRAPH_RESIDUALS = (
-    "graph_angle_residual", "graph1_residual", "spec0_residual", "spec1_residual",
+    "graph_angle_residual", "graph1_residual", "spec1_residual",
     "lambda0_herm_residual", "lambda0_spec_residual",
 )
 
@@ -176,11 +176,6 @@ def _as_range(x, kind) -> tuple:
     if isinstance(x, tuple):
         return kind(x[0]), kind(x[1])
     return kind(x), kind(x)
-
-
-def _is_int(x) -> bool:
-    """An integer that is not a bool."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def validate_config(cfg: CampaignConfig) -> None:
@@ -338,7 +333,6 @@ def _records(insts: list[PerturbationInstance], res: riccati.StackSolution,
             "lemma_term_imag_max": idents.term_imag.max(axis=1),
             "graph_angle_residual": graph.angle_residual,
             "graph1_residual": graph.graph1_residual,
-            "spec0_residual": graph.spec0_residual,
             "spec1_residual": graph.spec1_residual,
             "lambda0_herm_residual": graph.lambda0_herm_residual,
             "lambda0_spec_residual": graph.lambda0_spec_residual,
@@ -496,7 +490,6 @@ def _aggregate(records: list[dict]) -> dict:
         "max_lemma27": vmax("lemma27_max"),
         "max_graph_angle_residual": vmax("graph_angle_residual"),
         "max_graph1_residual": vmax("graph1_residual"),
-        "max_spec0_residual": vmax("spec0_residual"),
         "max_spec1_residual": vmax("spec1_residual"),
         "max_lambda0_herm_residual": vmax("lambda0_herm_residual"),
         "max_cond_Y0": vmax("cond_Y0"),
@@ -690,7 +683,6 @@ def analyze(inst: PerturbationInstance) -> dict:
             "measured": record["measured"],
             "angle_residual": record["graph_angle_residual"],
             "graph1_residual": record["graph1_residual"],
-            "spec0_residual": record["spec0_residual"],
             "spec1_residual": record["spec1_residual"],
         },
         "record": record,

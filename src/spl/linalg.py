@@ -102,12 +102,14 @@ class PolarParts:
     Hermitian PSD square root of X*X on the domain space.  values (the
     singular values of X, descending, padded with zeros) and the columns of
     vectors are its eigenpairs; the columns past the rank of X span its kernel.
+    left is the full left singular basis of X, the eigenvectors of X X*.
     For a stack of matrices every field has the same leading axes.
     """
 
     isometry: np.ndarray
     values: np.ndarray
     vectors: np.ndarray
+    left: np.ndarray
 
     @property
     def absval(self) -> np.ndarray:
@@ -184,8 +186,8 @@ def polar_decompose(x) -> PolarParts:
     """Polar factors of a rectangular matrix, or of a stack of them.
 
     Returns ``PolarParts`` with ``x = isometry @ absval``.  The SVD keeps
-    the full right singular basis, so absval has a full eigenbasis even
-    when x has fewer rows than columns.  The isometry is built only from
+    both full singular bases, so absval has a full eigenbasis even when x
+    has fewer rows than columns.  The isometry is built only from
     singular directions above the numerical rank cutoff, so it vanishes on
     the kernel of x.  absval is computed from the SVD directly (not via a
     matrix square root) to keep small singular values accurate.  A stack
@@ -209,7 +211,7 @@ def polar_decompose(x) -> PolarParts:
         for r in sorted(distinct):
             rows = ranks == r
             isometry[rows] = w[rows][..., :r] @ vh[rows][..., :r, :]
-    return PolarParts(isometry=isometry, values=values, vectors=adjoint(vh))
+    return PolarParts(isometry=isometry, values=values, vectors=adjoint(vh), left=w)
 
 
 # --- BLAS threads ------------------------------------------------------------

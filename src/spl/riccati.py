@@ -16,11 +16,11 @@ not depend on the rest of its stack.  Its stages are
 :func:`verify_graph_props` and :func:`lemma22_check`, each called once
 per stack; an instance is row i of their results.  The one SVD of X
 (:func:`polar_decompose`) gives ||X||, the polar parts, the eigenpairs of
-|X| and (I + |X|^2)^(+-1/2).  The measured rotation ||E0 - E0'|| is
-||Y1||, the norm of the outer rows of the orthonormal perturbed inner
-basis (:func:`_rotation`, read by :func:`verify_graph_props` in the
-pipeline and by :func:`_rotations` in the sharpness search); it is
-computed without X.
+|X|, (I + |X|^2)^(+-1/2) and the eigenbasis of X X*.  The measured
+rotation ||E0 - E0'|| is ||Y1||, the norm of the outer rows of the
+orthonormal perturbed inner basis (:func:`_rotation`, read by
+:func:`verify_graph_props` in the pipeline and by :func:`_rotations` in
+the sharpness search); it is computed without X.
 
 Inner products are conjugate-linear in the first argument (numpy.vdot).
 """
@@ -100,17 +100,17 @@ class GraphReport:
     measured is ||E_A(sigma0) - E_L(omega0)||, taken as ||Y1|| (see
     :func:`_rotation`) without X; angle_residual its deviation
     from sin(arctan ||X||); graph1_residual the defect of the outer subspace
-    being the graph of -X*; spec0/spec1_residual the mismatch between the
-    spectra of A0 + B X / A1 - B* X* and omega0 / omega1; the lambda0_*
-    fields are those of :func:`lambda0_diagnostics` and the mismatch
-    between the Lambda0 spectrum and omega0.  Over a stack every field has
-    a leading batch axis.
+    being the graph of -X*; spec1_residual the larger of the Hermitian
+    defect of Lambda1, similar to A1 - B* X*, and the mismatch between its
+    spectrum and omega1; the lambda0_* fields are those of
+    :func:`lambda0_diagnostics` and the mismatch between the spectrum of
+    Lambda0, similar to A0 + B X, and omega0.  Over a stack every field
+    has a leading batch axis.
     """
 
     measured: float
     angle_residual: float
     graph1_residual: float
-    spec0_residual: float
     spec1_residual: float
     lambda0_spectrum: np.ndarray
     lambda0_herm_residual: float
@@ -227,16 +227,15 @@ def _blocks(st: InstanceStack) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     return st.A0.copy(), st.A1.copy(), b, adjoint(b)
 
 
-def angular_operator(blocks: tuple, basis0: np.ndarray, cond: list[float]) -> tuple:
+def angular_operator(blocks: tuple, basis0: np.ndarray, cond: list[float]) -> RiccatiSolution:
     """Angular operators of the stacked perturbed inner subspaces by graph
-    inversion: (the :class:`RiccatiSolution`, A0 + B X).
+    inversion.
 
     Any orthonormal basis Y of the perturbed inner subspace, partitioned
     into inner/outer block rows [Y0; Y1], yields X = Y1 Y0^{-1}; the result
     is independent of the basis choice.  ``blocks`` are (A0, A1, B, B*)
     from :func:`_blocks`, and ``cond`` the conditioning of each Y0, which
-    the caller has found graph-like (see :func:`_is_graph`).  A0 + B X is
-    similar to Lambda0 and has the spectrum omega0.
+    the caller has found graph-like (see :func:`_is_graph`).
     """
     n0 = blocks[0].shape[-1]
     y0 = basis0[:, :n0, :]
@@ -245,16 +244,14 @@ def angular_operator(blocks: tuple, basis0: np.ndarray, cond: list[float]) -> tu
     polar = polar_decompose(x)
     half = polar.apply(lambda s: np.sqrt(1.0 + s * s))
     half_inv = polar.apply(lambda s: 1.0 / np.sqrt(1.0 + s * s))
-    coupled0 = blocks[0] + blocks[2] @ x
-    sol = RiccatiSolution(
+    return RiccatiSolution(
         X=x,
         polar=polar,
         mu=polar.values[:, 0],
         riccati_residual=_residual(x, *blocks),
-        Lambda0=half @ coupled0 @ half_inv,
+        Lambda0=half @ (blocks[0] + blocks[2] @ x) @ half_inv,
         cond_Y0=np.array(cond),
     )
-    return sol, coupled0
 
 
 def riccati_residual(x, a0, a1, b):
@@ -319,19 +316,21 @@ def _col_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def verify_graph_props(
-    blocks: tuple, sol: RiccatiSolution, coupled0, basis0, basis1, omega0, omega1
+    blocks: tuple, sol: RiccatiSolution, basis0, basis1, omega0, omega1
 ) -> GraphReport:
     """Residuals of the graph representation of both stacked perturbed
-    subspaces; ``coupled0`` is A0 + B X from :func:`angular_operator`.
+    subspaces.
 
-    Checks that the measured rotation equals sin(arctan ||X||),
-    that the outer perturbed subspace is the graph of -X* (inner rows of an
-    orthonormal basis equal -X* times the outer rows), that the spectra
-    of A0 + B X and A1 - B* X* reproduce omega0 and omega1, and that
-    Lambda0 is Hermitian with spectrum omega0.
+    Checks that the measured rotation equals sin(arctan ||X||), that the
+    outer perturbed subspace is the graph of -X* (inner rows of an
+    orthonormal basis equal -X* times the outer rows), and that Lambda0
+    and Lambda1, similar to A1 - B* X* by (I + X X*)^(1/2), are Hermitian
+    with spectra omega0 and omega1.  Lambda1 is taken in the left singular
+    basis W of X = W S V*: K1 = diag(h) W* (A1 - B* X*) W diag(1/h),
+    h = sqrt(1 + s^2) with s padded with zeros.
     """
-    _, a1, _, b_adj = blocks
-    n0 = coupled0.shape[-1]
+    a0, a1, _, b_adj = blocks
+    n0 = a0.shape[-1]
     measured = _rotation(basis0[:, n0:])
     # sin(arctan mu) as in bounds.sin_arctan
     angle_residual = np.abs(measured - sol.mu / np.sqrt(1.0 + sol.mu * sol.mu))
@@ -340,15 +339,19 @@ def verify_graph_props(
     z1 = basis1[:, n0:, :]
     graph1_residual = op_norms(z0 + adjoint(sol.X) @ z1)
 
-    spec0 = lapack(np.linalg.eigvals, coupled0)
-    spec1 = lapack(np.linalg.eigvals, a1 - b_adj @ adjoint(sol.X))
+    w = sol.polar.left
+    h = np.ones(w.shape[:-1])
+    m = min(n0, h.shape[-1])
+    h[:, :m] = np.sqrt(1.0 + sol.polar.values[:, :m] ** 2)
+    k1 = adjoint(w) @ (a1 - b_adj @ adjoint(sol.X)) @ w * (h[:, :, None] / h[:, None, :])
+    spec1 = lapack(np.linalg.eigvalsh, 0.5 * (k1 + adjoint(k1)))
     l0_herm, l0_spec = lambda0_diagnostics(sol)
     return GraphReport(
         measured=measured,
         angle_residual=angle_residual,
         graph1_residual=graph1_residual,
-        spec0_residual=spectrum_mismatch(spec0, omega0),
-        spec1_residual=spectrum_mismatch(spec1, omega1),
+        # np.maximum keeps a NaN
+        spec1_residual=np.maximum(op_norms(k1 - adjoint(k1)), np.abs(spec1 - omega1).max(axis=1)),
         lambda0_spectrum=l0_spec,
         lambda0_herm_residual=l0_herm,
         lambda0_spec_residual=spectrum_mismatch(l0_spec, omega0),
@@ -356,20 +359,10 @@ def verify_graph_props(
 
 
 def spectrum_mismatch(eigs: np.ndarray, target: np.ndarray):
-    """Worst deviation between a computed spectrum and a real target list.
-
-    Compares sorted real parts and counts any imaginary mass as deviation;
-    infinite when the multiplicities disagree.  Spectra stacked along
-    leading axes get one deviation each.
-    """
-    eigs = np.asarray(eigs, dtype=complex)
-    if eigs.shape[-1] != target.shape[-1]:
-        return float("inf")
-    if eigs.shape[-1] == 0:
-        return 0.0
-    imag = np.abs(eigs.imag).max(axis=-1)
-    real = np.sort(eigs.real, axis=-1)
-    return _scalar(np.maximum(imag, np.abs(real - np.sort(target, axis=-1)).max(axis=-1)))
+    """Worst deviation between an ascending real spectrum and an ascending
+    target of the same size; spectra stacked along leading axes get one
+    deviation each, and a NaN is kept."""
+    return np.abs(eigs - target).max(axis=-1)
 
 
 def lambda0_diagnostics(sol: RiccatiSolution):
@@ -447,7 +440,7 @@ def _solve_split(
     if len(rows) < len(failures):
         st = st.take(rows)
     blocks = _blocks(st)
-    sol, coupled0 = angular_operator(blocks, basis0, cond)
-    checks = verify_graph_props(blocks, sol, coupled0, basis0, basis1, omega0, omega1)
+    sol = angular_operator(blocks, basis0, cond)
+    checks = verify_graph_props(blocks, sol, basis0, basis1, omega0, omega1)
     return rows, sol, checks, lemma22_check(st, sol)
 

@@ -109,6 +109,14 @@ def solve_one(inst):
     return split, row_of(res.solution, 0), row_of(res.graph, 0), row_of(res.identities, 0)
 
 
+def reference_spec1(inst, x: np.ndarray, omega1: np.ndarray) -> float:
+    """spec1_residual by the non-Hermitian route: the eigenvalues of
+    A1 - B* X* against the ascending omega1, their sorted real parts
+    compared and any imaginary part counted as deviation."""
+    eigs = np.linalg.eigvals(inst.A1 - inst.B.conj().T @ x.conj().T)
+    return max(np.abs(eigs.imag).max(), np.abs(np.sort(eigs.real) - omega1).max())
+
+
 def projector(cols: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the span of orthonormal columns."""
     return cols @ cols.conj().T

@@ -258,6 +258,15 @@ def test_random_instance_infeasible(kw):
         spl.random_instance(**base, seed=0)
 
 
+@pytest.mark.parametrize("kw", [{"n0": 1.5}, {"n1": 2.5}, {"n0": True}, {"n1": 3.0}])
+def test_random_instance_refuses_non_integer_sizes(kw):
+    base = dict(n0=1, n1=2, gap_left=-1.0, gap_right=1.0, d=0.5, outer_radius=1.0, v=0.2)
+    with pytest.raises(InfeasibleParams, match="integers"):
+        spl.random_instance(**{**base, **kw}, seed=0)
+    # numpy integers are integers
+    spl.random_instance(**{**base, "n0": np.int64(2)}, seed=0)
+
+
 @pytest.mark.parametrize("pin_side", ["left", "right"])
 def test_random_instance_refuses_separation_within_edge_tolerance(pin_side):
     base = dict(n0=2, n1=3, gap_left=-1.0, gap_right=1.0, outer_radius=2.0, v=1e-12,

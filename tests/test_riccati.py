@@ -14,9 +14,11 @@ from spl.errors import (
     RankMismatch,
     RegimeViolation,
 )
+from spl.harness import GRAPH_TOL
 
 from conftest import (
-    enclosure_of, inner_projector, projector, random_unitary, rotation_of, solve_one,
+    enclosure_of, inner_projector, projector, random_unitary, reference_spec1, rotation_of,
+    solve_one,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -100,7 +102,7 @@ def angular_x(inst, basis0):
     cond = riccati._conditioning(basis0, inst.n0)
     assert riccati._is_graph(cond[0])
     blocks = riccati._blocks(riccati.InstanceStack.of([inst]))
-    return riccati.angular_operator(blocks, basis0, cond)[0].X[0]
+    return riccati.angular_operator(blocks, basis0, cond).X[0]
 
 
 def test_angular_operator_basis_independence(e1):
@@ -250,7 +252,7 @@ def test_graph_props_e1(e1):
     npt.assert_allclose(graph.measured, math.sin(math.pi / 8.0), atol=1e-12)
     assert graph.angle_residual <= 1e-12
     assert graph.graph1_residual <= 1e-12
-    assert graph.spec0_residual <= 1e-12
+    assert graph.lambda0_spec_residual <= 1e-12
     assert graph.spec1_residual <= 1e-12
 
 
@@ -266,7 +268,7 @@ def test_graph_props_random_instances():
         ps, sol, graph, _ = solve_one(inst)
         assert graph.angle_residual <= 1e-8
         assert graph.graph1_residual <= 1e-8
-        assert graph.spec0_residual <= 1e-8
+        assert graph.lambda0_spec_residual <= 1e-8
         assert graph.spec1_residual <= 1e-8
         herm, spectrum = spl.riccati.lambda0_diagnostics(sol)
         assert herm <= 1e-8
@@ -352,8 +354,7 @@ def raise_linalg_error(*args, **kwargs):
         ("norm", EigenFailure),  # op_norm in the residual check of eigh(L)
         ("svd", ConvergenceFailure),  # conditioning of Y0 before the graph inversion
         ("solve", ConvergenceFailure),  # graph inversion
-        ("eigvals", ConvergenceFailure),  # spectra of A0 + B X and A1 - B* X*
-        ("eigvalsh", ConvergenceFailure),  # spectrum of Lambda0
+        ("eigvalsh", ConvergenceFailure),  # spectra of Lambda0 and Lambda1
     ],
 )
 def test_solve_instance_types_lapack_failures(e1, monkeypatch, routine, failure):
@@ -364,6 +365,64 @@ def test_solve_instance_types_lapack_failures(e1, monkeypatch, routine, failure)
     rec = spl.trial_record_for_instance(e1)
     assert rec["error"] == failure.__name__
     assert rec["violations"] == [f"structural:{failure.__name__}"]
+
+
+def test_campaign_runs_without_a_non_hermitian_eigensolve(monkeypatch):
+    # both spectral checks are Hermitian: no trial reaches np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", raise_linalg_error)
+    cfg = spl.CampaignConfig(trials=60, seed=21, n0=(1, 8), n1=(2, 8), d=(0.05, 0.95))
+    report = spl.run_campaign(cfg)
+    assert report.aggregates["failures"] == 0
+    assert report.exit_code == 0
+
+
+# --- Lambda1 in the left singular basis of X against the eigvals route -----------
+
+
+def test_spec1_residual_matches_eigvals_route():
+    insts = oracle_instances()
+    assert {np.sign(inst.n0 - inst.n1) for inst in insts} == {-1, 0, 1}
+    for inst in insts:
+        ps, sol, graph, _ = solve_one(inst)
+        ref = reference_spec1(inst, sol.X, ps.omega1)
+        assert abs(graph.spec1_residual - ref) <= 1e-12 * inst.scale
+
+
+def lambda1_of(inst, x):
+    """(I + X X*)^(1/2) (A1 - B* X*) (I + X X*)^(-1/2) from eigh(X X*)."""
+    s2, w = np.linalg.eigh(x @ x.conj().T)
+    h = np.sqrt(1.0 + np.clip(s2, 0.0, None))
+    return (w * h) @ w.conj().T @ (inst.A1 - inst.B.conj().T @ x.conj().T) @ (w / h) @ w.conj().T
+
+
+def test_spectral_residuals_catch_a_perturbed_x(monkeypatch):
+    # X + 1e-6 ||X|| E, E a random unit-norm direction, moves the spectral
+    # residuals by about 1e-6 mu v: take the instances where that is 1.5e-7
+    insts = [
+        inst for inst in small_campaign_instances(seed=303, trials=30)
+        if solve_one(inst)[1].mu * inst.v >= 0.15
+    ]
+    assert len(insts) >= 10
+    solve = np.linalg.solve
+    rng = np.random.default_rng(12)
+
+    def perturbed(a, b):
+        x = solve(a, b)
+        e = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
+        rel = 1e-6 * np.linalg.norm(x, 2, axis=(-2, -1)) / np.linalg.norm(e, 2, axis=(-2, -1))
+        return x + rel[..., None, None] * e
+
+    monkeypatch.setattr(np.linalg, "solve", perturbed)
+    for inst in insts:
+        ps, sol, graph, _ = solve_one(inst)
+        assert graph.spec1_residual > GRAPH_TOL
+        assert reference_spec1(inst, sol.X, ps.omega1) > GRAPH_TOL
+        # Lambda1's Hermitian defect counts, as it is no longer Hermitian
+        lambda1 = lambda1_of(inst, sol.X)
+        assert graph.spec1_residual >= spl.op_norm(lambda1 - lambda1.conj().T) - 1e-12
+        assert graph.lambda0_herm_residual > GRAPH_TOL
+        assert graph.lambda0_spec_residual > GRAPH_TOL
+        assert "graph" in spl.trial_record_for_instance(inst)["violations"]
 
 
 # --- the single SVD of X against the former per-quantity routes ---------------

@@ -66,19 +66,24 @@ def pipeline_arrays(n0, n1, seed):
 
 def pipeline_products(x, a0, a1, b, l, basis1, rank):
     """Every product the pipeline forms, for one instance or a stack."""
-    n0 = a0.shape[-1]
+    n0, n1 = a0.shape[-1], a1.shape[-1]
     w, s, vh = np.linalg.svd(x, full_matrices=True)
     values = np.zeros(s.shape[:-1] + (n0,))
     values[..., :s.shape[-1]] = s
     u = adjoint(vh)
     iso = w[..., :rank] @ vh[..., :rank, :]
     half = u @ (np.sqrt(1.0 + values * values)[..., :, None] * adjoint(u))
+    # (I + X X*)^(1/2) = W diag(h) W*
+    h = np.ones(w.shape[:-1])
+    h[..., :min(n0, n1)] = np.sqrt(1.0 + values[..., :min(n0, n1)] ** 2)
+    k1 = adjoint(w) @ (a1 - adjoint(b) @ adjoint(x)) @ w * (h[..., :, None] / h[..., None, :])
     p = l[..., :, :n0] @ u
     q = l[..., :, n0:] @ (iso @ u)
     return {
         "riccati": x @ a0 - a1 @ x + x @ b @ x - adjoint(b),
-        "spec0": a0 + b @ x,
-        "spec1": a1 - adjoint(b) @ adjoint(x),
+        "left": w,
+        "k1": k1,
+        "lambda1_herm": k1 - adjoint(k1),
         "isometry": iso,
         "half": half,
         "lambda0": half @ (a0 + b @ x) @ half,
@@ -91,7 +96,7 @@ def pipeline_products(x, a0, a1, b, l, basis1, rank):
 
 @pytest.mark.parametrize("n0, n1", SHAPES)
 def test_stacked_lapack_calls_match_per_matrix_calls(n0, n1):
-    insts, st, basis0, _, xs = pipeline_arrays(n0, n1, seed=100 * n0 + n1)
+    insts, st, basis0, basis1, xs = pipeline_arrays(n0, n1, seed=100 * n0 + n1)
     w, v = np.linalg.eigh(st.L)
     singles = [np.linalg.eigh(inst.L) for inst in insts]
     assert same_bytes(w, [s[0] for s in singles]) and same_bytes(v, [s[1] for s in singles])
@@ -105,17 +110,20 @@ def test_stacked_lapack_calls_match_per_matrix_calls(n0, n1):
         np.linalg.solve(y0.swapaxes(1, 2), y1.swapaxes(1, 2)),
         [np.linalg.solve(a.T, b.T) for a, b in zip(y0, y1)],
     )
-    for x, _ in xs:
+    blocks = riccati._blocks(st)[:3]
+    for x, rank in xs:
+        # the full left basis W is part 0
         full = np.linalg.svd(x, full_matrices=True)
         per = [np.linalg.svd(m, full_matrices=True) for m in x]
         for part in range(3):
             assert same_bytes(full[part], [p[part] for p in per])
-        a0, _, b, _ = riccati._blocks(st)
-        spec = a0 + b @ x
-        assert same_bytes(np.linalg.eigvals(spec), [np.linalg.eigvals(m) for m in spec])
-        herm = 0.5 * (spec + adjoint(spec))
-        assert same_bytes(np.linalg.eigvalsh(herm), [np.linalg.eigvalsh(m) for m in herm])
-        assert same_bytes(np.linalg.svdvals(herm), [np.linalg.svdvals(m) for m in herm])
+        products = pipeline_products(x, *blocks, st.L, basis1, rank)
+        # Lambda0 (n0 x n0) and Lambda1 in the basis W (n1 x n1): the
+        # spectrum of the Hermitian part and the norm of the defect
+        for m in (products["lambda0"], products["k1"]):
+            herm, defect = 0.5 * (m + adjoint(m)), m - adjoint(m)
+            assert same_bytes(np.linalg.eigvalsh(herm), [np.linalg.eigvalsh(a) for a in herm])
+            assert same_bytes(np.linalg.svdvals(defect), [np.linalg.svdvals(a) for a in defect])
 
 
 @pytest.mark.parametrize("n0, n1", SHAPES)
@@ -136,7 +144,7 @@ def test_polar_decompose_of_mixed_ranks_matches_per_matrix(n0, n1):
     mixed = np.concatenate([x[:2] for x, _ in xs])
     stacked = spl.polar_decompose(mixed)
     singles = [spl.polar_decompose(m) for m in mixed]
-    for name in ("isometry", "values", "vectors"):
+    for name in ("isometry", "values", "vectors", "left"):
         assert same_bytes(getattr(stacked, name), [getattr(p, name) for p in singles]), name
 
 
@@ -318,7 +326,7 @@ def test_stack_of_one_types_lapack_failures(e1, monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     res = riccati.solve_stack([e1])
     assert type(res.failures[0]) is spl.errors.ConvergenceFailure
     assert res.solution is None and res.solved == []
@@ -373,9 +381,9 @@ def test_one_share_per_process_stacks_as_a_serial_run(monkeypatch):
 #: trial on its own, before campaigns were stacked; the stacked pipeline
 #: must reproduce them byte for byte, serially and over two processes.
 PER_TRIAL_DIGESTS = {
-    "tiny": "2c90eb75057f1f9d5748df763e9ec948def30a0f5aeb92017e0710d7f72c4211",
-    "acceptance": "95d69d0a03d4e5fcfa1b51f577a80f6e2c225336d92ae7dab5441f5c9135acdd",
-    "analyze": "c9b60bea622e2c7102c6b7c52251ba76295ae145215f59f2037ad8592a5c4ec4",
+    "tiny": "51d60015ad48fc42d6fae48b4e746965660e6cc81548e0151def4a728ad78b4c",
+    "acceptance": "c34026b07d9475c72e48a9d328e18d8a7a03d06508bcd33ace29fd32df375f09",
+    "analyze": "04e2b6dc65dc78afab98f9a8e2dad34d645008aa6470ef2b17516f2fb857813d",
 }
 
 ACCEPTANCE = spl.CampaignConfig(

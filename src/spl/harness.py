@@ -16,7 +16,7 @@ import os
 import pickle
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NoReturn
 
 import numpy as np
@@ -118,12 +118,12 @@ class CampaignConfig:
 
     def to_dict(self) -> dict:
         return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "n0": _range_doc(self.n0),
-            "n1": _range_doc(self.n1),
+            "trials": int(self.trials),
+            "seed": int(self.seed),
+            "n0": _range_doc(self.n0, int),
+            "n1": _range_doc(self.n1, int),
             "gap": [float(self.gap[0]), float(self.gap[1])],
-            "d": _range_doc(self.d),
+            "d": _range_doc(self.d, float),
             "outer_radius": float(self.outer_radius),
             "regime": self.regime,
             "v_fraction": float(self.v_fraction),
@@ -165,10 +165,11 @@ class CampaignReport:
         return 0
 
 
-def _range_doc(x):
+def _range_doc(x, kind):
+    """A fixed value or an inclusive (lo, hi) range as JSON, in ``kind`` values."""
     if isinstance(x, tuple):
-        return [x[0], x[1]]
-    return x
+        return [kind(x[0]), kind(x[1])]
+    return kind(x)
 
 
 def _as_range(x, kind) -> tuple:
@@ -193,7 +194,7 @@ def validate_config(cfg: CampaignConfig) -> None:
         raise ConfigError(f"v_fraction must lie in [0, 1), got {cfg.v_fraction}")
     if cfg.regime not in REGIMES:
         raise ConfigError(f"regime must be one of {REGIMES}, got {cfg.regime!r}")
-    gl, gr = cfg.gap
+    gl, gr = map(float, cfg.gap)  # as the draws read it
     if not gl < gr:
         raise ConfigError(f"gap ({gl}, {gr}) is empty")
     width = gr - gl
@@ -215,7 +216,7 @@ def validate_config(cfg: CampaignConfig) -> None:
         raise ConfigError(f"separation range {cfg.d} starts below {scale_lo:g}")
     if not 0.0 <= cfg.outer_radius < math.inf:
         raise ConfigError(f"outer_radius must be finite and >= 0, got {cfg.outer_radius}")
-    if cfg.outer_radius > scale_hi:
+    if float(cfg.outer_radius) > scale_hi:
         raise ConfigError(f"outer_radius must be at most {scale_hi:g}, got {cfg.outer_radius}")
     if cfg.parallel < 0:
         raise ConfigError(f"parallel must be nonnegative, got {cfg.parallel}")
@@ -488,10 +489,7 @@ def _aggregate(records: list[dict]) -> dict:
         "max_riccati_residual": vmax("riccati_residual"),
         "max_lemma26": vmax("lemma26_max"),
         "max_lemma27": vmax("lemma27_max"),
-        "max_graph_angle_residual": vmax("graph_angle_residual"),
-        "max_graph1_residual": vmax("graph1_residual"),
-        "max_spec1_residual": vmax("spec1_residual"),
-        "max_lambda0_herm_residual": vmax("lambda0_herm_residual"),
+        **{f"max_{key}": vmax(key) for key in GRAPH_RESIDUALS},
         "max_cond_Y0": vmax("cond_Y0"),
         "max_mu_regime31": vmax("mu", "regime31"),
         "max_measured_regime31": vmax("measured", "regime31"),
@@ -732,7 +730,8 @@ def sweep_rows(D_values, d: float, v_values) -> list[dict]:
 
 
 def sweep_csv(rows: list[dict]) -> str:
-    """Render sweep rows as CSV with .17g floats and lowercase booleans."""
+    """Render sweep rows as CSV with shortest round-trip floats (``repr``)
+    and lowercase booleans."""
     lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:
         cells = []
@@ -745,7 +744,7 @@ def sweep_csv(rows: list[dict]) -> str:
             elif isinstance(val, str):
                 cells.append(val)
             else:
-                cells.append(matio.format_float(float(val)))
+                cells.append(repr(float(val)))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -860,8 +859,13 @@ def sharpness_search(cfg: SharpnessConfig) -> dict:
     running the restarts one after another, the first best of the lowest
     restart reported.
     """
-    if not all(_is_int(getattr(cfg, name)) for name in ("n0", "n1", "restarts", "iters", "seed")):
+    integers = ("n0", "n1", "restarts", "iters", "seed")
+    if not all(_is_int(getattr(cfg, name)) for name in integers):
         raise InfeasibleParams("n0, n1, restarts, iters and seed must be integers")
+    # plain Python numbers from here on: a numpy float32 would set the
+    # precision of the bounds, and a numpy scalar cannot be written as JSON
+    cfg = replace(cfg, D=float(cfg.D), d=float(cfg.d), v=float(cfg.v),
+                  **{name: int(getattr(cfg, name)) for name in integers})
     if cfg.n0 < 1 or cfg.n1 < 2:
         raise InfeasibleParams(f"need n0 >= 1 and n1 >= 2, got {cfg.n0}, {cfg.n1}")
     if cfg.restarts < 1 or cfg.iters < 0:

@@ -8,15 +8,14 @@ is the row count and the column count is inferred from the rows.
 Instance JSON: {"sigma0": [...], "sigma1": [...], "gap": [gl, gr],
 "B": <matrix JSON>}.
 
-All floats are emitted with 17 significant digits, which round-trips
-float64 exactly, so serialising and re-reading a report or instance is
-lossless and byte-deterministic.
+Floats are written as Python's shortest round-trip text (``repr``), which
+reads back as the same float64, so serialising and re-reading a report or
+instance is lossless and byte-deterministic.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from typing import Any
 
 import numpy as np
@@ -25,91 +24,18 @@ from .disposition import PerturbationInstance, assemble_instance
 from .errors import ParseError
 
 
-def format_float(x: float) -> str:
-    """Render one float with 17 significant digits (round-trip exact)."""
-    if isinstance(x, bool):
-        raise TypeError("bool is not a float")
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite value {x} cannot be serialised")
-    return format(float(x), ".17g")
-
-
-def dumps(obj: Any, indent: int = 0) -> str:
-    """Deterministic JSON with .17g floats and insertion-ordered keys."""
-    return _Encoder(indent).encode(obj, 0) + "\n"
-
-
-#: Encoders of the exact built-in scalar types.  Subclasses and numpy
-#: scalars miss the table and take the isinstance chain of ``_Encoder``.
-_SCALARS = {
-    type(None): lambda obj: "null",
-    bool: lambda obj: "true" if obj else "false",
-    int: str,
-    float: format_float,
-    str: json.dumps,
-}
-
-
-class _Encoder:
-    """State of one ``dumps`` call: the encoded ``"key": `` prefix of every
-    dict key seen, built once per key; nothing outlives the call."""
-
-    def __init__(self, indent: int):
-        self.indent = indent
-        self.keys: dict[str, str] = {}
-
-    def frame(self, level: int) -> tuple[str, str, str]:
-        """(after-open, separator, before-close) of a container at ``level``."""
-        if not self.indent:
-            return "", ", ", ""
-        pad = "\n" + " " * (self.indent * (level + 1))
-        return pad, "," + pad, "\n" + " " * (self.indent * level)
-
-    def encode(self, obj: Any, level: int) -> str:
-        scalar = _SCALARS.get(type(obj))
-        if scalar is not None:
-            return scalar(obj)
-        if isinstance(obj, (int, np.integer)):
-            return str(int(obj))
-        if isinstance(obj, (float, np.floating)):
-            return format_float(float(obj))
-        if isinstance(obj, str):
-            return json.dumps(obj)
-        if isinstance(obj, dict):
-            return self.encode_dict(obj, level)
-        if isinstance(obj, (list, tuple, np.ndarray)):
-            return self.encode_items(list(obj), level)
-        raise TypeError(f"cannot serialise {type(obj)}")
-
-    def encode_dict(self, obj: dict, level: int) -> str:
-        if not obj:
-            return "{}"
-        opener, sep, closer = self.frame(level)
-        keys, encode, inner = self.keys, self.encode, level + 1
-        parts = []
-        for key, value in obj.items():
-            prefix = keys.get(key)
-            if prefix is None:
-                if not isinstance(key, str):
-                    raise TypeError(f"JSON keys must be strings, got {type(key)}")
-                prefix = keys[key] = json.dumps(key) + ": "
-            parts.append(prefix + encode(value, inner))
-        return "{" + opener + sep.join(parts) + closer + "}"
-
-    def encode_items(self, items: list, level: int) -> str:
-        if not items:
-            return "[]"
-        opener, sep, closer = self.frame(level)
-        encode, inner = self.encode, level + 1
-        return "[" + opener + sep.join([encode(value, inner) for value in items]) + closer + "]"
+def dumps(obj: Any, indent: int | None = None) -> str:
+    """Deterministic JSON with insertion-ordered keys and shortest
+    round-trip floats; a NaN or infinity raises ValueError."""
+    return json.dumps(obj, indent=indent, allow_nan=False) + "\n"
 
 
 def matrix_to_dict(m) -> dict:
     """Matrix JSON dict for a real or complex matrix."""
     a = np.atleast_2d(np.asarray(m, dtype=complex))
-    doc = {"n": int(a.shape[0]), "real": [[float(x) for x in row] for row in a.real]}
+    doc = {"n": int(a.shape[0]), "real": a.real.tolist()}
     if np.any(a.imag != 0.0):
-        doc["imag"] = [[float(x) for x in row] for row in a.imag]
+        doc["imag"] = a.imag.tolist()
     return doc
 
 
@@ -158,8 +84,8 @@ def _finite_floats(doc: dict, key: str) -> np.ndarray:
 def instance_to_dict(inst: PerturbationInstance) -> dict:
     """Instance JSON dict (spectra, gap and coupling block)."""
     return {
-        "sigma0": [float(x) for x in np.diag(inst.A0).real],
-        "sigma1": [float(x) for x in np.diag(inst.A1).real],
+        "sigma0": np.diag(inst.A0).real.tolist(),
+        "sigma1": np.diag(inst.A1).real.tolist(),
         "gap": [inst.split.gap_left, inst.split.gap_right],
         "B": matrix_to_dict(inst.B),
     }

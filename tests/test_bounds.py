@@ -434,10 +434,11 @@ def test_make_bound_report_zero_ratio_convention():
 # --- pinned bytes ----------------------------------------------------------------------
 
 #: SHA-256 of the sweep CSVs and then also of the `spl bounds` rows below, as
-#: computed before the regime decision moved into one validated evaluation.
+#: computed before the regime decision moved into one validated evaluation,
+#: re-taken when floats became shortest round-trip text (same values).
 BOUND_DIGESTS = {
-    "sweep": "920cd1c4bac0a4602030b9d397a6e20e53f5ebf4240efbae19964bc6aa68f31c",
-    "rows": "f9603abee4b52f5f6cd2cef6b753c27b31194cbf8c5b346482e7ae568864a9a2",
+    "sweep": "9255e44937047908d9527ea7def10c0a1493be5403f11afd4dbdf894eeb23823",
+    "rows": "34ca121256042589c32390a19bac93bd5d9efa78202ce2fad160819beb8d7d25",
 }
 
 #: (D, d, v) of `spl bounds` rows: every regime, out of all of them, and both kappa branches.

@@ -141,7 +141,7 @@ def no_bare_constant(token):
 
 @pytest.mark.parametrize("tag", sorted(NAN_STAGES))
 def test_nan_campaign_writes_its_report(monkeypatch, tmp_path, tag):
-    # a NaN made format_float raise: the campaign exited 4 with no report
+    # a NaN made the JSON writer raise: the campaign exited 4 with no report
     poison_stage(monkeypatch, tag)
     out = tmp_path / "report.json"
     argv = ["verify", "--trials", "6", "--seed", "3", "--n0", "2:3", "--out", str(out)]
@@ -164,7 +164,7 @@ NAN_ANALYZE = {
 
 @pytest.mark.parametrize("tag", sorted(NAN_STAGES))
 def test_nan_analyze_writes_its_report(monkeypatch, tmp_path, tag):
-    # the sections held the raw NaN, which made format_float raise: analyze
+    # the sections held the raw NaN, which made the JSON writer raise: analyze
     # exited 4 with no report
     poison_stage(monkeypatch, tag)
     inst = spl.assemble_instance([-0.2, 0.3], [-1.0, 1.0, 2.0], (-1.0, 1.0), 0.1 * np.eye(2, 3))
@@ -554,7 +554,7 @@ def test_sweep_csv_format():
     assert len(lines) == 5
     # out-of-domain row keeps its coordinates and empties the bound cells
     bad = lines[3].split(",")
-    assert bad[0] == "1" and bad[3] == "false" and bad[6] == ""
+    assert bad[0] == "1.0" and bad[3] == "false" and bad[6] == ""
     assert spl.sweep_csv(spl.sweep_rows([2.0, 1.0], 1.0, [0.0, 0.5])) == text
 
 
@@ -633,18 +633,40 @@ def test_sharpness_refuses_non_integer_fields(kw):
         spl.sharpness_search(spl.SharpnessConfig(**{**base, **kw}))
 
 
+def test_numpy_scalar_configs_write_the_plain_bytes(recwarn):
+    # a float32 D made the search's bounds float32 (overflow warnings) and
+    # its result unwritable (numpy.bool); numpy integers reached the echoes
+    i64, f32 = np.int64, np.float32
+    plain = tiny_config(trials=20, n0=(1, 3), n1=(2, 4), gap=(-1.0, 1.5), d=0.5,
+                        outer_radius=2.5, v_fraction=0.5)
+    scalars = tiny_config(trials=i64(20), seed=i64(1234), n0=(i64(1), i64(3)),
+                          n1=(i64(2), i64(4)), gap=(f32(-1.0), f32(1.5)), d=f32(0.5),
+                          outer_radius=f32(2.5), v_fraction=f32(0.5))
+    assert spl.run_campaign(scalars).to_json() == spl.run_campaign(plain).to_json()
+    plain = spl.SharpnessConfig(n0=2, n1=3, D=2.5, d=0.5, v=0.5, restarts=2, iters=20, seed=3)
+    scalars = spl.SharpnessConfig(n0=i64(2), n1=i64(3), D=f32(2.5), d=f32(0.5), v=f32(0.5),
+                                  restarts=i64(2), iters=i64(20), seed=i64(3))
+    assert (matio.dumps(spl.sharpness_search(scalars), indent=2)
+            == matio.dumps(spl.sharpness_search(plain), indent=2))
+    assert not recwarn.list
+
+
 # --- serialisation ------------------------------------------------------------------------------
 
 
 def test_dumps_float_format():
-    assert matio.format_float(0.5) == "0.5"
-    assert matio.format_float(1.0 / 3.0) == "0.33333333333333331"
-    text = matio.dumps({"x": 1.0 / 3.0, "flag": True, "none": None, "list": [1, 2.5]})
+    # floats as their shortest round-trip text, which repr writes
+    text = matio.dumps({"x": 1.0 / 3.0, "one": 1.0, "negzero": -0.0, "flag": True, "none": None,
+                        "list": [1, 2.5]})
+    assert text == (
+        '{"x": 0.3333333333333333, "one": 1.0, "negzero": -0.0, "flag": true, "none": null, '
+        '"list": [1, 2.5]}\n'
+    )
     doc = json.loads(text)
     assert doc["x"] == 1.0 / 3.0
     assert doc["flag"] is True and doc["none"] is None
     with pytest.raises(ValueError):
-        matio.format_float(float("nan"))
+        matio.dumps(float("nan"))
 
 
 def test_matrix_roundtrip_complex():

@@ -380,10 +380,12 @@ def test_one_share_per_process_stacks_as_a_serial_run(monkeypatch):
 #: SHA-256 of reports computed by the per-trial pipeline that solved every
 #: trial on its own, before campaigns were stacked; the stacked pipeline
 #: must reproduce them byte for byte, serially and over two processes.
+#: Re-taken when floats became shortest round-trip text; each report then
+#: parsed to the same values as before.
 PER_TRIAL_DIGESTS = {
-    "tiny": "51d60015ad48fc42d6fae48b4e746965660e6cc81548e0151def4a728ad78b4c",
-    "acceptance": "c34026b07d9475c72e48a9d328e18d8a7a03d06508bcd33ace29fd32df375f09",
-    "analyze": "04e2b6dc65dc78afab98f9a8e2dad34d645008aa6470ef2b17516f2fb857813d",
+    "tiny": "3af497474b9c05fcea62f4858f81481363fdcd5840246b6b75a2b4f8168494af",
+    "acceptance": "2ba661111793dc9c4951032b2e96d74e2f4637ead9393a38fab99c51acf2e20c",
+    "analyze": "080c498562b6028a8f8819fd72d33e862b0ad8ecf08a14f37d0b4925c9cab8ae",
 }
 
 ACCEPTANCE = spl.CampaignConfig(
@@ -449,8 +451,8 @@ def test_analyze_reports_match_the_per_trial_pipeline():
 
 
 #: SHA-256 of the sharpness search results of SHARPNESS_CONFIGS, taken when
-#: every candidate was evaluated on its own.
-SHARPNESS_DIGEST = "b6736dfd61561969a782d97c2e2313a490c64c541c80b35c7d7b95244ddbb00d"
+#: every candidate was evaluated on its own (re-taken, as PER_TRIAL_DIGESTS).
+SHARPNESS_DIGEST = "171d515d839bc2f76fe1d4498d309f7c23f69b772136f9cd1f326a247948544f"
 
 SHARPNESS_CONFIGS = [
     harness.SharpnessConfig(n0=4, n1=6, D=2.0, d=0.5, v=0.8, restarts=2, iters=200, seed=0),
@@ -470,8 +472,8 @@ def test_sharpness_results_are_pinned():
 #: the restarts ran one after another: the lockstep search must not depend
 #: on how many restarts share a stack.  The configs cover 1, 3, 4 and 8
 #: restarts, n1 = 2 (no outer offsets to move), D = 2d (the inner values
-#: cannot move) and odd iteration counts.
-SHARPNESS_LOCKSTEP_DIGEST = "597611f25b4391b2d0066f24c09a762216bfe06da6f500f8d3c24303178a4e26"
+#: cannot move) and odd iteration counts.  Re-taken as PER_TRIAL_DIGESTS.
+SHARPNESS_LOCKSTEP_DIGEST = "fc2217f2c0613124b83170d0c9011606e9107bf007e271502325f642116b5684"
 
 LOCKSTEP_CONFIGS = [
     harness.SharpnessConfig(n0=3, n1=5, D=2.0, d=0.5, v=0.7, restarts=1, iters=61, seed=5),

@@ -68,11 +68,18 @@ def analyze_reports():
     return [report for _, report in reports]
 
 
-def test_reports_round_trip_to_equal_documents():
+def test_campaign_report_round_trips_to_an_equal_document():
     cfg = spl.CampaignConfig(trials=30, seed=7, n0=(1, 20), n1=(2, 20), d=(0.05, 0.95))
     report = spl.run_campaign(cfg)
     assert report.aggregates["violations"]["total"] == 0
-    search = spl.SharpnessConfig(n0=2, n1=3, D=2.5, d=0.5, v=0.5, restarts=2, iters=20, seed=3)
-    for doc in [report.to_dict(), *analyze_reports(), spl.sharpness_search(search)]:
+    assert_round_trip(report.to_dict())
+
+
+def test_analyze_reports_round_trip_to_equal_documents():
+    for doc in analyze_reports():
         assert_round_trip(doc)
 
+
+def test_sharpness_result_round_trips_to_an_equal_document():
+    search = spl.SharpnessConfig(n0=2, n1=3, D=2.5, d=0.5, v=0.5, restarts=2, iters=20, seed=3)
+    assert_round_trip(spl.sharpness_search(search))

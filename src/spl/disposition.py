@@ -21,6 +21,7 @@ from .errors import (
     EmptyInnerComponent,
     GapEndpointMissing,
     InfeasibleParams,
+    NonHermitianInput,
     NotAGap,
 )
 from .linalg import EigenSystem, adjoint, eigh, op_norms
@@ -240,10 +241,14 @@ def assemble_instance(
     and the coupling block b (shape n0 x n1) off-diagonal in V.  A zero b is
     accepted; the instance is then trivial.  The split is read off the
     validated partition: sorted spectra and exact separation; the inner
-    spectral projector is diag(I_n0, 0).
+    spectral projector is diag(I_n0, 0).  A non-finite entry of b raises
+    NonHermitianInput, as a non-finite L does in :func:`linalg.as_hermitian`.
     """
     check_partition(sigma0_values, sigma1_values, gap)
-    return _assemble_one(sigma0_values, sigma1_values, gap, b)
+    bm = np.asarray(b, dtype=complex)
+    if not np.isfinite(bm).all():
+        raise NonHermitianInput("coupling block has a non-finite entry")
+    return _assemble_one(sigma0_values, sigma1_values, gap, bm)
 
 
 def _assemble_one(sigma0_values, sigma1_values, gap, b) -> PerturbationInstance:
@@ -336,8 +341,8 @@ def random_instance(
         raise InfeasibleParams(f"gap ({gl}, {gr}) is not finite")
     if not 0.0 < d <= width / 2.0:
         raise InfeasibleParams(f"need 0 < d <= {width / 2.0}, got d={d}")
-    if v < 0.0:
-        raise InfeasibleParams(f"negative perturbation norm {v}")
+    if not 0.0 <= v < math.inf:
+        raise InfeasibleParams(f"perturbation norm must be finite and >= 0, got {v}")
     if not (_is_int(n0) and _is_int(n1)):
         raise InfeasibleParams(f"n0 and n1 must be integers, got {n0!r} and {n1!r}")
     if n0 < 1:
@@ -348,6 +353,8 @@ def random_instance(
         raise InfeasibleParams(f"outer_radius must be finite and >= 0, got {outer_radius}")
     if pin_side not in ("left", "right"):
         raise InfeasibleParams(f"pin_side must be 'left' or 'right', got {pin_side!r}")
+    if not (_is_int(seed) and seed >= 0):
+        raise InfeasibleParams(f"seed must be an integer >= 0, got {seed!r}")
 
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     draw = _draw(rng, n0, n1, (gl, gr), d, outer_radius, pin_side)

@@ -20,7 +20,6 @@ from .errors import ConvergenceFailure, DimensionMismatch, NonHermitianInput
 HERMITICITY_RTOL = 1e-12
 #: Eigendecomposition residual / orthonormality tolerance, relative to the norm.
 EIG_RTOL = 1e-10
-_EPS = np.finfo(float).eps
 
 
 def lapack(fn, *args, **kwargs):
@@ -95,29 +94,19 @@ class EigenSystem:
 
 @dataclass(frozen=True, eq=False)
 class PolarParts:
-    """Polar factorisation X = isometry @ absval, with the spectrum of absval.
+    """The SVD X = left diag(s) vectors* of a rectangular X, n1 x n0.
 
-    isometry maps the domain space to the codomain space, acts isometrically
-    on the range of ``absval`` and vanishes on its kernel.  absval is the
-    Hermitian PSD square root of X*X on the domain space.  values (the
-    singular values of X, descending, padded with zeros) and the columns of
-    vectors are its eigenpairs; the columns past the rank of X span its kernel.
-    left is the full left singular basis of X, the eigenvectors of X X*.
-    For a stack of matrices every field has the same leading axes.
+    values are the singular values s of X, descending and padded with
+    zeros to n0: the eigenvalues of |X| = (X*X)^(1/2), paired with the
+    columns of vectors (n0 x n0), the full right singular basis; the
+    columns past the rank of X span its kernel.  left is the full left
+    singular basis (n1 x n1), the eigenvectors of X X*.  For a stack of
+    matrices every field has the same leading axes.
     """
 
-    isometry: np.ndarray
     values: np.ndarray
     vectors: np.ndarray
     left: np.ndarray
-
-    @property
-    def absval(self) -> np.ndarray:
-        return self.apply(lambda s: s)
-
-    def apply(self, f) -> np.ndarray:
-        """f(absval) for a scalar function f acting on the eigenvalues."""
-        return self.vectors @ (f(self.values)[..., :, None] * adjoint(self.vectors))
 
 
 def eigh(h) -> EigenSystem:
@@ -183,16 +172,10 @@ def subspace_angle(p, q) -> float:
 
 
 def polar_decompose(x) -> PolarParts:
-    """Polar factors of a rectangular matrix, or of a stack of them.
-
-    Returns ``PolarParts`` with ``x = isometry @ absval``.  The SVD keeps
-    both full singular bases, so absval has a full eigenbasis even when x
-    has fewer rows than columns.  The isometry is built only from
-    singular directions above the numerical rank cutoff, so it vanishes on
-    the kernel of x.  absval is computed from the SVD directly (not via a
-    matrix square root) to keep small singular values accurate.  A stack
-    takes one SVD, and one isometry product per numerical rank in it, so
-    every product has the inner dimension of its matrix on its own.
+    """The full SVD of a rectangular matrix, or of a stack of them, as
+    ``PolarParts``: one LAPACK call, its singular values padded with zeros
+    to the number of columns.  Both singular bases are full, so |X| has a
+    full eigenbasis even when x has fewer rows than columns.
     """
     a = np.asarray(x, dtype=complex)
     if a.ndim < 2:
@@ -200,18 +183,7 @@ def polar_decompose(x) -> PolarParts:
     w, s, vh = lapack(np.linalg.svd, a, full_matrices=True)
     values = np.zeros(a.shape[:-2] + a.shape[-1:])
     values[..., :s.shape[-1]] = s
-    # the cutoff is 0 for a zero matrix, whose s[0] is 0
-    ranks = (s > s[..., :1] * max(a.shape[-2:]) * _EPS).sum(axis=-1)
-    distinct = set(np.ravel(ranks).tolist())
-    if len(distinct) == 1:
-        r = distinct.pop()
-        isometry = w[..., :r] @ vh[..., :r, :]
-    else:
-        isometry = np.empty(a.shape, dtype=complex)
-        for r in sorted(distinct):
-            rows = ranks == r
-            isometry[rows] = w[rows][..., :r] @ vh[rows][..., :r, :]
-    return PolarParts(isometry=isometry, values=values, vectors=adjoint(vh), left=w)
+    return PolarParts(values=values, vectors=adjoint(vh), left=w)
 
 
 # --- BLAS threads ------------------------------------------------------------

@@ -14,9 +14,11 @@ each matrix of a stack exactly as on its own, so an instance's numbers do
 not depend on the rest of its stack.  Its stages are
 :func:`perturbed_split`, :func:`angular_operator`,
 :func:`verify_graph_props` and :func:`lemma22_check`, each called once
-per stack; an instance is row i of their results.  The one SVD of X
-(:func:`polar_decompose`) gives ||X||, the polar parts, the eigenpairs of
-|X|, (I + |X|^2)^(+-1/2) and the eigenbasis of X X*.  The measured
+per stack; an instance is row i of their results.  The one SVD of X,
+X = W diag(s) V* (:func:`polar_decompose`), is the only form of X the
+checks read: s gives ||X|| and, with V, the eigenpairs of |X|; Lambda0 is
+taken in V and Lambda1 in W (:func:`_similar`), and the lemma's w = U u,
+for the polar factor U of X = U |X|, is a column of W.  The measured
 rotation ||E0 - E0'|| is ||Y1||, the norm of the outer rows of the
 orthonormal perturbed inner basis (:func:`_rotation`, read by
 :func:`verify_graph_props` in the pipeline and by :func:`_rotations` in
@@ -59,12 +61,14 @@ GRAPH_COND_LIMIT = 1e12
 class RiccatiSolution:
     """Angular operator of the perturbed inner subspace with diagnostics.
 
-    X maps the inner block to the outer block; polar holds X = U |X| and
-    the eigenpairs of |X|; mu = ||X||.  riccati_residual is the operator norm of
-    X A0 - A1 X + X B X - B*.  Lambda0 is the Hermitian operator similar to
-    A0 + B X via (I + |X|^2)^(1/2), whose spectrum equals omega0.  cond_Y0
-    records the conditioning of the graph inversion.  Over a stack every
-    field has a leading batch axis.
+    X maps the inner block to the outer block; polar holds its SVD
+    X = W diag(s) V*, s the eigenvalues of |X| and V their eigenvectors;
+    mu = ||X||.  riccati_residual is the operator norm of
+    X A0 - A1 X + X B X - B*.  Lambda0 is the Hermitian operator
+    (I + |X|^2)^(1/2) (A0 + B X) (I + |X|^2)^(-1/2), whose spectrum equals
+    omega0, expressed in the basis V: entry (i, j) is <v_i, Lambda0 v_j>.
+    cond_Y0 records the conditioning of the graph inversion.  Over a stack
+    every field has a leading batch axis.
     """
 
     X: np.ndarray
@@ -242,16 +246,27 @@ def angular_operator(blocks: tuple, basis0: np.ndarray, cond: list[float]) -> Ri
     y1 = basis0[:, n0:, :]
     x = lapack(np.linalg.solve, y0.swapaxes(1, 2), y1.swapaxes(1, 2)).swapaxes(1, 2)
     polar = polar_decompose(x)
-    half = polar.apply(lambda s: np.sqrt(1.0 + s * s))
-    half_inv = polar.apply(lambda s: 1.0 / np.sqrt(1.0 + s * s))
     return RiccatiSolution(
         X=x,
         polar=polar,
         mu=polar.values[:, 0],
         riccati_residual=_residual(x, *blocks),
-        Lambda0=half @ (blocks[0] + blocks[2] @ x) @ half_inv,
+        Lambda0=_similar(polar.vectors, blocks[0] + blocks[2] @ x, polar.values),
         cond_Y0=np.array(cond),
     )
+
+
+def _similar(q: np.ndarray, m: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """diag(h) Q* M Q diag(1/h) of each stacked M, for a singular basis Q
+    of X and h = sqrt(1 + s^2), the singular values s of X cut or padded
+    with zeros to Q's size.  In V, X's right singular basis, this is
+    (I + |X|^2)^(1/2) M (I + |X|^2)^(-1/2); in W, its left one,
+    (I + X X*)^(1/2) M (I + X X*)^(-1/2).
+    """
+    h = np.ones(q.shape[:-1])
+    r = min(q.shape[-1], s.shape[-1])
+    h[:, :r] = np.sqrt(1.0 + s[:, :r] ** 2)
+    return adjoint(q) @ m @ q * (h[:, :, None] / h[:, None, :])
 
 
 def riccati_residual(x, a0, a1, b):
@@ -282,7 +297,10 @@ def _scalar(a):
 def lemma22_check(st: InstanceStack, sol: RiccatiSolution) -> Identities:
     """Eigenpair identity residuals for the absolute value of each stacked X.
 
-    For every eigenpair (lam, u) of |X| with w = U u:
+    For every eigenpair (lam, u) of |X| with w = U u, for X = U |X| =
+    W diag(s) V*: u = v_k, lam = s_k, and w = w_k above the numerical rank
+    cutoff of X and 0 on its kernel; ||Lambda0 u|| is the norm of column k
+    of Lambda0, which is taken in V:
 
       res26 = | lam (||A1 w||^2 + ||B w||^2 - ||A0 u||^2 - ||B* u||^2)
                + (1 - lam^2) (<A0 u, B w> + <B* u, A1 w>) |
@@ -296,16 +314,21 @@ def lemma22_check(st: InstanceStack, sol: RiccatiSolution) -> Identities:
     (norm-attaining) eigenpairs flagged.
     """
     n0 = st.n0
-    lams, u = sol.polar.values, sol.polar.vectors
+    lams, u, left = sol.polar.values, sol.polar.vectors, sol.polar.left
+    n1 = left.shape[-1]
+    r = min(n0, n1)
+    # the cutoff is 0 for a zero matrix, whose s[0] is 0
+    ranked = lams[:, :r] > lams[:, :1] * max(n0, n1) * np.finfo(float).eps
+    w = np.zeros(left.shape[:-1] + (n0,), dtype=complex)
+    w[:, :, :r] = np.where(ranked[:, None, :], left[:, :, :r], 0.0)
     # column k belongs to eigenpair k: in the split basis the column blocks
     # of L = [[A0, B], [B*, A1]] give p = [A0 u; B* u] and q = [B w; A1 w]
     p = st.L[:, :, :n0] @ u
-    q = st.L[:, :, n0:] @ (sol.polar.isometry @ u)
+    q = st.L[:, :, n0:] @ w
     term = _col_dots(p, q)
     outer = _col_dots(q, q).real
     res26 = np.abs(lams * (outer - _col_dots(p, p).real) + (1.0 - lams * lams) * term)
-    l0u = sol.Lambda0 @ u
-    res27 = np.abs(term + lams * (outer - _col_dots(l0u, l0u).real))
+    res27 = np.abs(term + lams * (outer - _col_dots(sol.Lambda0, sol.Lambda0).real))
     top = lams >= (sol.mu - 1e-12 * np.maximum(1.0, sol.mu))[:, None]
     return Identities(lam=lams, res26=res26, res27=res27, term_imag=np.abs(term.imag), top=top)
 
@@ -326,8 +349,7 @@ def verify_graph_props(
     orthonormal basis equal -X* times the outer rows), and that Lambda0
     and Lambda1, similar to A1 - B* X* by (I + X X*)^(1/2), are Hermitian
     with spectra omega0 and omega1.  Lambda1 is taken in the left singular
-    basis W of X = W S V*: K1 = diag(h) W* (A1 - B* X*) W diag(1/h),
-    h = sqrt(1 + s^2) with s padded with zeros.
+    basis W of X = W diag(s) V*, as Lambda0 is in V (see :func:`_similar`).
     """
     a0, a1, _, b_adj = blocks
     n0 = a0.shape[-1]
@@ -339,11 +361,7 @@ def verify_graph_props(
     z1 = basis1[:, n0:, :]
     graph1_residual = op_norms(z0 + adjoint(sol.X) @ z1)
 
-    w = sol.polar.left
-    h = np.ones(w.shape[:-1])
-    m = min(n0, h.shape[-1])
-    h[:, :m] = np.sqrt(1.0 + sol.polar.values[:, :m] ** 2)
-    k1 = adjoint(w) @ (a1 - b_adj @ adjoint(sol.X)) @ w * (h[:, :, None] / h[:, None, :])
+    k1 = _similar(sol.polar.left, a1 - b_adj @ adjoint(sol.X), sol.polar.values)
     spec1 = lapack(np.linalg.eigvalsh, 0.5 * (k1 + adjoint(k1)))
     l0_herm, l0_spec = lambda0_diagnostics(sol)
     return GraphReport(

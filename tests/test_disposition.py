@@ -11,6 +11,7 @@ from spl.errors import (
     EmptyInnerComponent,
     GapEndpointMissing,
     InfeasibleParams,
+    NonHermitianInput,
     NotAGap,
 )
 
@@ -150,6 +151,13 @@ def test_assemble_rejects_inner_outside():
         spl.assemble_instance([np.nan], [-1.0, 1.0], (-1.0, 1.0), np.zeros((1, 2)))
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_assemble_rejects_non_finite_coupling(entry):
+    # refused where it enters, as a non-finite L is by linalg.as_hermitian
+    with pytest.raises(NonHermitianInput, match="non-finite"):
+        spl.assemble_instance([0.0], [-1.0, 1.0], (-1.0, 1.0), [[entry, 0.0]])
+
+
 def test_assemble_rejects_bad_block_shape():
     with pytest.raises(DimensionMismatch):
         spl.assemble_instance([0.0], [-1.0, 1.0], (-1.0, 1.0), np.zeros((2, 2)))
@@ -249,13 +257,19 @@ def test_random_instance_pin_side(side, expected):
         {"outer_radius": math.inf},
         {"outer_radius": math.nan},
         {"gap_left": -math.inf},
+        {"v": math.inf},
+        {"v": math.nan},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"seed": True},
     ],
 )
 def test_random_instance_infeasible(kw):
-    base = dict(n0=1, n1=2, gap_left=-1.0, gap_right=1.0, d=0.5, outer_radius=1.0, v=0.2)
+    base = dict(n0=1, n1=2, gap_left=-1.0, gap_right=1.0, d=0.5, outer_radius=1.0, v=0.2,
+                seed=0)
     base.update(kw)
     with pytest.raises(InfeasibleParams):
-        spl.random_instance(**base, seed=0)
+        spl.random_instance(**base)
 
 
 @pytest.mark.parametrize("kw", [{"n0": 1.5}, {"n1": 2.5}, {"n0": True}, {"n1": 3.0}])

@@ -221,23 +221,44 @@ def test_angle_dimension_mismatch():
 # --- polar_decompose --------------------------------------------------------------
 
 
+def recompose(parts):
+    """left[:, :r] diag(values[:r]) vectors[:, :r]*, r = min(n1, n0)."""
+    r = min(parts.left.shape[-1], parts.vectors.shape[-1])
+    return (parts.left[:, :r] * parts.values[:r]) @ parts.vectors[:, :r].conj().T
+
+
+def assert_unitary(q, atol):
+    npt.assert_allclose(q.conj().T @ q, np.eye(q.shape[-1]), atol=atol)
+
+
 def test_polar_zero_matrix():
     parts = spl.polar_decompose(np.zeros((3, 2)))
-    npt.assert_allclose(parts.isometry, np.zeros((3, 2)), atol=0)
-    npt.assert_allclose(parts.absval, np.zeros((2, 2)), atol=0)
+    npt.assert_allclose(parts.values, np.zeros(2), atol=0)
+    assert parts.vectors.shape == (2, 2) and parts.left.shape == (3, 3)
+    assert_unitary(parts.vectors, 1e-14)
+    assert_unitary(parts.left, 1e-14)
+    npt.assert_allclose(recompose(parts), np.zeros((3, 2)), atol=0)
 
 
 def test_polar_rank_one_column():
     x = np.array([[SQRT2 - 1.0], [0.0]])
     parts = spl.polar_decompose(x)
-    npt.assert_allclose(parts.absval, [[SQRT2 - 1.0]], atol=1e-14)
-    npt.assert_allclose(parts.isometry, [[1.0], [0.0]], atol=1e-14)
+    npt.assert_allclose(parts.values, [SQRT2 - 1.0], atol=1e-14)
+    # the singular pair (left column 0, vectors column 0) up to one phase
+    phase = parts.left[0, 0] * parts.vectors[0, 0].conj()
+    npt.assert_allclose(phase, 1.0, atol=1e-14)
+    npt.assert_allclose(abs(parts.left[1, 0]), 0.0, atol=1e-14)
+    npt.assert_allclose(recompose(parts), x, atol=1e-14)
 
 
 def test_polar_diagonal_signs():
-    parts = spl.polar_decompose(np.diag([2.0, -3.0]))
-    npt.assert_allclose(parts.absval, np.diag([2.0, 3.0]), atol=1e-14)
-    npt.assert_allclose(parts.isometry, np.diag([1.0, -1.0]), atol=1e-14)
+    x = np.diag([2.0, -3.0])
+    parts = spl.polar_decompose(x)
+    npt.assert_allclose(parts.values, [3.0, 2.0], atol=1e-14)
+    # |X| = V diag(s) V* and the sign of -3 carried by the bases
+    absval = (parts.vectors * parts.values) @ parts.vectors.conj().T
+    npt.assert_allclose(absval, np.diag([2.0, 3.0]), atol=1e-14)
+    npt.assert_allclose(recompose(parts), x, atol=1e-14)
 
 
 def test_polar_recompose_200_random():
@@ -247,20 +268,22 @@ def test_polar_recompose_200_random():
         x = random_complex(rng, m, n)
         parts = spl.polar_decompose(x)
         norm = max(spl.op_norm(x), 1e-300)
-        assert spl.op_norm(parts.isometry @ parts.absval - x) <= 1e-10 * norm
+        assert spl.op_norm(recompose(parts) - x) <= 1e-10 * norm
 
 
 def test_polar_kernel_convention():
-    # rank-1 map with a 2-dim kernel
+    # rank-1 map with a 2-dim kernel: the values past the rank are zeros
+    # and the columns of vectors past the rank span the kernel
     x = np.outer([1.0, 2.0], [3.0, 0.0, 4.0])
     parts = spl.polar_decompose(x)
-    lam, vecs = np.linalg.eigh(parts.absval)
+    npt.assert_allclose(parts.values, [5.0 * math.sqrt(5.0), 0.0, 0.0], atol=1e-12)
+    assert parts.values[2] == 0.0  # padding, n0 = 3 > n1 = 2
     for k in range(3):
-        u = vecs[:, k]
-        if lam[k] <= 1e-12:
-            assert np.linalg.norm(parts.isometry @ u) <= 1e-10
+        image = x @ parts.vectors[:, k]
+        if k == 0:
+            npt.assert_allclose(image, parts.values[0] * parts.left[:, 0], atol=1e-10)
         else:
-            npt.assert_allclose(np.linalg.norm(parts.isometry @ u), 1.0, atol=1e-10)
+            assert np.linalg.norm(image) <= 1e-10
 
 
 @settings(max_examples=50, deadline=None)
@@ -277,10 +300,17 @@ def test_polar_properties(m, n, seed, deficient):
         x[:, -1] = x[:, 0] if n > 1 else x[:, -1]
     parts = spl.polar_decompose(x)
     norm = max(spl.op_norm(x), 1e-300)
-    assert spl.op_norm(parts.isometry @ parts.absval - x) <= 1e-10 * norm
-    # absval is Hermitian PSD
-    assert spl.op_norm(parts.absval - parts.absval.conj().T) <= 1e-12 * norm
-    assert np.min(np.linalg.eigvalsh(parts.absval)) >= -1e-10 * norm
+    assert spl.op_norm(recompose(parts) - x) <= 1e-10 * norm
+    # descending singular values, zero-padded to n when n > m
+    assert parts.values.shape == (n,)
+    assert np.all(np.diff(parts.values) <= 0.0) and parts.values[-1] >= 0.0
+    assert np.all(parts.values[m:] == 0.0)
+    npt.assert_allclose(parts.values[:min(m, n)], np.linalg.svd(x, compute_uv=False),
+                        atol=1e-12 * norm)
+    # orthonormal bases: the full right (n x n) and left (m x m) ones
+    assert parts.vectors.shape == (n, n) and parts.left.shape == (m, m)
+    assert_unitary(parts.vectors, 1e-12)
+    assert_unitary(parts.left, 1e-12)
 
 
 # --- op_norm ----------------------------------------------------------------------

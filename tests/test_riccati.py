@@ -24,6 +24,23 @@ from conftest import (
 SQRT2 = math.sqrt(2.0)
 
 
+def polar_of(x):
+    """(U, |X|) of X from its own SVD: the polar isometry, built from the
+    singular directions above the numerical rank cutoff so that it vanishes
+    on the kernel of X, and the absolute value."""
+    w, s, vh = np.linalg.svd(x, full_matrices=False)
+    cutoff = s[0] * max(x.shape) * np.finfo(float).eps if s[0] > 0 else 0.0
+    rank = int(np.count_nonzero(s > cutoff))
+    return w[:, :rank] @ vh[:rank, :], (vh.conj().T * s) @ vh
+
+
+def lambda0_of(sol):
+    """Lambda0 in the coordinates of the inner block: V Lambda0 V*, for the
+    right singular basis V of X in which the solution holds it."""
+    v = sol.polar.vectors
+    return v @ sol.Lambda0 @ v.conj().T
+
+
 def small_campaign_instances(seed, trials, regime="mixed", gap=(-1.0, 1.0), v_fraction=0.9):
     cfg = spl.CampaignConfig(
         trials=trials, seed=seed, n0=(1, 6), n1=(2, 6), gap=gap,
@@ -93,7 +110,7 @@ def test_angular_operator_trivial():
     _, sol, _, _ = solve_one(inst)
     npt.assert_allclose(sol.X, np.zeros((2, 2)), atol=1e-12)
     assert sol.mu == 0.0
-    npt.assert_allclose(sol.Lambda0, inst.A0, atol=1e-12)
+    npt.assert_allclose(lambda0_of(sol), inst.A0, atol=1e-12)
 
 
 def angular_x(inst, basis0):
@@ -197,14 +214,14 @@ def test_lemma22_e1_exact(e1):
     assert idents.term_imag[0] < 1e-12
     # intermediate quantities admit closed forms on this instance
     u = np.array([1.0])
-    w = sol.polar.isometry @ u
+    w = polar_of(sol.X)[0] @ u
     npt.assert_allclose(np.linalg.norm(e1.A1 @ w), 1.0, atol=1e-12)
     npt.assert_allclose(np.linalg.norm(e1.B @ w), 0.5, atol=1e-12)
     npt.assert_allclose(np.linalg.norm(e1.A0 @ u), 0.0, atol=1e-12)
     npt.assert_allclose(np.linalg.norm(e1.B.conj().T @ u), 0.5, atol=1e-12)
     term = np.vdot(e1.A0 @ u, e1.B @ w) + np.vdot(e1.B.conj().T @ u, e1.A1 @ w)
     npt.assert_allclose(term, -0.5, atol=1e-12)
-    npt.assert_allclose(np.linalg.norm(sol.Lambda0 @ u), (SQRT2 - 1.0) / 2.0, atol=1e-12)
+    npt.assert_allclose(np.linalg.norm(lambda0_of(sol) @ u), (SQRT2 - 1.0) / 2.0, atol=1e-12)
 
 
 def test_lemma22_kernel_eigenpair():
@@ -216,8 +233,9 @@ def test_lemma22_kernel_eigenpair():
     assert idents.lam.min() <= 1e-12  # kernel eigenvalue present
     assert np.all(idents.res26 <= 1e-12) and np.all(idents.res27 <= 1e-12)
     # the isometry vanishes on the kernel eigenvector
-    _, vecs = np.linalg.eigh(sol.polar.absval)
-    assert np.linalg.norm(sol.polar.isometry @ vecs[:, 0]) <= 1e-10
+    iso, absval = polar_of(sol.X)
+    _, vecs = np.linalg.eigh(absval)
+    assert np.linalg.norm(iso @ vecs[:, 0]) <= 1e-10
 
 
 def test_lemma22_random_instances():
@@ -235,7 +253,7 @@ def test_lemma22_uses_lambda0_not_a0(e1):
     _, sol, _, _ = solve_one(e1)
     lam = SQRT2 - 1.0
     u = np.array([1.0])
-    w = sol.polar.isometry @ u
+    w = polar_of(sol.X)[0] @ u
     term = np.vdot(e1.A0 @ u, e1.B @ w) + np.vdot(e1.B.conj().T @ u, e1.A1 @ w)
     n_a1w = np.vdot(e1.A1 @ w, e1.A1 @ w).real
     n_bw = np.vdot(e1.B @ w, e1.B @ w).real
@@ -290,9 +308,10 @@ def test_inequality_chain_top_eigenpair():
         if v == 0.0:
             continue
         _, sol, _, _ = solve_one(inst)
-        lams, vecs = np.linalg.eigh(sol.polar.absval)
+        iso, absval = polar_of(sol.X)
+        lams, vecs = np.linalg.eigh(absval)
         u = vecs[:, -1]
-        w = sol.polar.isometry @ u
+        w = iso @ u
         x = float(np.linalg.norm(inst.A1 @ w))
         y = float(np.linalg.norm(inst.B @ w))
         assert x >= a + split.d - 1e-9
@@ -447,11 +466,7 @@ def oracle_instances():
 
 def reference_lemma22(x, lambda0, inst):
     """(lam, res26, res27, top) per eigenpair of |X| taken from eigh(|X|)."""
-    w, s, vh = np.linalg.svd(x, full_matrices=False)
-    absval = (vh.conj().T * s) @ vh
-    cutoff = s[0] * max(x.shape) * np.finfo(float).eps if s[0] > 0 else 0.0
-    rank = int(np.count_nonzero(s > cutoff))
-    iso = w[:, :rank] @ vh[:rank, :]
+    iso, absval = polar_of(x)
     lams, vecs = np.linalg.eigh(absval)
     lam_max = float(lams[-1])
     a0, a1, b = inst.A0, inst.A1, inst.B
@@ -481,7 +496,7 @@ def test_single_svd_matches_former_routes():
         half = w @ (np.sqrt(1.0 + s2)[:, None] * w.conj().T)
         half_inv = w @ (1.0 / np.sqrt(1.0 + s2)[:, None] * w.conj().T)
         lambda0_ref = half @ (inst.A0 + inst.B @ x) @ half_inv
-        assert spl.op_norm(sol.Lambda0 - lambda0_ref) <= tol
+        assert spl.op_norm(lambda0_of(sol) - lambda0_ref) <= tol
 
         assert len(idents.lam) == inst.n0
         ref = reference_lemma22(x, lambda0_ref, inst)
@@ -526,7 +541,8 @@ def test_measured_rotation_gap_closed_is_one():
 
 def loop_lemma22(sol, inst):
     """The former per-eigenpair loop of lemma22_check, as (lam, res26, res27, term_imag, top)."""
-    u_iso = sol.polar.isometry
+    u_iso = polar_of(sol.X)[0]
+    lambda0 = lambda0_of(sol)
     lams, vecs = sol.polar.values, sol.polar.vectors
     a0, a1, b = inst.A0, inst.A1, inst.B
     bh = b.conj().T
@@ -541,7 +557,7 @@ def loop_lemma22(sol, inst):
         n_bw = float(np.vdot(bw, bw).real)
         n_a0u = float(np.vdot(a0u, a0u).real)
         n_bhu = float(np.vdot(bhu, bhu).real)
-        n_l0u = float(np.vdot(sol.Lambda0 @ u, sol.Lambda0 @ u).real)
+        n_l0u = float(np.vdot(lambda0 @ u, lambda0 @ u).real)
         res26 = abs(lam * (n_a1w + n_bw - n_a0u - n_bhu) + (1.0 - lam * lam) * term)
         res27 = abs(term + lam * (n_a1w + n_bw - n_l0u))
         top = bool(lam >= sol.mu - 1e-12 * max(1.0, sol.mu))

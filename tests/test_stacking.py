@@ -43,8 +43,9 @@ def pipeline_arrays(n0, n1, seed):
     """Stacks laid out as the pipeline lays them out.
 
     Returns the instances, their InstanceStack, the inner and outer bases
-    of L, and three stacks of X: generic (rank min(n0, n1)), rank 0 and
-    rank 1.  The pipeline forms its isometry products one rank at a time.
+    of L, and four stacks of X with their labels: generic (rank
+    min(n0, n1)), rank 0, rank 1 and one mixing the three.  The pipeline
+    masks the columns of W past the rank of each matrix.
     """
     insts = shape_instances(n0, n1, seed)
     st = riccati.InstanceStack.of(insts)
@@ -58,35 +59,44 @@ def pipeline_arrays(n0, n1, seed):
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((STACK, n0, 1)) + 1j * rng.standard_normal((STACK, n0, 1))
     v = rng.standard_normal((STACK, 1, n1)) + 1j * rng.standard_normal((STACK, 1, n1))
+    zero = np.zeros((STACK, n0, n1), dtype=complex)
+    rank1 = u @ v
+    # ranks min(n0, n1), min(n0, n1), 0, 0 and 1 in one stack
+    mixed = np.concatenate([x.swapaxes(1, 2)[:2], zero[:2], rank1[:1]])
     # (n0, n1) arrays transposed: the layout of the pipeline's X
-    zero = np.zeros((STACK, n0, n1), dtype=complex).swapaxes(1, 2)
-    rank1 = (u @ v).swapaxes(1, 2)
-    return insts, st, basis0, basis1, [(x, min(n0, n1)), (zero, 0), (rank1, 1)]
+    xs = [(x, "generic"), (zero.swapaxes(1, 2), "rank 0"), (rank1.swapaxes(1, 2), "rank 1"),
+          (mixed.swapaxes(1, 2), "mixed")]
+    return insts, st, basis0, basis1, xs
 
 
-def pipeline_products(x, a0, a1, b, l, basis1, rank):
+def pipeline_products(x, a0, a1, b, l, basis1):
     """Every product the pipeline forms, for one instance or a stack."""
     n0, n1 = a0.shape[-1], a1.shape[-1]
+    r = min(n0, n1)
     w, s, vh = np.linalg.svd(x, full_matrices=True)
     values = np.zeros(s.shape[:-1] + (n0,))
-    values[..., :s.shape[-1]] = s
+    values[..., :r] = s
     u = adjoint(vh)
-    iso = w[..., :rank] @ vh[..., :rank, :]
-    half = u @ (np.sqrt(1.0 + values * values)[..., :, None] * adjoint(u))
-    # (I + X X*)^(1/2) = W diag(h) W*
+    # Lambda0 in V and Lambda1 in W: diag(h) Q* M Q diag(1/h)
+    h0 = np.sqrt(1.0 + values ** 2)
+    k0 = adjoint(u) @ (a0 + b @ x) @ u * (h0[..., :, None] / h0[..., None, :])
     h = np.ones(w.shape[:-1])
-    h[..., :min(n0, n1)] = np.sqrt(1.0 + values[..., :min(n0, n1)] ** 2)
+    h[..., :r] = np.sqrt(1.0 + values[..., :r] ** 2)
     k1 = adjoint(w) @ (a1 - adjoint(b) @ adjoint(x)) @ w * (h[..., :, None] / h[..., None, :])
+    # the lemma's w = U u: the columns of W above the rank cutoff
+    ranked = values[..., :r] > values[..., :1] * max(n0, n1) * np.finfo(float).eps
+    iso_u = np.zeros(w.shape[:-1] + (n0,), dtype=complex)
+    iso_u[..., :r] = np.where(ranked[..., None, :], w[..., :r], 0.0)
     p = l[..., :, :n0] @ u
-    q = l[..., :, n0:] @ (iso @ u)
+    q = l[..., :, n0:] @ iso_u
     return {
         "riccati": x @ a0 - a1 @ x + x @ b @ x - adjoint(b),
         "left": w,
+        "lambda0": k0,
+        "lambda0_cols": np.einsum("...ij,...ij->...j", k0.conj(), k0),
         "k1": k1,
         "lambda1_herm": k1 - adjoint(k1),
-        "isometry": iso,
-        "half": half,
-        "lambda0": half @ (a0 + b @ x) @ half,
+        "iso_u": iso_u,
         "p": p,
         "q": q,
         "dots": np.einsum("...ij,...ij->...j", p.conj(), q),
@@ -111,13 +121,13 @@ def test_stacked_lapack_calls_match_per_matrix_calls(n0, n1):
         [np.linalg.solve(a.T, b.T) for a, b in zip(y0, y1)],
     )
     blocks = riccati._blocks(st)[:3]
-    for x, rank in xs:
+    for x, _ in xs:
         # the full left basis W is part 0
         full = np.linalg.svd(x, full_matrices=True)
         per = [np.linalg.svd(m, full_matrices=True) for m in x]
         for part in range(3):
             assert same_bytes(full[part], [p[part] for p in per])
-        products = pipeline_products(x, *blocks, st.L, basis1, rank)
+        products = pipeline_products(x, *blocks, st.L, basis1)
         # Lambda0 (n0 x n0) and Lambda1 in the basis W (n1 x n1): the
         # spectrum of the Hermitian part and the norm of the defect
         for m in (products["lambda0"], products["k1"]):
@@ -130,22 +140,11 @@ def test_stacked_lapack_calls_match_per_matrix_calls(n0, n1):
 def test_stacked_products_match_per_matrix_products(n0, n1):
     insts, st, _, basis1, xs = pipeline_arrays(n0, n1, seed=7 * n0 + n1)
     blocks = riccati._blocks(st)[:3]  # the layout the pipeline computes with
-    for x, rank in xs:
-        stacked = pipeline_products(x, *blocks, st.L, basis1, rank)
-        singles = [pipeline_products(*args, rank) for args in zip(x, *blocks, st.L, basis1)]
+    for x, label in xs:
+        stacked = pipeline_products(x, *blocks, st.L, basis1)
+        singles = [pipeline_products(*args) for args in zip(x, *blocks, st.L, basis1)]
         for name, value in stacked.items():
-            assert same_bytes(value, [single[name] for single in singles]), (name, rank)
-
-
-@pytest.mark.parametrize("n0, n1", [(3, 2), (2, 4), (4, 4)])
-def test_polar_decompose_of_mixed_ranks_matches_per_matrix(n0, n1):
-    # one stack holding ranks min(n0, n1), 1 and 0
-    _, _, _, _, xs = pipeline_arrays(n0, n1, seed=31 * n0 + n1)
-    mixed = np.concatenate([x[:2] for x, _ in xs])
-    stacked = spl.polar_decompose(mixed)
-    singles = [spl.polar_decompose(m) for m in mixed]
-    for name in ("isometry", "values", "vectors", "left"):
-        assert same_bytes(getattr(stacked, name), [getattr(p, name) for p in singles]), name
+            assert same_bytes(value, [single[name] for single in singles]), (name, label)
 
 
 @pytest.mark.parametrize("n0, n1", SHAPES)
@@ -232,7 +231,7 @@ def test_gap_closed_instance_leaves_its_bucket_unchanged():
 
 
 def test_rank_zero_instance_leaves_its_bucket_unchanged():
-    # B = 0 gives X = 0: its polar isometry is a product of inner dimension 0
+    # B = 0 gives X = 0: the lemma masks every column of its W
     first = spl.trial_instance(BUCKET, 0)[0]
     trivial = spl.assemble_instance(
         first.split.sigma0, first.split.sigma1, (-1.0, 1.0), np.zeros((2, 3))
@@ -381,11 +380,13 @@ def test_one_share_per_process_stacks_as_a_serial_run(monkeypatch):
 #: trial on its own, before campaigns were stacked; the stacked pipeline
 #: must reproduce them byte for byte, serially and over two processes.
 #: Re-taken when floats became shortest round-trip text; each report then
-#: parsed to the same values as before.
+#: parsed to the same values as before.  Re-taken when Lambda0 and the
+#: lemma's w came to be read in X's singular bases: only the Lambda0 and
+#: lemma residuals moved, at rounding level.
 PER_TRIAL_DIGESTS = {
-    "tiny": "3af497474b9c05fcea62f4858f81481363fdcd5840246b6b75a2b4f8168494af",
-    "acceptance": "2ba661111793dc9c4951032b2e96d74e2f4637ead9393a38fab99c51acf2e20c",
-    "analyze": "080c498562b6028a8f8819fd72d33e862b0ad8ecf08a14f37d0b4925c9cab8ae",
+    "tiny": "9f98526c40aa7dbe4cd40b0b7a67bc9d38aabcd1a5a48e26106d7b1c3efe4397",
+    "acceptance": "f9895cbddd5db5c84490a5014f525fc2011144b2bcd4352ada87c40036a0580f",
+    "analyze": "146ed1c80365e6924094a30a245f7f1fe6f6f4b6d6cc50d0f91d658b028dd350",
 }
 
 ACCEPTANCE = spl.CampaignConfig(

@@ -18,7 +18,6 @@ from .bounds import (
     make_bound_report,
     phi,
     phi_sup_analytic,
-    phi_sup_oracle,
     r_v,
 )
 from .disposition import (

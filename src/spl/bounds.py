@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainViolation, RegimeViolation, SingularDenominator
 
 
@@ -34,7 +32,8 @@ class KappaValue:
 
 @dataclass(frozen=True)
 class PhiSup:
-    """Supremum of the rational bound kernel with its maximiser."""
+    """Supremum of the rational bound kernel with its maximiser (x, y) and
+    its branch tag ('linear' or 'full', as :class:`KappaValue`)."""
 
     sup: float
     x: float
@@ -160,12 +159,18 @@ def kappa(D: float, d: float, v: float) -> KappaValue:
 def _kappa(D: float, d: float, v: float) -> KappaValue:
     if v <= kappa_branch_point(D, d):
         return KappaValue(value=2.0 * v / d, branch="linear")
-    den = 2.0 * (d * (D - d) - v * v)
+    # kappa is scale-invariant and a power of two rounds every step alike:
+    # scaled up to D >= 0.5, v * D and the radical term underflow only where
+    # kappa does (unscaled, D = 2d = 2e-99 and v = 1e-290 give kappa = 0)
+    e = max(-math.frexp(D)[1], 0)
+    Ds, ds, vs = math.ldexp(D, e), math.ldexp(d, e), math.ldexp(v, e)
+    den = 2.0 * (ds * (Ds - ds) - vs * vs)
     if den <= 0.0:
         raise SingularDenominator(
-            f"coefficient undefined at v={v} for D={D}, d={d} (denominator {den})"
+            f"coefficient undefined at v={v} for D={D}, d={d} "
+            f"(denominator {math.ldexp(den, -2 * e)})"
         )
-    num = v * D + math.sqrt(d * (D - d)) * math.hypot(D - 2.0 * d, 2.0 * v)
+    num = vs * Ds + math.sqrt(ds * (Ds - ds)) * math.hypot(Ds - 2.0 * ds, 2.0 * vs)
     return KappaValue(value=num / den, branch="full")
 
 
@@ -237,41 +242,6 @@ def phi_sup_analytic(a: float, d: float, v: float) -> PhiSup:
     y_star = a * c / (v * x_star + root)
     sup = 0.5 * (v * x_star + math.sqrt(d * (2.0 * a + d)) * math.hypot(a, v)) / c
     return PhiSup(sup=sup, x=x_star, y=y_star, branch="full")
-
-
-def phi_sup_oracle(a: float, d: float, v: float) -> PhiSup:
-    """Brute-force grid supremum of the kernel with local refinement.
-
-    Independent of the closed form: evaluates the kernel on a dense grid
-    over the truncated domain (the kernel decays like v/x for large x, so
-    truncation is sound) and zooms around the running argmax: a 2000 x
-    2000 grid over [a+d, 4(a+d) + 10(a+v+d)] x [0, v], then four rounds of
-    201 x 201 points within two cells of it.
-    """
-    _check_phi_domain(a, d, v)
-    x_lo = a + d
-    x_hi = x_lo * 4.0 + 10.0 * (a + v + d)
-    xs = np.linspace(x_lo, x_hi, 2000)
-    ys = np.linspace(0.0, v, 2000)
-
-    def grid_max(xv, yv):
-        den = (xv * xv)[:, None] + (yv * yv)[None, :] - a * a - v * v
-        val = (v * xv[:, None] + a * yv[None, :]) / den
-        i, j = np.unravel_index(np.argmax(val), val.shape)
-        return float(val[i, j]), xv, yv, i, j
-
-    best, xv, yv, i, j = grid_max(xs, ys)
-    bx, by = float(xv[i]), float(yv[j])
-    for _ in range(4):
-        dx = (xv[-1] - xv[0]) / (xv.size - 1)
-        dy = (yv[-1] - yv[0]) / (yv.size - 1) if yv.size > 1 else 0.0
-        xv = np.linspace(max(x_lo, bx - 2 * dx), bx + 2 * dx, 201)
-        yv = np.linspace(max(0.0, by - 2 * dy), min(v, by + 2 * dy), 201)
-        cand, xv, yv, i, j = grid_max(xv, yv)
-        if cand > best:
-            best = cand
-        bx, by = float(xv[i]), float(yv[j])
-    return PhiSup(sup=best, x=bx, y=by, branch="grid")
 
 
 @dataclass(frozen=True)

@@ -411,4 +411,7 @@ def _build(draws: list, gap, v: list[float]) -> InstanceStack:
     v = np.array(v)
     b = btilde * (v / op_norms(btilde))[:, None, None]
     b[v == 0.0] = 0.0
+    # inst.v is _assemble's second SVD of the scaled b, not the target v:
+    # instance_from_file recomputes v as op_norm(B), and a campaign record
+    # must equal analyze of its reloaded Instance JSON
     return _assemble(inner, outer, gap, b)

@@ -1,6 +1,7 @@
 import dataclasses
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -120,3 +121,38 @@ def reference_spec1(inst, x: np.ndarray, omega1: np.ndarray) -> float:
 def projector(cols: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the span of orthonormal columns."""
     return cols @ cols.conj().T
+
+
+def mp_phi_sup(a: float, d: float, v: float) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """(sup, y): the supremum of the kernel phi(x, y) = (v x + a y) /
+    (x^2 + y^2 - a^2 - v^2) over x >= a + d, 0 <= y <= v, and its maximiser
+    (a + d, y), at 50 digits.
+
+    Independent of ``spl.phi`` and ``spl.phi_sup_analytic``: it maximises
+    phi(a + d, y) over y in [0, v], taking the bracketed root of dphi/dy
+    where dphi/dy changes sign and comparing it against both corners.
+
+    No other point can win.  With N = v x + a y > 0 and den = x^2 + y^2 -
+    a^2 - v^2 >= d(2a + d) - v^2 > 0, grad phi = 0 needs v den = 2 x N and
+    a den = 2 y N.  For a = 0 the second gives y = 0, an edge.  For a > 0
+    the two force (x, y) = t (v, a) with t > 0, and then den = (t^2 - 1)
+    (a^2 + v^2) and N = t (a^2 + v^2) turn the first into t^2 - 1 = 2 t^2,
+    which has no real solution: phi has no interior critical point.  On the
+    edge y = 0, dphi/dx = -v (x^2 + a^2 + v^2) / den^2 < 0; on the edge
+    y = v, phi = v / (x - a).  Both edges decrease in x and phi -> 0 as
+    x -> inf, so the supremum is a maximum on the edge x = a + d.
+    """
+    with mpmath.workdps(50):
+        a, d, v = mpmath.mpf(a), mpmath.mpf(d), mpmath.mpf(v)
+        x = a + d
+
+        def kernel(y):
+            return (v * x + a * y) / (x * x + y * y - a * a - v * v)
+
+        def slope(y):  # numerator of dphi/dy at x = a + d
+            return a * (x * x + y * y - a * a - v * v) - 2 * y * (v * x + a * y)
+
+        ys = [mpmath.mpf(0), v]
+        if slope(ys[0]) > 0 > slope(v):
+            ys.append(mpmath.findroot(slope, (ys[0], v), solver="anderson"))
+        return max((kernel(y), y) for y in ys)

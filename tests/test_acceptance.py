@@ -13,7 +13,7 @@ import pytest
 
 import spl
 
-from conftest import enclosure_of, solve_one
+from conftest import enclosure_of, mp_phi_sup, solve_one
 
 SQRT2 = math.sqrt(2.0)
 
@@ -108,8 +108,8 @@ def test_criterion_3_kernel_supremum_oracle():
         d = float(rng.uniform(0.05, 1.5))
         v = float(rng.uniform(0.05, 0.98)) * math.sqrt(d * (2.0 * a + d))
         ana = spl.phi_sup_analytic(a, d, v).sup
-        ora = spl.phi_sup_oracle(a, d, v).sup
-        worst_rel = max(worst_rel, abs(ora - ana) / ana)
+        ora, _ = mp_phi_sup(a, d, v)
+        worst_rel = max(worst_rel, float(abs(ana - ora) / ora))
     worst_cons = 0.0
     for _ in range(1000):
         a = float(rng.uniform(0.0, 3.0))
@@ -119,10 +119,10 @@ def test_criterion_3_kernel_supremum_oracle():
         k = spl.kappa(2.0 * (a + d), d, v).value
         worst_cons = max(worst_cons, abs(2.0 * s.sup - k) / max(k, 1e-300))
     elapsed = time.perf_counter() - t0
-    ok = worst_rel <= 1e-4 and worst_cons <= 1e-12 and elapsed < 60.0
+    ok = worst_rel <= 1e-13 and worst_cons <= 1e-12 and elapsed < 60.0
     _criterion(
         "criterion 3", ok,
-        f"oracle rel err {worst_rel:.2e} (<=1e-4), consistency {worst_cons:.2e} (<=1e-12), "
+        f"oracle rel err {worst_rel:.2e} (<=1e-13), consistency {worst_cons:.2e} (<=1e-12), "
         f"{elapsed:.1f}s (<60s)",
     )
 

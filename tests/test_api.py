@@ -15,7 +15,7 @@ PUBLIC_NAMES = [
     "SharpnessConfig", "SpectralSplit", "analyze",
     "assemble_instance", "bound_apriori", "bound_detailed", "eigh", "enclosure", "kappa",
     "make_bound_report", "op_norm",
-    "phi", "phi_sup_analytic", "phi_sup_oracle", "polar_decompose", "r_v", "random_instance",
+    "phi", "phi_sup_analytic", "polar_decompose", "r_v", "random_instance",
     "riccati_residual", "run_campaign", "sharpness_search",
     "subspace_angle", "sweep_csv", "sweep_rows", "trial_instance", "trial_record_for_instance",
     "validate_disposition",

@@ -1,14 +1,20 @@
 import hashlib
 import math
+from unittest import mock
 
+import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spl
 from spl import cli, harness
 from spl.bounds import check_geometry, sin_arctan, sin_half_arctan
 from spl.errors import DomainViolation, RegimeViolation, SingularDenominator
+
+from conftest import mp_phi_sup
 
 SQRT2 = math.sqrt(2.0)
 
@@ -25,6 +31,19 @@ def sample_domain(rng):
     D = d * float(rng.uniform(2.0, 8.0))
     v = float(rng.uniform(0.0, 0.999)) * math.sqrt(d * (D - d))
     return D, d, v
+
+
+#: (d, D/d, v / sqrt(d*(D-d))) over the scales spl accepts, v up to 1 - 1e-6
+#: of the edge of the detailed regime
+geometry = {
+    "d": st.floats(1e-99, 1e97),
+    "ratio": st.floats(2.0, 1e3),
+    "fraction": st.floats(0.0, 1.0 - 1e-6),
+}
+
+
+def within_ulps(got: float, want, ulps: float) -> bool:
+    return abs(got - want) <= ulps * math.ulp(float(want))
 
 
 # --- gap-erosion radius -----------------------------------------------------------
@@ -120,6 +139,29 @@ def test_kappa_branch_continuity_random():
     assert checked > 900
 
 
+@settings(max_examples=200, deadline=None)
+@given(d=geometry["d"], ratio=st.floats(2.0 + 1e-9, 1e3))
+@example(d=1.0, ratio=4.0)
+def test_kappa_branches_meet_within_4_ulps(d, ratio):
+    # both branches evaluated at the branch point itself: the linear one as
+    # kappa chooses it there, the full one with the switch moved below zero
+    D = d * ratio
+    vb = spl.bounds.kappa_branch_point(D, d)
+    lin = spl.kappa(D, d, vb)
+    with mock.patch.object(spl.bounds, "kappa_branch_point", lambda D, d: -1.0):
+        full = spl.kappa(D, d, vb)
+    assert (lin.branch, full.branch) == ("linear", "full")
+    assert within_ulps(full.value, lin.value, 4)
+
+
+def test_kappa_full_branch_does_not_underflow():
+    # at D = 2d every v > 0 is on the full branch; unscaled, v * D and the
+    # radical term underflow to 0 here
+    k = spl.kappa(2e-99, 1e-99, 1e-290)
+    assert k.branch == "full"
+    npt.assert_allclose(k.value, 2e-191, rtol=1e-15)
+
+
 def test_kappa_domain_errors():
     with pytest.raises(DomainViolation, match="D"):
         spl.kappa(-1.0, 0.2, 0.0)
@@ -176,6 +218,33 @@ def test_bound_detailed_values():
     npt.assert_allclose(spl.bound_detailed(2.0, 1.0, 0.5), 0.5 / math.sqrt(1.25), atol=1e-14)
     npt.assert_allclose(spl.bound_detailed(4.0, 1.0, 0.5), math.sin(math.pi / 8.0), atol=1e-14)
     assert spl.bound_detailed(5.0, 1.0, 0.0) == 0.0
+
+
+def mp_bound_detailed(D: float, d: float, v: float) -> mpmath.mpf:
+    """sin(arctan(kappa)/2) at 50 digits, kappa's branch chosen at 50 digits."""
+    with mpmath.workdps(50):
+        D, d, v = mpmath.mpf(D), mpmath.mpf(d), mpmath.mpf(v)
+        if v <= mpmath.sqrt(d * (D - 2 * d)) / 2:
+            k = 2 * v / d
+        else:
+            k = (v * D + mpmath.sqrt(d * (D - d) * ((D - 2 * d) ** 2 + 4 * v * v))) / (
+                2 * (d * (D - d) - v * v)
+            )
+        return mpmath.sin(mpmath.atan(k) / 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(**geometry)
+@example(d=1.0, ratio=2.0, fraction=1.0 - 1e-6)
+@example(d=1e-99, ratio=1e3, fraction=1.0 - 1e-6)
+@example(d=1e97, ratio=1e3, fraction=0.5)
+@example(d=1e-99, ratio=2.0, fraction=9.642169053050085e-206)  # unscaled, kappa underflows
+def test_bound_detailed_within_4_ulps_of_mpmath(d, ratio, fraction):
+    # kappa itself is not pinned: near the regime edge its denominator
+    # d(D-d) - v^2 cancels, and its error follows the condition number
+    D = d * ratio
+    v = fraction * math.sqrt(d * (D - d))
+    assert within_ulps(spl.bound_detailed(D, d, v), mp_bound_detailed(D, d, v), 4)
 
 
 def test_bound_detailed_below_sqrt2_over_2():
@@ -269,10 +338,10 @@ def test_phi_sup_analytic_maximiser_consistency():
 
 
 def test_phi_sup_oracle_reference_points():
-    ora = spl.phi_sup_oracle(0.0, 1.0, 0.5)
-    npt.assert_allclose(ora.sup, 2.0 / 3.0, rtol=1e-4)
-    ora = spl.phi_sup_oracle(1.0, 1.0, 0.5)
-    npt.assert_allclose(ora.sup, 0.5, rtol=1e-4)
+    sup, y = mp_phi_sup(0.0, 1.0, 0.5)
+    assert abs(sup - mpmath.mpf(2) / 3) <= 1e-13 * sup and y == 0
+    sup, y = mp_phi_sup(1.0, 1.0, 0.5)
+    assert abs(sup - 0.5) <= 1e-13 * sup and y == 0.5
 
 
 def test_phi_sup_oracle_agrees_with_analytic():
@@ -282,11 +351,11 @@ def test_phi_sup_oracle_agrees_with_analytic():
         d = float(rng.uniform(0.1, 1.5))
         v = float(rng.uniform(0.05, 0.98)) * math.sqrt(d * (2.0 * a + d))
         ana = spl.phi_sup_analytic(a, d, v)
-        ora = spl.phi_sup_oracle(a, d, v)
-        assert abs(ora.sup - ana.sup) / ana.sup <= 1e-4
-        # grid argmax localises the analytic maximiser
-        assert abs(ora.x - ana.x) <= 1e-2 * (a + d)
-        assert abs(ora.y - ana.y) <= 5e-3 * max(v, d)
+        sup, y = mp_phi_sup(a, d, v)
+        assert abs(ana.sup - sup) <= 1e-13 * sup
+        # the oracle's maximiser (a + d, y) is the analytic one
+        assert ana.x == a + d
+        assert abs(ana.y - y) <= 1e-13 * max(v, d)
 
 
 # --- worst case over gap lengths ------------------------------------------------------

@@ -80,7 +80,7 @@ RICCATI_SCALE = 1e-8
 LEMMA_SCALE = 1e-9
 
 #: Spread of the outer eigenvalues beyond the gap ends: the default of a
-#: campaign and the value of the sharpness search.
+#: campaign, and of the sharpness search in gap half-widths.
 OUTER_RADIUS = 2.0
 
 #: Column order of sweep CSV files.
@@ -755,7 +755,8 @@ def sweep_csv(rows: list[dict]) -> str:
 @dataclass(frozen=True)
 class SharpnessConfig:
     """Configuration of the randomized bound-tightness search; the outer
-    eigenvalues it places lie within OUTER_RADIUS of the gap ends."""
+    eigenvalues it places lie within OUTER_RADIUS * D / 2 of the gap ends,
+    so the search scales with D."""
 
     n0: int
     n1: int
@@ -779,9 +780,10 @@ class _Walk:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(r,)))
         self.rng, self.cfg, self.gap, self.lo, self.hi = rng, cfg, gap, lo, hi
         self.pin = lo if r % 2 == 0 else hi
+        self.radius = OUTER_RADIUS * cfg.D / 2.0
         s0 = rng.uniform(lo, hi, cfg.n0) if hi > lo else np.full(cfg.n0, lo)
         s0[0] = self.pin
-        offs = rng.uniform(0.0, OUTER_RADIUS, cfg.n1 - 2)
+        offs = rng.uniform(0.0, self.radius, cfg.n1 - 2)
         self.sides = rng.integers(0, 2, cfg.n1 - 2)
         bdir = rng.standard_normal((cfg.n0, cfg.n1)) + 1j * rng.standard_normal((cfg.n0, cfg.n1))
         self.point = (s0, offs, _outer(gap, self.sides, offs), bdir * (cfg.v / op_norm(bdir)))
@@ -799,7 +801,7 @@ class _Walk:
             s0[0] = self.pin
         elif group == 1 and cfg.n1 > 2:
             offs = np.clip(
-                offs + rng.standard_normal(cfg.n1 - 2) * step * OUTER_RADIUS, 0.0, OUTER_RADIUS
+                offs + rng.standard_normal(cfg.n1 - 2) * step * self.radius, 0.0, self.radius
             )
             outer = _outer(self.gap, self.sides, offs)
         else:

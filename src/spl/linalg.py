@@ -79,6 +79,27 @@ def op_norms(a: np.ndarray) -> np.ndarray:
     return lapack(np.linalg.svdvals, a)[..., 0]
 
 
+def fro_norms(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, without an SVD.
+
+    It bounds the spectral norm, ||a||_2 <= ||a||_F <= sqrt(rank) ||a||_2,
+    so a residual within a tolerance in it is within it in the spectral
+    norm.  A norm that overflows is taken again from its matrix scaled by
+    the largest modulus.  Raises ConvergenceFailure for a NaN or infinite
+    entry.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.asarray(lapack(np.linalg.norm, a, axis=(-2, -1)))
+        big = ~np.isfinite(norms)
+        if big.any():
+            scale = np.abs(a[big]).max(axis=(-2, -1))
+            if not np.isfinite(scale).all():
+                raise ConvergenceFailure("matrix has a non-finite entry")
+            unit = a[big] / scale[:, None, None]
+            norms[big] = scale * lapack(np.linalg.norm, unit, axis=(-2, -1))
+    return norms
+
+
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
     """Full spectral data of a Hermitian matrix, or of a stack of them.

@@ -48,6 +48,7 @@ from .linalg import (
     PolarParts,
     adjoint,
     eigh,
+    fro_norms,
     lapack,
     op_norms,
     polar_decompose,
@@ -63,7 +64,7 @@ class RiccatiSolution:
 
     X maps the inner block to the outer block; polar holds its SVD
     X = W diag(s) V*, s the eigenvalues of |X| and V their eigenvectors;
-    mu = ||X||.  riccati_residual is the operator norm of
+    mu = ||X||.  riccati_residual is the Frobenius norm of
     X A0 - A1 X + X B X - B*.  Lambda0 is the Hermitian operator
     (I + |X|^2)^(1/2) (A0 + B X) (I + |X|^2)^(-1/2), whose spectrum equals
     omega0, expressed in the basis V: entry (i, j) is <v_i, Lambda0 v_j>.
@@ -108,8 +109,9 @@ class GraphReport:
     defect of Lambda1, similar to A1 - B* X*, and the mismatch between its
     spectrum and omega1; the lambda0_* fields are those of
     :func:`lambda0_diagnostics` and the mismatch between the spectrum of
-    Lambda0, similar to A0 + B X, and omega0.  Over a stack every field
-    has a leading batch axis.
+    Lambda0, similar to A0 + B X, and omega0.  The graph and Hermitian
+    defects are Frobenius norms.  Over a stack every field has a leading
+    batch axis.
     """
 
     measured: float
@@ -270,7 +272,8 @@ def _similar(q: np.ndarray, m: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def riccati_residual(x, a0, a1, b):
-    """Operator norm of X A0 - A1 X + X B X - B*.
+    """Frobenius norm of X A0 - A1 X + X B X - B*, which bounds its
+    operator norm (see :func:`linalg.fro_norms`).
 
     All four may carry the same leading batch axes; a stack gets one norm
     per instance, one matrix a float.
@@ -286,7 +289,7 @@ def riccati_residual(x, a0, a1, b):
 
 
 def _residual(x, a0, a1, b, b_adj):
-    return op_norms(x @ a0 - a1 @ x + x @ b @ x - b_adj)
+    return fro_norms(x @ a0 - a1 @ x + x @ b @ x - b_adj)
 
 
 def _scalar(a):
@@ -350,6 +353,8 @@ def verify_graph_props(
     and Lambda1, similar to A1 - B* X* by (I + X X*)^(1/2), are Hermitian
     with spectra omega0 and omega1.  Lambda1 is taken in the left singular
     basis W of X = W diag(s) V*, as Lambda0 is in V (see :func:`_similar`).
+    The graph and Hermitian defects are Frobenius norms, which bound the
+    operator norms.
     """
     a0, a1, _, b_adj = blocks
     n0 = a0.shape[-1]
@@ -359,7 +364,7 @@ def verify_graph_props(
 
     z0 = basis1[:, :n0, :]
     z1 = basis1[:, n0:, :]
-    graph1_residual = op_norms(z0 + adjoint(sol.X) @ z1)
+    graph1_residual = fro_norms(z0 + adjoint(sol.X) @ z1)
 
     k1 = _similar(sol.polar.left, a1 - b_adj @ adjoint(sol.X), sol.polar.values)
     spec1 = lapack(np.linalg.eigvalsh, 0.5 * (k1 + adjoint(k1)))
@@ -369,7 +374,7 @@ def verify_graph_props(
         angle_residual=angle_residual,
         graph1_residual=graph1_residual,
         # np.maximum keeps a NaN
-        spec1_residual=np.maximum(op_norms(k1 - adjoint(k1)), np.abs(spec1 - omega1).max(axis=1)),
+        spec1_residual=np.maximum(fro_norms(k1 - adjoint(k1)), np.abs(spec1 - omega1).max(axis=1)),
         lambda0_spectrum=l0_spec,
         lambda0_herm_residual=l0_herm,
         lambda0_spec_residual=spectrum_mismatch(l0_spec, omega0),
@@ -384,9 +389,10 @@ def spectrum_mismatch(eigs: np.ndarray, target: np.ndarray):
 
 
 def lambda0_diagnostics(sol: RiccatiSolution):
-    """Hermiticity defect of Lambda0 and its (symmetrised) spectrum."""
+    """Hermiticity defect of Lambda0, in the Frobenius norm, and its
+    (symmetrised) spectrum."""
     l0 = sol.Lambda0
-    herm = op_norms(l0 - adjoint(l0))
+    herm = fro_norms(l0 - adjoint(l0))
     spectrum = lapack(np.linalg.eigvalsh, 0.5 * (l0 + adjoint(l0)))
     return _scalar(herm), spectrum
 

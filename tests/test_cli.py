@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import io
 import json
@@ -240,6 +241,17 @@ def test_sharpness_rounding_noise_at_tiny_v_is_no_violation(tmp_path, v):
     doc = json.loads(out.read_text())
     assert doc["best_ratio"] > 1.0
     assert code == 0 and doc["ok"] is True
+
+
+def test_sharpness_scales_its_outer_spectrum_with_D(tmp_path):
+    # the outer offsets lie within OUTER_RADIUS half-widths of the gap: an
+    # absolute radius of 2.0 put the edge tolerance above d at D = 1e-90
+    out = tmp_path / "sharp.json"
+    code = cli.main(["sharpness", "--D", "1e-90", "--d", "5e-91", "--v", "1e-91",
+                     "--n0", "2", "--n1", "3", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    assert code == 0 and doc["ok"] is True
+    assert max(map(abs, doc["instance"]["sigma1"])) <= 1.5e-90
 
 
 def test_sharpness_infeasible(capsys):
@@ -560,4 +572,30 @@ def test_lapack_failure_is_structural(tmp_path, capsys, monkeypatch):
     assert cli.main(args) == cli.EXIT_STRUCTURAL
     doc = json.loads(out.read_text())
     assert doc["aggregates"]["violations"]["structural"] == 3
+    assert {rec["error"] for rec in doc["records"]} == {"ConvergenceFailure"}
+
+
+def test_nan_in_x_is_structural(tmp_path, monkeypatch):
+    # a NaN entry of X reaches the Frobenius norm of a residual, which
+    # raises ConvergenceFailure as an SVD does; a stack of four meets it and
+    # is solved again one instance at a time, each a structural record
+    original = spl.riccati.angular_operator
+
+    def poisoned(*args):
+        sol = original(*args)
+        x = sol.X.copy()
+        x[:, 0, 0] = np.nan
+        return dataclasses.replace(sol, X=x)
+
+    monkeypatch.setattr(spl.riccati, "angular_operator", poisoned)
+    inst = spl.assemble_instance([0.0], [-1.0, 1.0], (-1.0, 1.0), [[0.5, 0.0]])
+    rec = spl.trial_record_for_instance(inst)
+    assert rec["error"] == "ConvergenceFailure"
+    assert rec["violations"] == ["structural:ConvergenceFailure"]
+    out = tmp_path / "r.json"
+    args = ["verify", "--trials", "4", "--seed", "1", "--n0", "2", "--n1", "3",
+            "--out", str(out)]
+    assert cli.main(args) == cli.EXIT_STRUCTURAL
+    doc = json.loads(out.read_text())
+    assert doc["aggregates"]["violations"]["structural"] == 4
     assert {rec["error"] for rec in doc["records"]} == {"ConvergenceFailure"}

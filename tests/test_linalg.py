@@ -361,6 +361,45 @@ def test_op_norm_unitary_invariance():
         )
 
 
+# --- fro_norms --------------------------------------------------------------------
+
+#: A few ulps of a norm, as a relative margin.
+ULPS = 4 * np.finfo(float).eps
+
+
+def test_fro_norms_bound_the_operator_norms():
+    rng = np.random.default_rng(1414)
+    for m, n in [(1, 1), (1, 6), (6, 1), (3, 3), (10, 11), (13, 7), (20, 20)]:
+        stack = random_complex(rng, 7 * m, n).reshape(7, m, n)
+        # rank one, where the two norms are equal
+        stack[0] = np.outer(random_complex(rng, m, 1), random_complex(rng, 1, n))
+        stack *= 10.0 ** rng.uniform(-8, 8, (7, 1, 1))
+        op, fro = spl.linalg.op_norms(stack), spl.linalg.fro_norms(stack)
+        assert fro.shape == (7,)
+        assert np.all(op <= fro * (1.0 + ULPS))
+        assert np.all(fro <= math.sqrt(min(m, n)) * op * (1.0 + ULPS))
+
+
+def test_fro_norms_do_not_overflow(recwarn):
+    rng = np.random.default_rng(1415)
+    unit = random_complex(rng, 12, 5).reshape(3, 4, 5)
+    unit /= np.abs(unit).max()
+    fro = spl.linalg.fro_norms(1e200 * unit)
+    expected = 1e200 * np.linalg.norm(unit, axis=(-2, -1))
+    assert np.all(np.isfinite(fro))
+    npt.assert_allclose(fro, expected, rtol=1e-14, atol=0.0)
+    assert not recwarn.list  # the overflow of the first pass is silent
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fro_norms_refuse_non_finite_entries(recwarn, bad):
+    stack = np.ones((3, 2, 4), dtype=complex)
+    stack[1, 1, 2] = bad
+    with pytest.raises(ConvergenceFailure):
+        spl.linalg.fro_norms(stack)
+    assert not recwarn.list
+
+
 def raise_linalg_error(*args, **kwargs):
     raise np.linalg.LinAlgError("did not converge")
 

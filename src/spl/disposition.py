@@ -385,19 +385,26 @@ def _outer(gap, sides, offsets) -> list:
 
 
 def _draw(rng, n0: int, n1: int, gap, d: float, outer_radius: float, pin_side: str) -> tuple:
-    """The random draws of one instance of :func:`random_instance`, in the
-    generator's order: (inner, outer, btilde), the inner values with one
+    """The random draws of one instance of :func:`random_instance`, in two
+    generator calls: (inner, outer, btilde), the inner values with one
     pinned at distance d, the outer values and the unscaled coupling block.
+
+    ``w = rng.random(2 (n1 - 2) + n0)`` gives, in this order, the sides of
+    the n1 - 2 outer values off the gap ends (``w < 0.5`` is the left end),
+    their offsets ``outer_radius * w``, and the inner values
+    ``lo + (hi - lo) * w`` on the hull, numpy's uniform formula.  The real
+    and imaginary parts of btilde are the pairs of one
+    ``rng.standard_normal((n0, n1, 2))``.
     """
     extras = n1 - 2
-    sides = rng.integers(0, 2, size=extras)
-    offsets = rng.uniform(0.0, outer_radius, size=extras) if extras else np.empty(0)
-    outer = _outer(gap, sides, offsets)
+    w = rng.random(2 * extras + n0)
+    sides, offsets = w[:extras] >= 0.5, outer_radius * w[extras:2 * extras]
+    outer = _outer(gap, sides.tolist(), offsets.tolist())
     lo, hi = _hull(gap, d)
-    inner = rng.uniform(lo, hi, size=n0)
+    inner = lo + (hi - lo) * w[2 * extras:]
     inner[0] = lo if pin_side == "left" else hi
     _check_separation(d, outer)
-    btilde = rng.standard_normal((n0, n1)) + 1j * rng.standard_normal((n0, n1))
+    btilde = rng.standard_normal((n0, n1, 2)).view(complex)[..., 0]
     return inner, outer, btilde
 
 

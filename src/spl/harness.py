@@ -1,12 +1,12 @@
 """Campaign engine: randomized verification, deep analysis, sweeps, search.
 
-Per-trial randomness is derived from the master seed and the trial index
-through ``numpy.random.SeedSequence(master, spawn_key=(index,))``: a pure
-integer mixing scheme, collision-free over the trial range and platform
-independent, so every record is reproducible from (master seed, index) and
-the campaign output does not depend on how trials are split over
-processes.  Wall-clock time is intentionally kept out of the serialised
-reports so that reruns compare byte-identical.
+Trial ``i`` of a campaign with seed ``s`` draws from its own Philox
+counter stream, the stream of ``Philox(SeedSequence(s)).jumped(i)`` (a
+counter-based generator: every trial reads a block of 2**128 counters
+that no other trial reads), so every record is reproducible from
+(seed, index) and the campaign output does not depend on how trials are
+split over processes.  Wall-clock time is intentionally kept out of the
+serialised reports so that reruns compare byte-identical.
 """
 
 from __future__ import annotations
@@ -244,29 +244,53 @@ def trial_instance(cfg: CampaignConfig, index: int) -> tuple[PerturbationInstanc
     The same draws and build as the campaign's, on a stack of one.
     """
     validate_config(cfg)
-    trial = _trial_draw(cfg, index)
+    trial = _trial_draw(cfg, _trial_streams(cfg.seed)(int(index)))
     return _build_trials(cfg, [trial]).insts[0], trial[0]
 
 
-def _trial_draw(cfg: CampaignConfig, index: int) -> tuple[dict, tuple]:
-    """The random draws of one trial of a valid config, in generation order:
-    the trial's parameters (n0, n1, d, pin side, regime) and then the
-    instance draws of :func:`disposition._draw`."""
-    ss = np.random.SeedSequence(cfg.seed, spawn_key=(int(index),))
-    rng = np.random.default_rng(ss)
+def _trial_streams(seed: int):
+    """The trial streams of a campaign seed: a function of the trial index
+    that returns one generator, set to that trial's stream.
+
+    Trial i's stream is the one of ``Philox(SeedSequence(seed)).jumped(i)``,
+    counter i * 2**128 with the output buffer empty.  ``jumped`` builds a
+    bit generator per call; this sets the counter of one instead.
+    """
+    bitgen = np.random.Philox(np.random.SeedSequence(seed))
+    state, rng = bitgen.state, np.random.Generator(bitgen)
+
+    def stream(index: int) -> np.random.Generator:
+        state["state"]["counter"] = [0, 0, index & 0xFFFF_FFFF_FFFF_FFFF, index >> 64]
+        bitgen.state = state
+        return rng
+
+    return stream
+
+
+def _trial_draw(cfg: CampaignConfig, rng: np.random.Generator) -> tuple[dict, tuple]:
+    """The random draws of one trial of a valid config from its stream, in
+    three generator calls: the trial's parameters and then the two calls of
+    :func:`disposition._draw`.
+
+    ``u = rng.random(5)`` gives n0 and n1 as ``lo + min(floor(u m), m - 1)``
+    over the m sizes of their ranges, d as ``d_lo + (d_hi - d_lo) u``
+    (numpy's uniform formula), the pinned side (``u < 0.5`` is left) and,
+    in a mixed campaign, the regime (``u < 0.5`` is A).
+    """
     gl, gr = float(cfg.gap[0]), float(cfg.gap[1])
-    width = gr - gl
     n0_lo, n0_hi = _as_range(cfg.n0, int)
     n1_lo, n1_hi = _as_range(cfg.n1, int)
     d_lo, d_hi = _as_range(cfg.d, float)
-    n0 = int(rng.integers(n0_lo, n0_hi + 1))
-    n1 = int(rng.integers(n1_lo, n1_hi + 1))
-    d = float(rng.uniform(d_lo, d_hi)) if d_hi > d_lo else d_lo
-    pin_side = "left" if int(rng.integers(0, 2)) == 0 else "right"
+    u0, u1, u2, u3, u4 = rng.random(5).tolist()
+    m0, m1 = n0_hi - n0_lo + 1, n1_hi - n1_lo + 1
+    n0 = n0_lo + min(int(u0 * m0), m0 - 1)
+    n1 = n1_lo + min(int(u1 * m1), m1 - 1)
+    d = d_lo + (d_hi - d_lo) * u2
+    pin_side = "left" if u3 < 0.5 else "right"
     regime = cfg.regime
     if regime == "mixed":
-        regime = "A" if int(rng.integers(0, 2)) == 0 else "B"
-    v = cfg.v_fraction * _regime_upper_limit(regime, d, width)
+        regime = "A" if u4 < 0.5 else "B"
+    v = cfg.v_fraction * _regime_upper_limit(regime, d, gr - gl)
     draw = {"n0": n0, "n1": n1, "d": d, "v": v, "pin_side": pin_side, "regime_target": regime}
     return draw, _draw(rng, n0, n1, (gl, gr), d, cfg.outer_radius, pin_side)
 
@@ -441,8 +465,9 @@ def _trial_batch(cfg: CampaignConfig, indices: list[int]) -> list[dict]:
     by_trial: dict[int, dict] = {}
     buckets: dict[tuple[int, int], list] = {}
     entries = 0
+    streams = _trial_streams(cfg.seed)
     for i in indices:
-        trial = _trial_draw(cfg, i)
+        trial = _trial_draw(cfg, streams(i))
         shape = trial[0]["n0"], trial[0]["n1"]
         buckets.setdefault(shape, []).append((i, trial))
         entries += sum(shape) ** 2

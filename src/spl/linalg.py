@@ -63,20 +63,30 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 
 
 def op_norm(m) -> float:
-    """Largest singular value; 1-D input is treated as a single column."""
+    """Largest singular value; 1-D input is treated as a single column.
+
+    Raises ConvergenceFailure for a matrix with a NaN or infinite entry.
+    """
     a = np.asarray(m, dtype=complex)
     if a.size == 0:
         return 0.0
     if a.ndim == 1:
         return float(np.linalg.norm(a))
-    # gesdd returns the singular values in descending order, so the first is
-    # what norm(a, 2) returns, without its axis handling and amax reduction.
-    return float(lapack(np.linalg.svdvals, a)[0])
+    return float(op_norms(a))
 
 
 def op_norms(a: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix of a stack (one stacked SVD)."""
-    return lapack(np.linalg.svdvals, a)[..., 0]
+    """Largest singular value of each matrix of a stack (one stacked SVD).
+
+    Raises ConvergenceFailure for a NaN or infinite entry: LAPACK refuses a
+    NaN, and returns NaN singular values for a matrix with an infinity.
+    """
+    # gesdd returns the singular values in descending order, so the first is
+    # what norm(a, 2) returns, without its axis handling and amax reduction.
+    top = lapack(np.linalg.svdvals, a)[..., 0]
+    if np.isnan(top).any():
+        raise ConvergenceFailure("matrix has a non-finite entry")
+    return top
 
 
 def fro_norms(a: np.ndarray) -> np.ndarray:

@@ -200,6 +200,23 @@ def test_trial_instance_reproducible():
     assert inst3.L.shape != inst1.L.shape or not np.array_equal(inst3.L, inst1.L)
 
 
+def test_trial_streams_are_numpy_philox_jumps():
+    # trial i draws from the stream of Philox(SeedSequence(seed)).jumped(i);
+    # a campaign resets one generator to each trial's counter, in any order
+    cfg = tiny_config(n0=(1, 20), n1=(2, 20))
+    streams = spl.harness._trial_streams(cfg.seed)
+    for i in (0, 1, 2**40 + 3, 1):
+        jumped = np.random.Philox(np.random.SeedSequence(cfg.seed)).jumped(i)
+        draw, parts = spl.harness._trial_draw(cfg, np.random.Generator(jumped))
+        campaign_draw, campaign_parts = spl.harness._trial_draw(cfg, streams(i))
+        assert campaign_draw == draw, i
+        for got, want in zip(campaign_parts, parts):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), i
+        inst, trial_draw = spl.trial_instance(cfg, i)
+        built = spl.harness._build_trials(cfg, [(draw, parts)]).insts[0]
+        assert trial_draw == draw and inst.L.tobytes() == built.L.tobytes(), i
+
+
 # --- campaigns -----------------------------------------------------------------------
 
 

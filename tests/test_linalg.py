@@ -400,6 +400,17 @@ def test_fro_norms_refuse_non_finite_entries(recwarn, bad):
     assert not recwarn.list
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.inf])
+def test_op_norms_refuse_non_finite_entries(bad):
+    # svdvals returns a NaN row for a matrix with an infinity
+    with pytest.raises(ConvergenceFailure):
+        spl.op_norm(np.array([[bad, 0.0], [0.0, 1.0]]))
+    stack = np.ones((3, 2, 4), dtype=complex)
+    stack[1, 1, 2] = bad
+    with pytest.raises(ConvergenceFailure):
+        spl.linalg.op_norms(stack)
+
+
 def raise_linalg_error(*args, **kwargs):
     raise np.linalg.LinAlgError("did not converge")
 

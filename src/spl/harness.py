@@ -36,7 +36,13 @@ from .disposition import (
     assemble_instance,
     validate_disposition,
 )
-from .errors import ConfigError, DomainViolation, InfeasibleParams, StructuralFailure
+from .errors import (
+    ConfigError,
+    DispositionViolation,
+    DomainViolation,
+    InfeasibleParams,
+    StructuralFailure,
+)
 from .linalg import one_blas_thread, op_norm
 
 REGIMES = ("A", "B", "C", "mixed")
@@ -82,6 +88,22 @@ LEMMA_SCALE = 1e-9
 #: Spread of the outer eigenvalues beyond the gap ends: the default of a
 #: campaign, and of the sharpness search in gap half-widths.
 OUTER_RADIUS = 2.0
+
+#: Moves of each restart that one stack of the sharpness search evaluates,
+#: all from the restart's current point.  Moves are accepted often enough
+#: (about a fifth to a third of them) that deeper plans waste more rows
+#: than the eigensolves they save.
+LOOKAHEAD = 2
+
+#: Time, in microseconds, that the rows of one look-ahead stack of the
+#: sharpness search may cost; a larger search evaluates one move per restart
+#: and stack.  A stack costs about 90 us plus, per n x n row, about n**2 / 4
+#: us to solve and 16 us to make its move (Xeon, OpenBLAS 0.3).  Planning
+#: ahead saves about two fifths of the stacks and makes about a sixth more
+#: moves, so it pays only while its rows are cheap against the fixed cost:
+#: it gained at 4 restarts of n0 = 4, n1 = 6, 8 of 2 + 2 and 1 of 8 + 12,
+#: and lost at 8, 16 and 2 of them.
+LOOKAHEAD_US = 400
 
 #: Column order of sweep CSV files.
 SWEEP_COLUMNS = (
@@ -241,9 +263,12 @@ def _regime_upper_limit(regime: str, d: float, width: float) -> float:
 def trial_instance(cfg: CampaignConfig, index: int) -> tuple[PerturbationInstance, dict]:
     """Deterministically regenerate the instance of one campaign trial.
 
-    The same draws and build as the campaign's, on a stack of one.
+    The same draws and build as the campaign's, on a stack of one.  The
+    index must be an integer in ``[0, cfg.trials)``.
     """
     validate_config(cfg)
+    if not (_is_int(index) and 0 <= index < cfg.trials):
+        raise ConfigError(f"trial index must be an integer in [0, {cfg.trials}), got {index!r}")
     trial = _trial_draw(cfg, _trial_streams(cfg.seed)(int(index)))
     return _build_trials(cfg, [trial]).insts[0], trial[0]
 
@@ -794,11 +819,17 @@ class SharpnessConfig:
 
 
 class _Walk:
-    """One restart of the sharpness search: its generator and its current
-    point (s0, offs, outer, b).  ``outer`` is the outer spectrum of the
-    offsets ``offs``, built when they move and kept with them.  A move is
-    kept only when it raises ``measured``, so the current point is also the
-    restart's best, reached first."""
+    """One restart of the sharpness search: its generator, its current
+    point (s0, offs, outer, b), its step and its queue of drawn moves.
+    ``outer`` is the outer spectrum of the offsets ``offs``, built when they
+    move and kept with them.  A move is kept only when it raises
+    ``measured``, so the current point is also the restart's best, reached
+    first.
+
+    A move is drawn (:meth:`draw`) apart from being made (:meth:`move`):
+    the draws depend on the config alone, so they can be queued ahead of
+    the outcomes that decide the point and the step they are made from.
+    """
 
     def __init__(self, cfg: SharpnessConfig, r: int, gap: tuple[float, float]):
         lo, hi = _hull(gap, cfg.d)
@@ -814,41 +845,81 @@ class _Walk:
         self.point = (s0, offs, _outer(gap, self.sides, offs), bdir * (cfg.v / op_norm(bdir)))
         self.measured = -1.0
         self.step = 0.3
+        self.queued, self.undrawn = [], cfg.iters
 
-    def propose(self) -> tuple | None:
-        """The next move's point, drawn from this restart's generator; None
-        when the coupling direction drawn has norm 0 (no move is made)."""
-        cfg, rng, step, lo, hi = self.cfg, self.rng, self.step, self.lo, self.hi
-        s0, offs, outer, b = self.point
+    def draw(self) -> tuple[int, np.ndarray]:
+        """The next move's draws from this restart's generator: the group it
+        moves (0 the inner values, 1 the outer offsets, 2 the coupling; a
+        group that cannot move is a coupling move) and its normals."""
+        cfg, rng = self.cfg, self.rng
         group = int(rng.integers(0, 3))
-        if group == 0 and hi > lo:
-            s0 = np.clip(s0 + rng.standard_normal(cfg.n0) * step * (hi - lo), lo, hi)
+        if group == 0 and self.hi > self.lo:
+            return 0, rng.standard_normal(cfg.n0)
+        if group == 1 and cfg.n1 > 2:
+            return 1, rng.standard_normal(cfg.n1 - 2)
+        shape = (cfg.n0, cfg.n1)
+        return 2, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def move(self, step: float, drawn: tuple[int, np.ndarray]) -> tuple | None:
+        """The point that a drawn move makes from the current point with
+        ``step``; None when the coupling direction has norm 0 (no move is
+        made)."""
+        cfg, lo, hi = self.cfg, self.lo, self.hi
+        s0, offs, outer, b = self.point
+        group, normals = drawn
+        if group == 0:
+            s0 = (s0 + normals * step * (hi - lo)).clip(lo, hi)
             s0[0] = self.pin
-        elif group == 1 and cfg.n1 > 2:
-            offs = np.clip(
-                offs + rng.standard_normal(cfg.n1 - 2) * step * self.radius, 0.0, self.radius
-            )
+        elif group == 1:
+            offs = (offs + normals * step * self.radius).clip(0.0, self.radius)
             outer = _outer(self.gap, self.sides, offs)
         else:
-            bdir = b + step * cfg.v * (
-                rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape)
-            )
+            bdir = b + step * cfg.v * normals
             nrm = op_norm(bdir)
             if nrm == 0.0:
                 return None
             b = bdir * (cfg.v / nrm)
         return s0, offs, outer, b
 
-    def settle(self, point: tuple, measured: float) -> None:
-        """Keep the move to ``point`` if it improves, else shrink the step."""
-        if measured > self.measured:
-            self.point, self.measured = point, measured
-        else:
-            self.step = max(self.step * 0.95, 1e-4)
+    def plan(self, depth: int) -> list[tuple | None]:
+        """The next moves, at most ``depth``, from the current point, each
+        with the step that rejecting the moves before it leaves."""
+        queued = self.queued
+        while len(queued) < depth and self.undrawn:
+            queued.append(self.draw())
+            self.undrawn -= 1
+        step, points = self.step, []
+        for drawn in queued[:depth]:
+            point = self.move(step, drawn)
+            if point is not None:
+                step = _shrunk(step)
+            points.append(point)
+        return points
+
+    def settle(self, points: list[tuple | None], measured: list[float]) -> None:
+        """Settle planned moves in order, ``measured`` holding the values of
+        those that are not None: keep the first move that improves and stop
+        there, shrinking the step at each one before it.  The moves not
+        settled stay queued, to be made again from the new point."""
+        values = iter(measured)
+        for k, point in enumerate(points, 1):
+            if point is None:
+                continue
+            value = next(values)
+            if value > self.measured:
+                self.point, self.measured = point, value
+                break
+            self.step = _shrunk(self.step)
+        del self.queued[:k]
 
 
-def _step(moves: list[tuple[_Walk, tuple]]) -> None:
-    """Evaluate the moves (walk, point) as one stack and settle each walk.
+def _shrunk(step: float) -> float:
+    """The step of a restart after a rejected move."""
+    return max(step * 0.95, 1e-4)
+
+
+def _measure(cfg: SharpnessConfig, gap: tuple[float, float], points: list[tuple]) -> list[float]:
+    """The measured rotation of each point, evaluated as one stack.
 
     The search keeps its inner values at least d inside the gap and its
     outer values on or outside its ends, so of the partition rules only
@@ -857,15 +928,34 @@ def _step(moves: list[tuple[_Walk, tuple]]) -> None:
     modulus of each outer position over the stack: it passes every row, or
     raises for the row with the largest modulus.
     """
-    if not moves:
-        return
-    cfg, gap = moves[0][0].cfg, moves[0][0].gap
-    points = [p for _, p in moves]
     outer = np.array([p[2] for p in points])
     _check_separation(cfg.d, np.abs(outer).max(axis=0))
     L = _operators(np.array([p[0] for p in points]), outer, np.array([p[3] for p in points]))
-    for (w, p), measured in zip(moves, riccati._rotations(L, gap, cfg.n0).tolist()):
-        w.settle(p, measured)
+    return riccati._rotations(L, gap, cfg.n0).tolist()
+
+
+def _step(walks: list[_Walk], depth: int) -> None:
+    """One block of the search: plan up to ``depth`` moves of every walk,
+    evaluate them all as one stack and settle each walk's moves.
+
+    A failure while planning the moves or evaluating their stack falls
+    back to a block of each walk's next move alone, which raises only where
+    one of those moves fails on its own, as it does when the restarts run
+    one after another.
+    """
+    try:
+        plans = [w.plan(depth) for w in walks]
+        points = [p for plan in plans for p in plan if p is not None]
+        measured = _measure(walks[0].cfg, walks[0].gap, points) if points else []
+    except (StructuralFailure, DispositionViolation):
+        if depth == 1:
+            raise
+        return _step(walks, 1)
+    start = 0
+    for w, plan in zip(walks, plans):
+        count = len(plan) - plan.count(None)
+        w.settle(plan, measured[start:start + count])
+        start += count
 
 
 def sharpness_search(cfg: SharpnessConfig) -> dict:
@@ -880,11 +970,17 @@ def sharpness_search(cfg: SharpnessConfig) -> dict:
     against the bound up to the absolute ``bounds.BOUND_SLACK``, as a
     campaign record does, so rounding noise at a tiny v is no violation.
 
-    The restarts run in lockstep: each draws from its own generator, and
-    the candidates of one iteration of all of them are evaluated as one
-    stack.  The result does not depend on that grouping; it is the one of
-    running the restarts one after another, the first best of the lowest
-    restart reported.
+    The restarts run in blocks: each draws from its own generator and
+    queues its draws ahead, and one stack evaluates up to ``LOOKAHEAD``
+    next moves of every restart (one, where the rows of that stack would
+    cost more than ``LOOKAHEAD_US``), each from the restart's current point
+    with the step that rejecting the moves before it leaves.  A restart
+    settles its moves in order up to its first accepted one; the moves after
+    it are made again from the new point in the next block, from the same
+    draws.
+    The result does not depend on that grouping; it is the one of running
+    the restarts one after another, one candidate at a time, the first best
+    of the lowest restart reported.
     """
     integers = ("n0", "n1", "restarts", "iters", "seed")
     if not all(_is_int(getattr(cfg, name)) for name in integers):
@@ -912,9 +1008,13 @@ def sharpness_search(cfg: SharpnessConfig) -> dict:
         raise InfeasibleParams(f"search requires 0 <= v < sqrt(d*(D-d)) = {detailed}")
 
     walks = [_Walk(cfg, r, gap) for r in range(cfg.restarts)]
-    _step([(w, w.point) for w in walks])
-    for _ in range(cfg.iters):
-        _step([(w, p) for w in walks for p in (w.propose(),) if p is not None])
+    for w, measured in zip(walks, _measure(cfg, gap, [w.point for w in walks])):
+        w.measured = measured
+    row_us = 16 + (cfg.n0 + cfg.n1) ** 2 / 4
+    depth = LOOKAHEAD if cfg.restarts * LOOKAHEAD * row_us <= LOOKAHEAD_US else 1
+    active = walks
+    while active := [w for w in active if w.queued or w.undrawn]:
+        _step(active, depth)
     # max keeps the first of equal maxima, as the sequential loop's strict > did
     best = max(walks, key=lambda w: w.measured)
     s0, _, outer, b = best.point

@@ -533,16 +533,19 @@ def test_analyze_convergence_failure_exit_code(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("failure", ["raise", "residual"])
 def test_sharpness_eigen_failure_in_a_lockstep_stack(tmp_path, capsys, monkeypatch, failure):
-    # the 5th eigensolve is iteration 4 of all four restarts at once; a
-    # LinAlgError there, or a wrong eigenvector of its last matrix caught by
-    # the residual check, is still typed
+    # every eigensolve from the 5th on fails: a LinAlgError, or a wrong
+    # eigenvector of the last matrix caught by the residual check.  The 5th
+    # stack plans two moves of each of the four restarts; its failure is
+    # retried with each restart's next move alone, whose stack fails too,
+    # and the search ends with the typed error of that stack (the first
+    # stack holds the four starting points)
     original = np.linalg.eigh
     sizes = []
 
     def broken(a, *args, **kwargs):
         sizes.append(len(a))
         values, vectors = original(a, *args, **kwargs)
-        if len(sizes) == 5:
+        if len(sizes) >= 5:
             if failure == "raise":
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
             vectors = vectors.copy()
@@ -554,7 +557,7 @@ def test_sharpness_eigen_failure_in_a_lockstep_stack(tmp_path, capsys, monkeypat
             "--restarts", "4", "--iters", "10", "--out", str(tmp_path / "s.json")]
     assert cli.main(args) == cli.EXIT_STRUCTURAL
     assert json.loads(capsys.readouterr().err)["error"] == "EigenFailure"
-    assert sizes == [4] * 5
+    assert sizes == [4] + [8] * 4 + [4]
     assert not (tmp_path / "s.json").exists()
 
 

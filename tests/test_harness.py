@@ -200,10 +200,22 @@ def test_trial_instance_reproducible():
     assert inst3.L.shape != inst1.L.shape or not np.array_equal(inst3.L, inst1.L)
 
 
+@pytest.mark.parametrize("index", [1.5, -1, 20, 2**128, True, "1", None, np.float64(1.0)])
+def test_trial_instance_refuses_bad_indices(index):
+    with pytest.raises(ConfigError, match="trial index"):
+        spl.trial_instance(spl.CampaignConfig(trials=20, seed=1), index)
+
+
+def test_trial_instance_takes_numpy_integers():
+    cfg = spl.CampaignConfig(trials=20, seed=1)
+    assert spl.trial_instance(cfg, np.int64(19))[1] == spl.trial_instance(cfg, 19)[1]
+
+
 def test_trial_streams_are_numpy_philox_jumps():
     # trial i draws from the stream of Philox(SeedSequence(seed)).jumped(i);
-    # a campaign resets one generator to each trial's counter, in any order
-    cfg = tiny_config(n0=(1, 20), n1=(2, 20))
+    # a campaign resets one generator to each trial's counter, in any order;
+    # the campaign has 2**40 + 4 trials, so trial 2**40 + 3 is one of them
+    cfg = tiny_config(trials=2**40 + 4, n0=(1, 20), n1=(2, 20))
     streams = spl.harness._trial_streams(cfg.seed)
     for i in (0, 1, 2**40 + 3, 1):
         jumped = np.random.Philox(np.random.SeedSequence(cfg.seed)).jumped(i)

@@ -9,6 +9,7 @@ breaks it fails here instead of shifting report bytes.
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -517,6 +518,97 @@ def test_lockstep_sharpness_results_are_pinned():
     for cfg in LOCKSTEP_CONFIGS:
         h.update(matio.dumps(harness.sharpness_search(cfg), indent=2).encode())
     assert h.hexdigest() == SHARPNESS_LOCKSTEP_DIGEST
+
+
+@pytest.mark.parametrize("depth", [1, 3, 7])
+def test_sharpness_results_do_not_depend_on_the_lookahead(monkeypatch, depth):
+    rotations, rows = riccati._rotations, []
+
+    def counted(L, *args):
+        rows.append(len(L))
+        return rotations(L, *args)
+
+    monkeypatch.setattr(riccati, "_rotations", counted)
+    monkeypatch.setattr(harness, "LOOKAHEAD", depth)
+    monkeypatch.setattr(harness, "LOOKAHEAD_US", math.inf)
+    h = hashlib.sha256()
+    for cfg in LOCKSTEP_CONFIGS:
+        h.update(matio.dumps(harness.sharpness_search(cfg), indent=2).encode())
+    assert h.hexdigest() == SHARPNESS_LOCKSTEP_DIGEST
+    # the first block of the 8 restarts plans `depth` moves of each
+    assert max(rows) == 8 * depth
+
+
+def test_null_coupling_moves_keep_the_step_at_any_lookahead(monkeypatch):
+    # a coupling direction of norm 0 makes no move and keeps the step; every
+    # 5th draw of each restart, when it is a coupling move, is scaled far
+    # past any direction the search reaches, which the patched norm reads
+    # as 0.  Planning ahead must settle such moves as one at a time does.
+    draw, norm, nulls = harness._Walk.draw, harness.op_norm, []
+
+    def draw_with_nulls(self):
+        group, normals = draw(self)
+        self.draws = getattr(self, "draws", 0) + 1
+        return group, normals * 1e12 if group == 2 and self.draws % 5 == 0 else normals
+
+    def null_norm(m):
+        if np.abs(m).max() > 1e6:
+            nulls.append(m)
+            return 0.0
+        return norm(m)
+
+    monkeypatch.setattr(harness._Walk, "draw", draw_with_nulls)
+    monkeypatch.setattr(harness, "op_norm", null_norm)
+    monkeypatch.setattr(harness, "LOOKAHEAD_US", math.inf)
+    digests = set()
+    for depth in (1, 2, 3):
+        monkeypatch.setattr(harness, "LOOKAHEAD", depth)
+        h = hashlib.sha256()
+        for cfg in LOCKSTEP_CONFIGS:
+            h.update(matio.dumps(harness.sharpness_search(cfg), indent=2).encode())
+        digests.add(h.hexdigest())
+    assert nulls and len(digests) == 1
+
+
+def test_failed_lookahead_stacks_fall_back_to_the_next_moves(monkeypatch):
+    # every stack that holds more rows than the restarts (a look-ahead
+    # stack) fails; each is retried with every restart's next move alone
+    original, failed = np.linalg.eigh, []
+    restarts = 0
+
+    def broken(a, *args, **kwargs):
+        if np.ndim(a) == 3 and len(a) > restarts:
+            failed.append(len(a))
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", broken)
+    monkeypatch.setattr(harness, "LOOKAHEAD_US", math.inf)
+    h = hashlib.sha256()
+    for cfg in LOCKSTEP_CONFIGS:
+        restarts = cfg.restarts
+        h.update(matio.dumps(harness.sharpness_search(cfg), indent=2).encode())
+    assert h.hexdigest() == SHARPNESS_LOCKSTEP_DIGEST
+    assert failed
+
+
+@pytest.mark.parametrize("n0, n1, restarts, rows", [
+    (4, 6, 4, 8),   # 8 rows of 41 us: two moves of each restart
+    (4, 6, 5, 5),   # 10 rows of 41 us: one move of each
+    (2, 2, 10, 20),
+    (2, 2, 11, 11),
+])
+def test_large_sharpness_stacks_plan_no_moves_ahead(monkeypatch, n0, n1, restarts, rows):
+    rotations, sizes = riccati._rotations, []
+
+    def counted(L, *args):
+        sizes.append(len(L))
+        return rotations(L, *args)
+
+    monkeypatch.setattr(riccati, "_rotations", counted)
+    cfg = harness.SharpnessConfig(n0=n0, n1=n1, D=2.0, d=0.5, v=0.6, restarts=restarts, iters=3)
+    harness.sharpness_search(cfg)
+    assert max(sizes) == rows
 
 
 # --- the two generation routes -------------------------------------------------------
